@@ -53,6 +53,8 @@ class SynthSpec:
     def __post_init__(self):
         if self.n < 1:
             raise DataError(f"need n >= 1 days, got {self.n}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.tau < 3:
             raise DataError(f"need tau >= 3, got {self.tau}")
         if self.num_factors < 1:

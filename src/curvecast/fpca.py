@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .gridcurves import FunctionalTimeSeries, _freeze
 
 #: relative threshold below which trailing eigenvalues are treated as zero
@@ -190,7 +190,9 @@ def fit_fpca(
         K = 1 if degenerate else select_num_components(evals, n)
     else:
         K = int(num_components)
-        if not 1 <= K <= rank:
+        if K < 1:
+            raise ConfigError(f"num_components must be >= 1, got {K}")
+        if K > rank:
             raise DataError(
                 f"num_components={K} outside the available rank 1..{rank}"
             )

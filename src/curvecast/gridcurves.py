@@ -364,8 +364,10 @@ def _read_wide(rows, header, path):
         if len(row) != len(header):
             raise DataError(f"{path}:{ln}: expected {len(header)} fields, got {len(row)}")
         dates.append(row[0].strip() if has_date else f"day{i + 1:04d}")
-        for j, tok in enumerate(row[offset:]):
-            raw[i, j] = _parse_price(tok, f"{path}:{ln}")
+        try:
+            raw[i] = [float(tok) for tok in row[offset:]]
+        except ValueError:  # missing or bad tokens: parse field by field
+            raw[i] = [_parse_price(tok, f"{path}:{ln}") for tok in row[offset:]]
     return raw, grid, dates
 
 

@@ -54,6 +54,8 @@ class BootstrapConfig:
     def __post_init__(self):
         if self.num_replicates < 1:
             raise ConfigError(f"num_replicates must be >= 1, got {self.num_replicates}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         alphas = tuple(float(a) for a in self.alpha_levels)
         if not alphas or any(not 0.0 < a < 1.0 for a in alphas):
             raise ConfigError(f"alpha levels must lie in (0, 1), got {self.alpha_levels}")
@@ -251,15 +253,15 @@ def _assemble_replicates(fpca, var, seed, indices) -> SieveReplicates:
             _replicate_draws(rng, T, M, p, n, eps_pool.shape[0], resid_pool.shape[0])
         )
 
-    eta = _transfer_padded(var, eps_pool[ext_idx])  # (B, T, K)
-    series_scores = np.empty((B, n, K))
-    series_scores[:, T:] = fpca.scores[T:, :K]
-    back = var.backward_coeffs
+    # time-major (n, B, K) while recursing, so each step's block is contiguous
+    paths = np.empty((n, B, K))
+    paths[:T] = _transfer_padded(var, np.take(eps_pool, ext_idx.T, axis=0))
+    paths[T:] = fpca.scores[T:, None, :K]
+    back = [a.T for a in var.backward_coeffs]
     for t in range(T - 1, -1, -1):
-        acc = eta[:, t].copy()
         for xi in range(1, p + 1):
-            acc += series_scores[:, t + xi] @ back[xi - 1].T
-        series_scores[:, t] = acc
+            paths[t] += paths[t + xi] @ back[xi - 1]
+    series_scores = np.ascontiguousarray(paths.transpose(1, 0, 2))
 
     ts1 = forecast_scores(var, fpca.scores[:, :K], horizon=1)[0]
     future_scores = ts1 + eps_pool[fut_eps_idx]

@@ -238,3 +238,30 @@ class TestErrorPaths:
              "--output-json", str(tmp_path / "f.json")]
         )
         assert rc == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["forecast", "--seed", "-1", "--replicates", "60"],
+            ["simulate", "--seed", "-2", "--days", "20", "--tau", "8"],
+            ["forecast", "--max-order", "0", "--replicates", "60"],
+            ["fit", "--num-components", "0"],
+        ],
+        ids=["forecast-negative-seed", "simulate-negative-seed", "max-order-zero",
+             "num-components-zero"],
+    )
+    def test_bad_config_value_is_exit_one(self, workdir, tmp_path, capsys, argv):
+        _, prices, _ = workdir
+        command, options = argv[0], argv[1:]
+        if command == "simulate":
+            io = ["--output", str(tmp_path / "s.csv")]
+        elif command == "fit":
+            io = ["--input", str(prices), "--output", str(tmp_path / "m.json")]
+        else:
+            io = ["--input", str(prices), "--output-json", str(tmp_path / "f.json")]
+        capsys.readouterr()
+        assert main([command] + options + io) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err

@@ -137,3 +137,21 @@ class TestCsv:
     def test_missing_file_is_data_error(self, tmp_path):
         with pytest.raises(DataError):
             read_price_csv(str(tmp_path / "nope.csv"))
+
+    def test_wide_missing_padded_and_bad_tokens(self, tmp_path):
+        path = tmp_path / "px.csv"
+        path.write_text(
+            "date,t0,t5,t10\n"
+            "d1, 100.5 ,101,\t102.25\n"
+            "d2,NA,,103\n"
+            "d3, NA ,104,105\n"
+        )
+        raw, _, dates = read_price_csv(str(path))
+        assert dates == ["d1", "d2", "d3"]
+        assert raw[0].tolist() == [100.5, 101.0, 102.25]
+        assert math.isnan(raw[1, 0]) and math.isnan(raw[1, 1]) and raw[1, 2] == 103.0
+        assert math.isnan(raw[2, 0]) and raw[2, 1:].tolist() == [104.0, 105.0]
+        path.write_text("date,t0,t5,t10\nd1,100,101,102\nd2,100,1o1,x\n")
+        with pytest.raises(DataError) as info:
+            read_price_csv(str(path))
+        assert str(info.value) == f"unparseable price '1o1' at {path}:3"

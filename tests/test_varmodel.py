@@ -5,7 +5,7 @@ import pytest
 from numpy.random import default_rng
 
 from curvecast import (
-    CurvecastError,
+    ConfigError,
     DataError,
     NumericalError,
     VarModel,
@@ -16,6 +16,7 @@ from curvecast import (
     forecast_scores,
     select_order,
 )
+from curvecast.varmodel import _transfer_padded
 
 
 def simulate_var(coeffs, n, seed, burn=300, scale=1.0):
@@ -169,7 +170,7 @@ class TestOrderSelection:
         assert select_order(wn, 6) == 1
 
     def test_rejects_empty_candidate_range(self):
-        with pytest.raises(CurvecastError):
+        with pytest.raises(ConfigError):
             select_order(default_rng(0).normal(size=(100, 2)), 0)
 
 
@@ -198,3 +199,61 @@ class TestBackwardTransfer:
             m = fit_var(y, 1)
         with pytest.raises(NumericalError):
             backward_innovation_transfer(m, np.zeros((10, 1)), default_rng(0))
+
+
+def psi_filter_transfer(model, extended):
+    """Oracle: the moving-average filter truncated after psi_M, in M+1 passes."""
+    psi = model.psi
+    M = psi.shape[0] - 1
+    p = model.order
+    B, total, K = extended.shape
+    T = total - M - p
+    zeta = np.zeros((B, T + p, K))
+    for j in range(M + 1):
+        zeta += extended[:, M - j : M - j + T + p] @ psi[j].T
+    eta = zeta[:, :T].copy()
+    for xi in range(1, p + 1):
+        eta -= zeta[:, xi : xi + T] @ model.backward_coeffs[xi - 1].T
+    return eta
+
+
+class TestTransferRecursion:
+    """The VAR recursion matches the truncated filter up to the psi tail."""
+
+    ORDER_TWO = np.array(
+        [[[0.5, 0.1], [0.0, 0.3]], [[0.2, 0.0], [0.05, 0.1]]]
+    )
+
+    @pytest.fixture(scope="class", params=[1, 2], ids=["p1", "p2"])
+    def fit(self, request, ar1_fit):
+        if request.param == 1:
+            return ar1_fit[2]
+        return fit_var(simulate_var(self.ORDER_TWO, 400, seed=21), 2)
+
+    @staticmethod
+    def padded(m, B, seed):
+        T = m.nobs - m.order
+        total = m.psi.shape[0] - 1 + T + m.order
+        pool = m.centered_residuals
+        return pool[default_rng(seed).integers(0, pool.shape[0], size=(B, total))]
+
+    def test_matches_truncated_filter(self, fit):
+        extended = self.padded(fit, 3, seed=4)
+        out = _transfer_padded(fit, extended.transpose(1, 0, 2)).transpose(1, 0, 2)
+        oracle = psi_filter_transfer(fit, extended)
+        assert out.shape == oracle.shape == (3, fit.nobs - fit.order, 2)
+        assert np.abs(out - oracle).max() < 1e-9
+
+    def test_single_series_equals_batch_row(self, fit):
+        M = fit.psi.shape[0] - 1
+        p = fit.order
+        pool = fit.centered_residuals
+        star = self.padded(fit, 1, seed=8)[0, M : M + fit.nobs - p]
+        single = backward_innovation_transfer(fit, star, default_rng(12))
+        r = default_rng(12)
+        pre = pool[r.integers(0, pool.shape[0], size=M)]
+        post = pool[r.integers(0, pool.shape[0], size=p)]
+        batch = self.padded(fit, 3, seed=9)
+        batch[1] = np.vstack([pre, star, post])
+        row = _transfer_padded(fit, batch.transpose(1, 0, 2))[:, 1]
+        assert np.allclose(single, row, rtol=0.0, atol=1e-12)
