@@ -56,7 +56,6 @@ from .updating import (
     schedule_to_json,
     tune_lambda,
     updating_columns,
-    LambdaSchedule,
 )
 from .varmodel import fit_var, select_order
 
@@ -509,25 +508,17 @@ def cmd_tune(opts: dict) -> int:
     if objective not in ("msfe", "interval_score", "both"):
         raise ConfigError(f"unknown tuning objective {objective!r}")
     fts, _, _, _ = _load_curves(_require(opts, "input"), opts["max_missing_frac"])
-    kwargs = dict(
+    schedule = tune_lambda(
+        fts,
         train_size=opts["train_size"],
         validation_size=opts["validation_size"],
+        objective=objective,
         lambda_grid=opts["lambda_grid"],
         periods=opts["periods"],
         num_components=opts["num_components"],
         max_order=opts["max_order"],
+        bootstrap=BootstrapConfig(opts["replicates"], opts["seed"], opts["alphas"]),
     )
-    cfg = BootstrapConfig(opts["replicates"], opts["seed"], opts["alphas"])
-    if objective == "msfe":
-        schedule = tune_lambda(fts, objective="msfe", **kwargs)
-    elif objective == "interval_score":
-        schedule = tune_lambda(fts, objective="interval_score", bootstrap=cfg, **kwargs)
-    else:
-        point = tune_lambda(fts, objective="msfe", **kwargs)
-        interval = tune_lambda(fts, objective="interval_score", bootstrap=cfg, **kwargs)
-        schedule = LambdaSchedule(
-            point=point.point, interval=interval.interval, lambda_grid=point.lambda_grid
-        )
     out = _require(opts, "output")
     doc = json.loads(schedule_to_json(schedule))
     doc["manifest"] = _manifest(opts)
@@ -631,10 +622,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="curvecast",
         description="Forecasting intraday return curves with dynamic updating.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
     for name, func, opts, help_text in _COMMANDS:
-        p = sub.add_parser(name, help=help_text, description=help_text)
+        p = sub.add_parser(name, help=help_text, description=help_text, allow_abbrev=False)
         _add_options(p, opts)
         p.set_defaults(func=func, opts_spec=opts)
     return parser

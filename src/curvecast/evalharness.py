@@ -35,6 +35,7 @@ from .updating import (
     flr_fit,
     flr_interval_update,
     flr_update,
+    normalize_lambda_grid,
     ols_update,
     pls_interval_update,
     pls_update,
@@ -189,6 +190,7 @@ def validate_plan(plan: BacktestPlan, fts: FunctionalTimeSeries) -> tuple:
             raise ConfigError(f"updating period m={m} outside 2..{tau - 1}")
     if "PLS" in plan.methods:
         if plan.lambda_schedule is None:
+            normalize_lambda_grid(plan.lambda_grid)
             if plan.tune_train + plan.tune_validation > plan.initial_train:
                 raise ConfigError(
                     "shrinkage tuning must fit inside the initial training sample: "
@@ -305,32 +307,16 @@ def run_backtest(fts: FunctionalTimeSeries, plan: BacktestPlan) -> MetricReport:
     schedule = plan.lambda_schedule
     if "PLS" in plan.methods and schedule is None:
         head = fts.head(plan.initial_train)
-        tune_seed = derive_seed(plan.bootstrap.seed, 1)
-        point_sched = tune_lambda(
+        schedule = tune_lambda(
             head,
             train_size=plan.tune_train,
             validation_size=plan.tune_validation,
-            objective="msfe",
+            objective="both",
             lambda_grid=plan.lambda_grid,
             periods=periods,
             num_components=plan.num_components,
             max_order=plan.max_order,
-        )
-        interval_sched = tune_lambda(
-            head,
-            train_size=plan.tune_train,
-            validation_size=plan.tune_validation,
-            objective="interval_score",
-            lambda_grid=plan.lambda_grid,
-            periods=periods,
-            num_components=plan.num_components,
-            max_order=plan.max_order,
-            bootstrap=replace(plan.bootstrap, seed=tune_seed),
-        )
-        schedule = LambdaSchedule(
-            point=point_sched.point,
-            interval=interval_sched.interval,
-            lambda_grid=tuple(sorted(set(float(v) for v in plan.lambda_grid))),
+            bootstrap=replace(plan.bootstrap, seed=derive_seed(plan.bootstrap.seed, 1)),
         )
 
     ts_sq, ts_iscore, ts_cover, ts_band_cover = [], {a: [] for a in alphas}, {a: [] for a in alphas}, {a: [] for a in alphas}

@@ -75,13 +75,29 @@ def derive_seed(master: int, *path: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def empirical_quantile(values: np.ndarray, q, axis: int = 0):
-    """Empirical quantile pinned to linear interpolation of order statistics.
+def sorted_quantile(sorted_values: np.ndarray, q: float, axis: int = 0) -> np.ndarray:
+    """Type-7 quantile of values already sorted along ``axis``.
 
     With n sorted values v and h = (n - 1) q, returns
     ``v[floor(h)] + (h - floor(h)) * (v[floor(h) + 1] - v[floor(h)])``,
     evaluated exactly in that form so results are reproducible against a
-    sort-based reference.
+    sort-based reference.  ``q`` must lie in [0, 1].
+    """
+    v = sorted_values
+    n = v.shape[axis]
+    h = (n - 1) * q
+    f = math.floor(h)
+    if f >= n - 1:
+        return np.take(v, n - 1, axis=axis)
+    lo = np.take(v, f, axis=axis)
+    return lo + (h - f) * (np.take(v, f + 1, axis=axis) - lo)
+
+
+def empirical_quantile(values: np.ndarray, q, axis: int = 0):
+    """Empirical quantile pinned to linear interpolation of order statistics.
+
+    Sorts along ``axis`` and reads the level with :func:`sorted_quantile`;
+    a 1-D input gives a float.
     """
     q = float(q)
     if not 0.0 <= q <= 1.0:
@@ -89,16 +105,24 @@ def empirical_quantile(values: np.ndarray, q, axis: int = 0):
     v = np.asarray(values, dtype=float)
     if v.size == 0:
         raise DataError("cannot take a quantile of an empty array")
-    if axis != 0:
-        v = np.moveaxis(v, axis, 0)
-    v = np.sort(v, axis=0)
-    n = v.shape[0]
-    h = (n - 1) * q
-    f = math.floor(h)
-    if f >= n - 1:
-        return v[n - 1].copy() if v.ndim > 1 else float(v[n - 1])
-    out = v[f] + (h - f) * (v[f + 1] - v[f])
+    out = sorted_quantile(np.sort(v, axis=axis), q, axis=axis)
     return out if v.ndim > 1 else float(out)
+
+
+def sorted_intervals(sorted_values: np.ndarray, alpha_levels, axis: int = 0) -> dict:
+    """Central (1 - alpha) intervals for every alpha from values sorted along ``axis``.
+
+    Maps each alpha to ``(lower, upper)``, the alpha/2 and 1 - alpha/2
+    levels of :func:`empirical_quantile`, bit for bit; callers sort once
+    (in place when they own the array) and read every level from it.
+    """
+    return {
+        a: (
+            sorted_quantile(sorted_values, a / 2.0, axis),
+            sorted_quantile(sorted_values, 1.0 - a / 2.0, axis),
+        )
+        for a in alpha_levels
+    }
 
 
 @dataclass(frozen=True)
@@ -449,15 +473,14 @@ def sieve_prediction(
         center_curve = far1_forecast(far1_fit(fts), fts.values[-1])
 
     shifted = center_curve + errors
-    sup_stats = (np.abs(errors) / sigma_eff).max(axis=1)
+    shifted.sort(axis=0)
+    sup_sorted = np.sort((np.abs(errors) / sigma_eff).max(axis=1))
     pointwise = {}
     band = {}
     band_radius = {}
-    for alpha in cfg.alpha_levels:
-        lo = empirical_quantile(shifted, alpha / 2.0, axis=0)
-        hi = empirical_quantile(shifted, 1.0 - alpha / 2.0, axis=0)
+    for alpha, (lo, hi) in sorted_intervals(shifted, cfg.alpha_levels).items():
         pointwise[alpha] = (_freeze(lo), _freeze(hi))
-        q = float(empirical_quantile(sup_stats, 1.0 - alpha))
+        q = float(sorted_quantile(sup_sorted, 1.0 - alpha))
         band_radius[alpha] = q
         band[alpha] = (_freeze(center_curve - q * sigma), _freeze(center_curve + q * sigma))
     return SieveForecast(

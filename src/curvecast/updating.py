@@ -20,6 +20,7 @@ score for interval updates.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -34,8 +35,8 @@ from .sieve import (
     SieveReplicates,
     derive_seed,
     draw_replicates,
-    empirical_quantile,
     project_replicate_block,
+    sorted_intervals,
 )
 from .varmodel import fit_var, forecast_scores, select_order
 
@@ -114,6 +115,14 @@ def build_update_context(fpca, var, observed: Sequence[float]) -> UpdateContext:
 # ---------------------------------------------------------------------------
 
 
+def _require_full_rank(F: np.ndarray, m: int) -> None:
+    """Exact least squares (zero shrinkage) needs a full-column-rank observed basis."""
+    K = F.shape[1]
+    s = np.linalg.svd(F, compute_uv=False)
+    if F.shape[0] < K or s[-1] <= 1e-12 * s[0]:
+        raise NumericalError(f"least squares rank-deficient at m={m} with {K} components")
+
+
 def pls_coefficients(ctx: UpdateContext, lam: float, fpca: FpcaModel) -> np.ndarray:
     """Score estimate from the observed block, shrunk toward the forecast scores.
 
@@ -127,11 +136,7 @@ def pls_coefficients(ctx: UpdateContext, lam: float, fpca: FpcaModel) -> np.ndar
     K = F.shape[1]
     xc = ctx.observed - fpca.mean[: ctx.m - 1]
     if lam == 0.0:
-        s = np.linalg.svd(F, compute_uv=False)
-        if F.shape[0] < K or s[-1] <= 1e-12 * s[0]:
-            raise NumericalError(
-                f"least squares rank-deficient at m={ctx.m} with {K} components"
-            )
+        _require_full_rank(F, ctx.m)
     gram = F.T @ F + lam * np.eye(K)
     rhs = F.T @ xc + lam * ctx.ts_scores
     return np.linalg.solve(gram, rhs)
@@ -170,6 +175,39 @@ def _lam_for_alpha(lam, alpha: float) -> float:
     return float(lam)
 
 
+def _pls_curve_stack(
+    ctx: UpdateContext,
+    fpca: FpcaModel,
+    future_scores: np.ndarray,
+    late_resid_t: np.ndarray,
+    lams: Sequence[float],
+) -> np.ndarray:
+    """Replicate curves of the rest of the day for every shrinkage value at once.
+
+    Returns an (L, c, B) stack, replicates last so that sorting across
+    them runs along contiguous memory: each of the B score draws is shrunk
+    against the observed block with each of the L values, rebuilt on the
+    c updating columns, and perturbed by its residual row in
+    ``late_resid_t`` (c, B).  The L systems are solved as one batch;
+    callers check that zero shrinkage, if present, is feasible.
+    """
+    F = ctx.eigenbasis_obs
+    K = F.shape[1]
+    if future_scores.shape[1] != K:
+        raise DataError("replicates were drawn from a different component model")
+    lams = np.asarray(lams, dtype=float)[:, None, None]
+    cols = ctx.updating_cols
+    xc = ctx.observed - fpca.mean[: ctx.m - 1]
+    gram = F.T @ F + lams * np.eye(K)  # (L, K, K)
+    rhs = np.broadcast_to((F.T @ xc)[:, None], gram.shape[:-1] + (1,))
+    base = np.linalg.solve(gram, rhs)  # (L, K, 1)
+    shrink = lams * np.linalg.solve(gram, future_scores.T)  # (L, K, B)
+    curves = fpca.eigenfunctions[cols, :K] @ (base + shrink)
+    curves += fpca.mean[cols][:, None]
+    curves += late_resid_t
+    return curves
+
+
 def pls_interval_update(
     ctx: UpdateContext,
     lam,
@@ -185,32 +223,18 @@ def pls_interval_update(
     curve; intervals are empirical quantiles across replicates.  ``lam``
     may be a scalar or a per-alpha mapping.
     """
-    cols = ctx.updating_cols
-    F = ctx.eigenbasis_obs
-    K = F.shape[1]
-    if reps.future_scores.shape[1] != K:
-        raise DataError("replicates were drawn from a different component model")
-    xc = ctx.observed - fpca.mean[: ctx.m - 1]
-    late_resid = reps.resid_pool[reps.future_resid_idx][:, cols]
-    basis_late = fpca.eigenfunctions[cols, :K]
-    out = {}
-    for alpha in alpha_levels:
-        la = _lam_for_alpha(lam, alpha)
-        if la == 0.0:
-            s = np.linalg.svd(F, compute_uv=False)
-            if F.shape[0] < K or s[-1] <= 1e-12 * s[0]:
-                raise NumericalError(
-                    f"least squares rank-deficient at m={ctx.m} with {K} components"
-                )
-        gram = F.T @ F + la * np.eye(K)
-        base = np.linalg.solve(gram, F.T @ xc)
-        shrink = la * np.linalg.solve(gram, reps.future_scores.T).T  # (B, K)
-        betas = base + shrink
-        curves = fpca.mean[cols] + betas @ basis_late.T + late_resid
-        lo = empirical_quantile(curves, alpha / 2.0, axis=0)
-        hi = empirical_quantile(curves, 1.0 - alpha / 2.0, axis=0)
-        out[alpha] = (_freeze(lo), _freeze(hi))
-    return out
+    lam_of = {a: _lam_for_alpha(lam, a) for a in alpha_levels}
+    lams = sorted(set(lam_of.values()))
+    if 0.0 in lams:
+        _require_full_rank(ctx.eigenbasis_obs, ctx.m)
+    late_resid_t = reps.resid_pool[reps.future_resid_idx, ctx.updating_cols[:, None]]
+    curves = _pls_curve_stack(ctx, fpca, reps.future_scores, late_resid_t, lams)
+    curves.sort(axis=-1)
+    bounds = sorted_intervals(curves, alpha_levels, axis=-1)
+    return {
+        a: tuple(_freeze(b[lams.index(lam_of[a])]) for b in bounds[a])
+        for a in alpha_levels
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -368,13 +392,12 @@ def flr_interval_update(
     links = np.linalg.solve(gram, cross)  # (B, R, S)
     theta_obs = _early_projection(model, observed)
     preds = np.einsum("r,brs,ls->bl", theta_obs, links, model.late_basis)
-    curves = model.late_mean + preds + reps.resid_pool[reps.future_resid_idx][:, lcols]
-    out = {}
-    for alpha in alpha_levels:
-        lo = empirical_quantile(curves, alpha / 2.0, axis=0)
-        hi = empirical_quantile(curves, 1.0 - alpha / 2.0, axis=0)
-        out[alpha] = (_freeze(lo), _freeze(hi))
-    return out
+    curves = model.late_mean + preds + reps.resid_pool[reps.future_resid_idx[:, None], lcols]
+    curves.sort(axis=0)
+    return {
+        a: (_freeze(lo), _freeze(hi))
+        for a, (lo, hi) in sorted_intervals(curves, alpha_levels).items()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -457,10 +480,95 @@ def schedule_from_json(text: str) -> LambdaSchedule:
     )
 
 
-def _interval_score_mean(lo, hi, actual, alpha) -> float:
+def normalize_lambda_grid(lambda_grid: Sequence[float]) -> tuple:
+    """Sorted distinct shrinkage candidates.
+
+    An empty grid, or one holding a negative or non-finite value, is
+    rejected: infinite shrinkage makes the penalized system NaN.
+    """
+    grid = tuple(sorted(set(float(v) for v in lambda_grid)))
+    if not grid:
+        raise ConfigError("shrinkage grid is empty")
+    if not all(0.0 <= v < math.inf for v in grid):
+        raise ConfigError(f"shrinkage grid must hold finite non-negative values, got {grid}")
+    return grid
+
+
+def _feasible_from(ctx: UpdateContext, grid: tuple) -> int:
+    """Index of the first grid value the case can use (exact least squares may be rank-deficient)."""
+    if grid[0] == 0.0:
+        try:
+            _require_full_rank(ctx.eigenbasis_obs, ctx.m)
+        except NumericalError:
+            return 1
+    return 0
+
+
+def _msfe_case_scores(case: TuningCase, grid: tuple) -> np.ndarray:
+    """Squared forecast error of one case for every grid value (inf where infeasible).
+
+    Equals ``mean((pls_update(ctx, lam, fpca) - actual_late) ** 2)`` per
+    value, with the L systems solved as one batch.
+    """
+    ctx, fpca = case.ctx, case.fpca
+    out = np.full(len(grid), np.inf)
+    start = _feasible_from(ctx, grid)
+    if start == len(grid):
+        return out
+    F = ctx.eigenbasis_obs
+    K = F.shape[1]
+    lams = np.asarray(grid[start:])
+    cols = ctx.updating_cols
+    xc = ctx.observed - fpca.mean[: ctx.m - 1]
+    gram = F.T @ F + lams[:, None, None] * np.eye(K)
+    rhs = F.T @ xc + lams[:, None] * ctx.ts_scores
+    betas = np.linalg.solve(gram, rhs[..., None])  # (L, K, 1)
+    preds = fpca.mean[cols] + (fpca.eigenfunctions[cols, :K] @ betas)[..., 0]
+    out[start:] = np.mean((preds - case.actual_late) ** 2, axis=-1)
+    return out
+
+
+def _interval_case_scores(
+    case: TuningCase,
+    future_scores: np.ndarray,
+    future_resid_t: np.ndarray,
+    grid: tuple,
+    alphas: Sequence[float],
+) -> np.ndarray:
+    """Mean interval score of one case for every (alpha, grid value) pair.
+
+    ``future_scores`` (B, K) and ``future_resid_t`` (d, B) are the
+    replicates' next-day score draws and residual curves.  The curve
+    stack for the whole grid is sorted once and every bound read from
+    that sort; infeasible values score inf.
+    """
     from .evalharness import interval_score
 
-    return float(np.mean(interval_score(lo, hi, actual, alpha)))
+    out = np.full((len(alphas), len(grid)), np.inf)
+    start = _feasible_from(case.ctx, grid)
+    if start == len(grid):
+        return out
+    curves = _pls_curve_stack(
+        case.ctx,
+        case.fpca,
+        future_scores,
+        future_resid_t[case.ctx.updating_cols],
+        grid[start:],
+    )
+    curves.sort(axis=-1)
+    bounds = sorted_intervals(curves, alphas, axis=-1)
+    for i, a in enumerate(alphas):
+        lo, hi = bounds[a]
+        out[i, start:] = interval_score(lo, hi, case.actual_late, a).mean(axis=-1)
+    return out
+
+
+def _argmin_grid(totals: np.ndarray, grid: tuple) -> float:
+    """Grid value with the lowest case-averaged score (smallest on ties)."""
+    means = totals.mean(axis=-1)
+    if not np.isfinite(means).any():
+        raise NumericalError("no feasible shrinkage value on the grid")
+    return grid[int(np.argmin(means))]
 
 
 def select_lambda_from_cases(
@@ -473,53 +581,35 @@ def select_lambda_from_cases(
 
     Returns a float for the squared-error objective, or a dict mapping
     each alpha level to its own value for the interval-score objective.
-    Infeasible grid entries (rank-deficient exact least squares) are
-    skipped; ties resolve to the smallest value.
+    Each case is scored once for the whole grid and every alpha (one
+    batched solve and one sort of its curve stack), by the same scorer
+    :func:`tune_lambda` streams its validation days through.  Infeasible
+    grid entries (rank-deficient exact least squares) are skipped; ties
+    resolve to the smallest value.
     """
     if not cases:
         raise ConfigError("no tuning cases supplied")
-    grid = sorted(set(float(v) for v in lambda_grid))
-    if any(v < 0 for v in grid):
-        raise ConfigError("shrinkage grid must be non-negative")
+    grid = normalize_lambda_grid(lambda_grid)
     if objective == "msfe":
-        totals = np.full(len(grid), np.inf)
-        for i, lam in enumerate(grid):
-            try:
-                errs = [
-                    np.mean((pls_update(c.ctx, lam, c.fpca) - c.actual_late) ** 2)
-                    for c in cases
-                ]
-            except NumericalError:
-                continue
-            totals[i] = float(np.mean(errs))
-        if not np.isfinite(totals).any():
-            raise NumericalError("no feasible shrinkage value on the grid")
-        return grid[int(np.argmin(totals))]
+        table = np.stack([_msfe_case_scores(c, grid) for c in cases], axis=-1)
+        return _argmin_grid(table, grid)
     if objective == "interval_score":
-        out = {}
-        for alpha in alpha_levels:
-            totals = np.full(len(grid), np.inf)
-            for i, lam in enumerate(grid):
-                try:
-                    scores = []
-                    for c in cases:
-                        if c.reps is None:
-                            raise ConfigError(
-                                "interval-score tuning needs bootstrap replicates per case"
-                            )
-                        lo, hi = pls_interval_update(
-                            c.ctx, lam, c.fpca, c.reps, alpha_levels=(alpha,)
-                        )[alpha]
-                        scores.append(
-                            _interval_score_mean(lo, hi, c.actual_late, alpha)
-                        )
-                except NumericalError:
-                    continue
-                totals[i] = float(np.mean(scores))
-            if not np.isfinite(totals).any():
-                raise NumericalError("no feasible shrinkage value on the grid")
-            out[alpha] = grid[int(np.argmin(totals))]
-        return out
+        if any(c.reps is None for c in cases):
+            raise ConfigError("interval-score tuning needs bootstrap replicates per case")
+        table = np.stack(
+            [
+                _interval_case_scores(
+                    c,
+                    c.reps.future_scores,
+                    c.reps.resid_pool.T[:, c.reps.future_resid_idx],
+                    grid,
+                    alpha_levels,
+                )
+                for c in cases
+            ],
+            axis=-1,
+        )
+        return {a: _argmin_grid(table[i], grid) for i, a in enumerate(alpha_levels)}
     raise ConfigError(f"unknown tuning objective {objective!r}")
 
 
@@ -539,9 +629,19 @@ def tune_lambda(
     Days ``train_size .. train_size + validation_size - 1`` are forecast
     one at a time with models refit on all prior days; the grid value
     minimizing the chosen objective, averaged over validation days, is
-    kept per updating period.
+    kept per updating period.  ``objective`` is ``"msfe"`` (point
+    schedule), ``"interval_score"`` (per-alpha interval schedule, needs
+    ``bootstrap``, default :class:`BootstrapConfig`) or ``"both"``, which
+    fills both schedules from one pass and equals the two single calls.
+
+    The pass streams: each validation day is fitted once, its replicates
+    (seed ``derive_seed(bootstrap.seed, 1, day)``) are drawn once and
+    reduced to the future score draws and residual rows, every period is
+    scored for the whole grid, and the day is dropped.  Memory is bounded
+    by one day's replicates plus a (periods, alphas, grid, days) score
+    table.
     """
-    if objective not in ("msfe", "interval_score"):
+    if objective not in ("msfe", "interval_score", "both"):
         raise ConfigError(f"unknown tuning objective {objective!r}")
     if train_size < 3 or validation_size < 1:
         raise ConfigError(
@@ -551,6 +651,7 @@ def tune_lambda(
         raise ConfigError(
             f"tuning split needs {train_size + validation_size} days, have {fts.n}"
         )
+    grid = normalize_lambda_grid(lambda_grid)
     tau = fts.grid.tau
     if periods is None:
         periods = range(2, tau)
@@ -558,42 +659,48 @@ def tune_lambda(
     for m in periods:
         if not 2 <= m < tau:
             raise ConfigError(f"updating period m={m} outside 2..{tau - 1}")
-    need_reps = objective == "interval_score"
-    if need_reps and bootstrap is None:
+    want_point = objective != "interval_score"
+    want_interval = objective != "msfe"
+    if want_interval and bootstrap is None:
         bootstrap = BootstrapConfig()
+    alphas = bootstrap.alpha_levels if want_interval else ()
 
-    cases_by_m = {m: [] for m in periods}
-    for v in range(train_size, train_size + validation_size):
+    P, L = len(periods), len(grid)
+    point_table = np.empty((P, L, validation_size)) if want_point else None
+    interval_table = np.empty((P, len(alphas), L, validation_size)) if want_interval else None
+    for j, v in enumerate(range(train_size, train_size + validation_size)):
         prefix = fts.window(0, v)
         actual = fts.values[v]
         model = fit_fpca(prefix, num_components)
         K = model.num_components
         order = select_order(model.scores[:, :K], max_order)
         var = fit_var(model.scores[:, :K], order)
-        reps = None
-        if need_reps:
+        if want_interval:
             day_cfg = replace(bootstrap, seed=derive_seed(bootstrap.seed, 1, v))
+            # keep only what the scorer reads, so one day's replicates are live at a time
             reps = draw_replicates(model, var, day_cfg)
-        for m in periods:
-            ctx = build_update_context(model, var, actual[: m - 1])
-            cases_by_m[m].append(
-                TuningCase(ctx=ctx, actual_late=actual[m - 1 :], fpca=model, reps=reps)
+            future_scores = reps.future_scores
+            future_resid_t = reps.resid_pool.T[:, reps.future_resid_idx]
+            del reps
+        for i, m in enumerate(periods):
+            case = TuningCase(
+                ctx=build_update_context(model, var, actual[: m - 1]),
+                actual_late=actual[m - 1 :],
+                fpca=model,
             )
+            if want_point:
+                point_table[i, :, j] = _msfe_case_scores(case, grid)
+            if want_interval:
+                interval_table[i, :, :, j] = _interval_case_scores(
+                    case, future_scores, future_resid_t, grid, alphas
+                )
 
-    alphas = bootstrap.alpha_levels if bootstrap is not None else (0.2, 0.05)
-    point = None
-    interval = None
-    if objective == "msfe":
-        point = {
-            m: select_lambda_from_cases(cases_by_m[m], lambda_grid, "msfe")
-            for m in periods
+    point = interval = None
+    if want_point:
+        point = {m: _argmin_grid(point_table[i], grid) for i, m in enumerate(periods)}
+    if want_interval:
+        interval = {
+            a: {m: _argmin_grid(interval_table[i, k], grid) for i, m in enumerate(periods)}
+            for k, a in enumerate(alphas)
         }
-    else:
-        interval = {a: {} for a in alphas}
-        for m in periods:
-            per_alpha = select_lambda_from_cases(
-                cases_by_m[m], lambda_grid, "interval_score", alphas
-            )
-            for a in alphas:
-                interval[a][m] = per_alpha[a]
-    return LambdaSchedule(point=point, interval=interval, lambda_grid=tuple(sorted(set(float(v) for v in lambda_grid))))
+    return LambdaSchedule(point=point, interval=interval, lambda_grid=grid)

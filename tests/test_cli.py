@@ -231,6 +231,14 @@ class TestErrorPaths:
     def test_bad_flag_is_exit_one(self, tmp_path):
         assert main(["simulate", "--no-such-flag", "1"]) == 1
 
+    def test_abbreviated_flag_is_exit_one(self, tmp_path):
+        # "--n" must not be taken as "--noise-sd"
+        out = tmp_path / "s.csv"
+        assert main(["simulate", "--n", "120", "--days", "20", "--tau", "8",
+                     "--output", str(out)]) == 1
+        assert not out.exists()
+        assert main(["--hel"]) == 1  # not "--help"
+
     def test_bad_replicates_is_exit_one(self, workdir, tmp_path):
         _, prices, _ = workdir
         rc = main(
@@ -246,16 +254,18 @@ class TestErrorPaths:
             ["simulate", "--seed", "-2", "--days", "20", "--tau", "8"],
             ["forecast", "--max-order", "0", "--replicates", "60"],
             ["fit", "--num-components", "0"],
+            ["tune", "--lambda-grid", ",", "--train-size", "40", "--validation-size", "10",
+             "--periods", "6"],
         ],
         ids=["forecast-negative-seed", "simulate-negative-seed", "max-order-zero",
-             "num-components-zero"],
+             "num-components-zero", "tune-empty-lambda-grid"],
     )
     def test_bad_config_value_is_exit_one(self, workdir, tmp_path, capsys, argv):
         _, prices, _ = workdir
         command, options = argv[0], argv[1:]
         if command == "simulate":
             io = ["--output", str(tmp_path / "s.csv")]
-        elif command == "fit":
+        elif command in ("fit", "tune"):
             io = ["--input", str(prices), "--output", str(tmp_path / "m.json")]
         else:
             io = ["--input", str(prices), "--output-json", str(tmp_path / "f.json")]

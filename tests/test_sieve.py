@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.random import default_rng
 
 from curvecast import (
@@ -19,7 +21,16 @@ from curvecast import (
     sieve_prediction,
     write_forecast_csv,
 )
+from curvecast.sieve import sorted_intervals, sorted_quantile
 from conftest import sort_quantile_oracle
+
+# a few repeated values mixed with arbitrary ones, so ties are common
+_values = st.lists(
+    st.sampled_from([-1.5, 0.0, 0.25, 3.0])
+    | st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+    min_size=1,
+    max_size=40,
+)
 
 
 class TestDeriveSeed:
@@ -51,6 +62,28 @@ class TestEmpiricalQuantile:
         out = empirical_quantile(v, 0.3, axis=0)
         for j in range(5):
             assert out[j] == sort_quantile_oracle(v[:, j], 0.3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(_values, min_size=1, max_size=3),
+        alphas=st.lists(
+            st.floats(min_value=1e-6, max_value=1.0 - 1e-6), min_size=1, max_size=4, unique=True
+        ),
+        q=st.sampled_from([0.0, 1.0]) | st.floats(min_value=0.0, max_value=1.0),
+    )
+    def test_shared_helpers_match_sort_oracle(self, rows, alphas, q):
+        B = min(len(r) for r in rows)
+        stack = np.array([r[:B] for r in rows])  # (rows, B), quantiles along axis 1
+        ordered = np.sort(stack, axis=1)
+        bounds = sorted_intervals(ordered, alphas, axis=1)
+        at_q = sorted_quantile(ordered, q, axis=1)
+        for i, row in enumerate(stack):
+            assert at_q[i] == sort_quantile_oracle(row, q)
+            assert empirical_quantile(row, q) == sort_quantile_oracle(row, q)
+            for a in alphas:
+                lo, hi = bounds[a]
+                assert lo[i] == sort_quantile_oracle(row, a / 2.0)
+                assert hi[i] == sort_quantile_oracle(row, 1.0 - a / 2.0)
 
     def test_validation(self):
         with pytest.raises(DataError):

@@ -7,11 +7,14 @@ from curvecast import (
     ConfigError,
     DataError,
     FpcaModel,
+    NumericalError,
     SynthSpec,
     TuningCase,
     UpdateContext,
     build_update_context,
+    derive_seed,
     draw_replicates,
+    empirical_quantile,
     fit_fpca,
     fit_var,
     flr_fit,
@@ -19,6 +22,7 @@ from curvecast import (
     flr_update,
     forecast_scores,
     generate,
+    interval_score,
     observed_columns,
     ols_update,
     pls_coefficients,
@@ -290,3 +294,158 @@ class TestTuning:
             for cand in (0.0, 1e10)
         }
         assert lam == min(manual, key=manual.get)
+
+
+# ---------------------------------------------------------------------------
+# the streamed, lambda-batched tuning against the per-(case, lambda, alpha) loop
+# ---------------------------------------------------------------------------
+
+ORACLE_GRID = (0.0, 0.1, 1.0, 10.0, 1e3)
+
+
+def _oracle_bounds(case, lam, alpha):
+    """One curve stack and two sorts per (case, lambda, alpha); None if infeasible."""
+    ctx, fpca, reps = case.ctx, case.fpca, case.reps
+    F = ctx.eigenbasis_obs
+    K = F.shape[1]
+    if lam == 0.0:
+        s = np.linalg.svd(F, compute_uv=False)
+        if F.shape[0] < K or s[-1] <= 1e-12 * s[0]:
+            return None
+    cols = ctx.updating_cols
+    xc = ctx.observed - fpca.mean[: ctx.m - 1]
+    late_resid = reps.resid_pool[reps.future_resid_idx][:, cols]
+    gram = F.T @ F + lam * np.eye(K)
+    base = np.linalg.solve(gram, F.T @ xc)
+    shrink = lam * np.linalg.solve(gram, reps.future_scores.T).T
+    curves = fpca.mean[cols] + (base + shrink) @ fpca.eigenfunctions[cols, :K].T + late_resid
+    lo = empirical_quantile(curves, alpha / 2.0, axis=0)
+    hi = empirical_quantile(curves, 1.0 - alpha / 2.0, axis=0)
+    return lo, hi
+
+
+def _oracle_interval_lambda(cases, grid, alphas):
+    out = {}
+    for alpha in alphas:
+        totals = np.full(len(grid), np.inf)
+        for i, lam in enumerate(grid):
+            bounds = [_oracle_bounds(c, lam, alpha) for c in cases]
+            if any(b is None for b in bounds):
+                continue
+            totals[i] = float(
+                np.mean(
+                    [
+                        float(np.mean(interval_score(lo, hi, c.actual_late, alpha)))
+                        for c, (lo, hi) in zip(cases, bounds)
+                    ]
+                )
+            )
+        out[alpha] = grid[int(np.argmin(totals))]
+    return out
+
+
+def _oracle_msfe_lambda(cases, grid):
+    totals = np.full(len(grid), np.inf)
+    for i, lam in enumerate(grid):
+        try:
+            errs = [np.mean((pls_update(c.ctx, lam, c.fpca) - c.actual_late) ** 2) for c in cases]
+        except NumericalError:
+            continue
+        totals[i] = float(np.mean(errs))
+    return grid[int(np.argmin(totals))]
+
+
+class TestStreamedTuning:
+    periods = (2, 5, 10, 15)
+    cfg = BootstrapConfig(num_replicates=60, seed=3)
+    split = dict(train_size=120, validation_size=8)
+
+    @pytest.fixture(scope="class")
+    def cases_by_m(self, linked_data):
+        """Validation cases built as tune_lambda builds them, replicates kept whole."""
+        fts, _ = linked_data
+        out = {m: [] for m in self.periods}
+        start = self.split["train_size"]
+        for v in range(start, start + self.split["validation_size"]):
+            model = fit_fpca(fts.window(0, v))
+            K = model.num_components
+            var = fit_var(model.scores[:, :K], select_order(model.scores[:, :K], 10))
+            cfg = BootstrapConfig(num_replicates=60, seed=derive_seed(self.cfg.seed, 1, v))
+            reps = draw_replicates(model, var, cfg)
+            for m in self.periods:
+                ctx = build_update_context(model, var, fts.values[v, : m - 1])
+                out[m].append(
+                    TuningCase(ctx=ctx, actual_late=fts.values[v, m - 1 :], fpca=model, reps=reps)
+                )
+        return out
+
+    @pytest.fixture(scope="class")
+    def both(self, linked_data):
+        fts, _ = linked_data
+        return tune_lambda(
+            fts, objective="both", lambda_grid=ORACLE_GRID, periods=self.periods,
+            bootstrap=self.cfg, **self.split,
+        )
+
+    def test_pls_interval_update_matches_oracle_stacks(self, cases_by_m):
+        for m in (5, 15):
+            for case in cases_by_m[m][:3]:
+                for lam in ORACLE_GRID:
+                    out = pls_interval_update(case.ctx, lam, case.fpca, case.reps)
+                    for alpha in (0.2, 0.05):
+                        lo, hi = _oracle_bounds(case, lam, alpha)
+                        assert np.array_equal(out[alpha][0], lo)
+                        assert np.array_equal(out[alpha][1], hi)
+
+    def test_per_alpha_lambda_mapping(self, cases_by_m):
+        case = cases_by_m[10][0]
+        out = pls_interval_update(case.ctx, {0.2: 1.0, 0.05: 1e3}, case.fpca, case.reps)
+        for alpha, lam in ((0.2, 1.0), (0.05, 1e3)):
+            assert all(
+                np.array_equal(a, b) for a, b in zip(out[alpha], _oracle_bounds(case, lam, alpha))
+            )
+
+    def test_select_matches_oracle(self, cases_by_m):
+        for m in self.periods:
+            got = select_lambda_from_cases(
+                cases_by_m[m], ORACLE_GRID, "interval_score", (0.2, 0.05)
+            )
+            assert got == _oracle_interval_lambda(cases_by_m[m], ORACLE_GRID, (0.2, 0.05))
+            assert select_lambda_from_cases(cases_by_m[m], ORACLE_GRID) == _oracle_msfe_lambda(
+                cases_by_m[m], ORACLE_GRID
+            )
+
+    def test_infeasible_exact_least_squares_is_skipped(self, cases_by_m):
+        # two components cannot be fitted from the single point observed at m=2
+        case = cases_by_m[2][0]
+        assert _oracle_bounds(case, 0.0, 0.2) is None
+        with pytest.raises(NumericalError):
+            pls_interval_update(case.ctx, {0.2: 1.0, 0.05: 0.0}, case.fpca, case.reps)
+        assert select_lambda_from_cases(cases_by_m[2], (0.0, 1.0)) == 1.0
+        with pytest.raises(NumericalError):
+            select_lambda_from_cases(cases_by_m[2], (0.0,), "interval_score")
+
+    def test_both_matches_oracle(self, both, cases_by_m):
+        for m in self.periods:
+            oracle = _oracle_interval_lambda(cases_by_m[m], ORACLE_GRID, (0.2, 0.05))
+            for alpha in (0.2, 0.05):
+                assert both.interval[alpha][m] == oracle[alpha]
+            assert both.point[m] == _oracle_msfe_lambda(cases_by_m[m], ORACLE_GRID)
+
+    def test_both_equals_single_objectives(self, both, linked_data):
+        fts, _ = linked_data
+        kwargs = dict(lambda_grid=ORACLE_GRID, periods=self.periods, **self.split)
+        point = tune_lambda(fts, objective="msfe", **kwargs)
+        interval = tune_lambda(fts, objective="interval_score", bootstrap=self.cfg, **kwargs)
+        assert both.point == point.point
+        assert both.interval == interval.interval
+        assert list(both.point) == list(point.point)
+        assert both.lambda_grid == point.lambda_grid == interval.lambda_grid == ORACLE_GRID
+
+    @pytest.mark.parametrize("grid", [(), (1.0, -0.5), (float("nan"),), (1.0, float("inf"))])
+    def test_bad_grid_is_config_error(self, linked_data, cases_by_m, grid):
+        fts, _ = linked_data
+        with pytest.raises(ConfigError):
+            tune_lambda(fts, lambda_grid=grid, periods=(5,), **self.split)
+        with pytest.raises(ConfigError):
+            select_lambda_from_cases(cases_by_m[5], grid)
