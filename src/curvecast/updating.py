@@ -123,6 +123,27 @@ def _require_full_rank(F: np.ndarray, m: int) -> None:
         raise NumericalError(f"least squares rank-deficient at m={m} with {K} components")
 
 
+def _pls_betas(ctx: UpdateContext, fpca: FpcaModel, lams: Sequence[float]) -> np.ndarray:
+    """(L, K) score estimates, one per shrinkage value, the L systems solved as one batch.
+
+    Callers check the values and the feasibility of zero shrinkage.
+    """
+    F = ctx.eigenbasis_obs
+    K = F.shape[1]
+    lams = np.asarray(lams, dtype=float)
+    xc = ctx.observed - fpca.mean[: ctx.m - 1]
+    gram = F.T @ F + lams[:, None, None] * np.eye(K)
+    rhs = F.T @ xc + lams[:, None] * ctx.ts_scores
+    return np.linalg.solve(gram, rhs[..., None])[..., 0]
+
+
+def _rebuild_late(ctx: UpdateContext, fpca: FpcaModel, betas: np.ndarray) -> np.ndarray:
+    """Curves on the updating columns from (..., K) score estimates."""
+    cols = ctx.updating_cols
+    K = betas.shape[-1]
+    return fpca.mean[cols] + (fpca.eigenfunctions[cols, :K] @ betas[..., None])[..., 0]
+
+
 def pls_coefficients(ctx: UpdateContext, lam: float, fpca: FpcaModel) -> np.ndarray:
     """Score estimate from the observed block, shrunk toward the forecast scores.
 
@@ -132,22 +153,14 @@ def pls_coefficients(ctx: UpdateContext, lam: float, fpca: FpcaModel) -> np.ndar
     """
     if lam < 0:
         raise ConfigError(f"shrinkage must be >= 0, got {lam}")
-    F = ctx.eigenbasis_obs
-    K = F.shape[1]
-    xc = ctx.observed - fpca.mean[: ctx.m - 1]
     if lam == 0.0:
-        _require_full_rank(F, ctx.m)
-    gram = F.T @ F + lam * np.eye(K)
-    rhs = F.T @ xc + lam * ctx.ts_scores
-    return np.linalg.solve(gram, rhs)
+        _require_full_rank(ctx.eigenbasis_obs, ctx.m)
+    return _pls_betas(ctx, fpca, (lam,))[0]
 
 
 def pls_update(ctx: UpdateContext, lam: float, fpca: FpcaModel) -> np.ndarray:
     """Updated forecast of the not-yet-observed part of the day."""
-    beta = pls_coefficients(ctx, lam, fpca)
-    cols = ctx.updating_cols
-    K = beta.size
-    return fpca.mean[cols] + fpca.eigenfunctions[cols, :K] @ beta
+    return _rebuild_late(ctx, fpca, pls_coefficients(ctx, lam, fpca))
 
 
 def ols_update(ctx: UpdateContext, fpca: FpcaModel) -> np.ndarray:
@@ -199,9 +212,12 @@ def _pls_curve_stack(
     cols = ctx.updating_cols
     xc = ctx.observed - fpca.mean[: ctx.m - 1]
     gram = F.T @ F + lams * np.eye(K)  # (L, K, K)
-    rhs = np.broadcast_to((F.T @ xc)[:, None], gram.shape[:-1] + (1,))
-    base = np.linalg.solve(gram, rhs)  # (L, K, 1)
-    shrink = lams * np.linalg.solve(gram, future_scores.T)  # (L, K, B)
+    # right-hand sides stacked to 3-D: a 2-D one is read as a stack of
+    # vectors by NumPy < 2 when its ndim is gram.ndim - 1
+    L = gram.shape[0]
+    base = np.linalg.solve(gram, np.broadcast_to((F.T @ xc)[:, None], (L, K, 1)))
+    draws = np.broadcast_to(future_scores.T, (L,) + future_scores.T.shape)
+    shrink = lams * np.linalg.solve(gram, draws)  # (L, K, B)
     curves = fpca.eigenfunctions[cols, :K] @ (base + shrink)
     curves += fpca.mean[cols][:, None]
     curves += late_resid_t
@@ -508,22 +524,13 @@ def _msfe_case_scores(case: TuningCase, grid: tuple) -> np.ndarray:
     """Squared forecast error of one case for every grid value (inf where infeasible).
 
     Equals ``mean((pls_update(ctx, lam, fpca) - actual_late) ** 2)`` per
-    value, with the L systems solved as one batch.
+    value: the same solve and rebuild, batched over the grid.
     """
-    ctx, fpca = case.ctx, case.fpca
     out = np.full(len(grid), np.inf)
-    start = _feasible_from(ctx, grid)
+    start = _feasible_from(case.ctx, grid)
     if start == len(grid):
         return out
-    F = ctx.eigenbasis_obs
-    K = F.shape[1]
-    lams = np.asarray(grid[start:])
-    cols = ctx.updating_cols
-    xc = ctx.observed - fpca.mean[: ctx.m - 1]
-    gram = F.T @ F + lams[:, None, None] * np.eye(K)
-    rhs = F.T @ xc + lams[:, None] * ctx.ts_scores
-    betas = np.linalg.solve(gram, rhs[..., None])  # (L, K, 1)
-    preds = fpca.mean[cols] + (fpca.eigenfunctions[cols, :K] @ betas)[..., 0]
+    preds = _rebuild_late(case.ctx, case.fpca, _pls_betas(case.ctx, case.fpca, grid[start:]))
     out[start:] = np.mean((preds - case.actual_late) ** 2, axis=-1)
     return out
 

@@ -432,6 +432,22 @@ class TestStreamedTuning:
                 assert both.interval[alpha][m] == oracle[alpha]
             assert both.point[m] == _oracle_msfe_lambda(cases_by_m[m], ORACLE_GRID)
 
+    def test_batched_solves_stack_their_right_hand_sides(self, cases_by_m, monkeypatch):
+        # NumPy < 2 reads a right-hand side with one dimension fewer than a
+        # stacked matrix as a stack of vectors, so batched solves pass 3-D ones
+        solve = np.linalg.solve
+
+        def strict(a, b):
+            assert np.ndim(a) < 3 or np.ndim(b) == np.ndim(a)
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", strict)
+        cases = cases_by_m[10]
+        select_lambda_from_cases(cases, ORACLE_GRID, "interval_score", (0.2, 0.05))
+        select_lambda_from_cases(cases, ORACLE_GRID)
+        pls_interval_update(cases[0].ctx, {0.2: 1.0, 0.05: 1e3}, cases[0].fpca, cases[0].reps)
+        pls_update(cases[0].ctx, 1.0, cases[0].fpca)
+
     def test_both_equals_single_objectives(self, both, linked_data):
         fts, _ = linked_data
         kwargs = dict(lambda_grid=ORACLE_GRID, periods=self.periods, **self.split)
