@@ -16,9 +16,11 @@ import hashlib
 import json
 import os
 import sys
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
+from ._docs import bounds_doc, dump_doc, envelope, write_curve_csv
 from .datagen import SynthSpec, generate
 from .errors import ConfigError, DataError, NumericalError
 from .evalharness import (
@@ -65,32 +67,28 @@ from .varmodel import fit_var, select_order
 # ---------------------------------------------------------------------------
 
 
-def _floats(v) -> tuple:
-    if isinstance(v, str):
-        parts = [p.strip() for p in v.split(",") if p.strip()]
-        return tuple(float(p) for p in parts)
-    if isinstance(v, (list, tuple)):
-        return tuple(float(x) for x in v)
-    return (float(v),)
+def _listed(conv):
+    """Converter of a list option: comma-separated text, a JSON list, or one value."""
+
+    def convert(v) -> tuple:
+        if isinstance(v, str):
+            return tuple(conv(p.strip()) for p in v.split(",") if p.strip())
+        if isinstance(v, (list, tuple)):
+            return tuple(conv(x) for x in v)
+        return (conv(v),)
+
+    return convert
+
+
+_floats = _listed(float)
+_strs = _listed(str)
 
 
 def _ints(v):
-    if isinstance(v, str):
-        if v.strip().lower() == "all":
-            return None
-        parts = [p.strip() for p in v.split(",") if p.strip()]
-        return tuple(int(p) for p in parts)
-    if v is None:
+    """Like the other list options; "all" (or null) means every updating period."""
+    if v is None or isinstance(v, str) and v.strip().lower() == "all":
         return None
-    if isinstance(v, (list, tuple)):
-        return tuple(int(x) for x in v)
-    return (int(v),)
-
-
-def _strs(v) -> tuple:
-    if isinstance(v, str):
-        return tuple(p.strip() for p in v.split(",") if p.strip())
-    return tuple(str(x) for x in v)
+    return _listed(int)(v)
 
 
 def _bool(v) -> bool:
@@ -99,15 +97,13 @@ def _bool(v) -> bool:
     raise ConfigError(f"expected a JSON boolean, got {v!r}")
 
 
-class _Opt:
+class _Opt(NamedTuple):
     """One merged option: flag name, converter, default, help text."""
 
-    def __init__(self, name, conv, default, help, flag=True):
-        self.name = name
-        self.conv = conv
-        self.default = default
-        self.help = help
-        self.flag = flag
+    name: str
+    conv: Callable
+    default: Any
+    help: str
 
 
 def _add_options(parser: argparse.ArgumentParser, opts) -> None:
@@ -142,7 +138,7 @@ def _resolve(args: argparse.Namespace, opts) -> dict:
         value = getattr(args, o.name)
         if value is None:
             value = config.get(o.name, o.default)
-        if value is not None and o.conv is not None:
+        if value is not None:
             try:
                 value = o.conv(value)
             except (TypeError, ValueError) as exc:
@@ -170,6 +166,11 @@ def _manifest(opts: dict) -> dict:
     }
 
 
+def _with_manifest(text: str, opts: dict) -> str:
+    """A saved document's text with the run's manifest appended."""
+    return json.dumps({**json.loads(text), "manifest": _manifest(opts)}, indent=2)
+
+
 def _load_curves(path: str, max_missing_frac: float = 0.5):
     raw, grid, dates = read_price_csv(path)
     pm, kept, summary = ingest_price_matrix(raw, grid, dates, max_missing_frac)
@@ -182,6 +183,11 @@ def _fit_models(fts, num_components, max_order):
     order = select_order(scores, max_order)
     var = fit_var(scores, order)
     return model, var
+
+
+def _read_text(path: str) -> str:
+    with open(path) as fh:
+        return fh.read()
 
 
 def _write_text(path: str, text: str) -> None:
@@ -221,8 +227,8 @@ def cmd_ingest(opts: dict) -> int:
     write_wide_csv(out, pm, kept)
     print(f"kept {summary['days_kept']} of {summary['days_in']} days -> {out}")
     if opts["summary"]:
-        doc = {"schema_version": 1, "kind": "ingest_summary", "manifest": _manifest(opts), **summary}
-        _write_text(opts["summary"], json.dumps(doc, indent=2))
+        doc = envelope("ingest_summary", 1, {"manifest": _manifest(opts), **summary})
+        _write_text(opts["summary"], dump_doc(doc))
     return 0
 
 
@@ -284,9 +290,7 @@ def cmd_simulate(opts: dict) -> int:
     write_wide_csv(out, inverse_cidr(fts, opens))
     print(f"simulated {fts.n} days on {opts['tau']} grid points -> {out}")
     if opts["truth"]:
-        doc = {
-            "schema_version": 1,
-            "kind": "synthetic_truth",
+        doc = envelope("synthetic_truth", 1, {
             "manifest": _manifest(opts),
             "seed": opts["seed"],
             "mean": truth.mean.tolist(),
@@ -297,8 +301,8 @@ def cmd_simulate(opts: dict) -> int:
             "noise_sd": truth.noise_sd,
             "link_split": truth.link_split,
             "link_matrix": None if truth.link_matrix is None else truth.link_matrix.tolist(),
-        }
-        _write_text(opts["truth"], json.dumps(doc, indent=2))
+        })
+        _write_text(opts["truth"], dump_doc(doc))
     return 0
 
 
@@ -312,9 +316,7 @@ FIT_OPTS = [
 def cmd_fit(opts: dict) -> int:
     fts, _, _, _ = _load_curves(_require(opts, "input"), opts["max_missing_frac"])
     model, var = _fit_models(fts, opts["num_components"], opts["max_order"])
-    doc = {
-        "schema_version": 1,
-        "kind": "fitted_models",
+    doc = envelope("fitted_models", 1, {
         "manifest": _manifest(opts),
         "days": fts.n,
         "grid": {"tau": fts.grid.tau, "times": list(fts.grid.times)},
@@ -327,9 +329,9 @@ def cmd_fit(opts: dict) -> int:
             "stationary": var.is_stationary,
             "nobs": var.nobs,
         },
-    }
+    })
     out = _require(opts, "output")
-    _write_text(out, json.dumps(doc, indent=2))
+    _write_text(out, dump_doc(doc))
     print(
         f"fitted {model.num_components} components, order {var.order} "
         f"(spectral radius {var.spectral_radius:.3f}) -> {out}"
@@ -363,9 +365,7 @@ def cmd_forecast(opts: dict) -> int:
         write_forecast_csv(opts["output_csv"], forecast)
         print(f"forecast table -> {opts['output_csv']}")
     if opts["output_json"]:
-        doc = json.loads(forecast_to_json(forecast))
-        doc["manifest"] = _manifest(opts)
-        _write_text(opts["output_json"], json.dumps(doc, indent=2))
+        _write_text(opts["output_json"], _with_manifest(forecast_to_json(forecast), opts))
         print(f"forecast JSON -> {opts['output_json']}")
     return 0
 
@@ -401,12 +401,19 @@ def _split_partial_day(path: str, max_missing_frac: float):
     return cidr_transform(pm), observed, m, grid
 
 
+def _draw(model, var, opts: dict):
+    cfg = BootstrapConfig(opts["replicates"], opts["seed"], opts["alphas"])
+    return draw_replicates(model, var, cfg)
+
+
 def cmd_update(opts: dict) -> int:
     method = _require(opts, "method").lower()
     if method not in ("pls", "ols", "flr"):
         raise ConfigError(f"unknown updating method {method!r}")
     if not opts["output_csv"] and not opts["output_json"]:
         raise ConfigError("update needs --output-csv and/or --output-json")
+    if method == "ols" and opts["intervals"]:
+        raise ConfigError("interval updating is not defined for ols")
     fts, observed, m, grid = _split_partial_day(
         _require(opts, "input"), opts["max_missing_frac"]
     )
@@ -414,8 +421,7 @@ def cmd_update(opts: dict) -> int:
     alphas = opts["alphas"]
     schedule = None
     if opts["schedule"] is not None:
-        with open(opts["schedule"]) as fh:
-            schedule = schedule_from_json(fh.read())
+        schedule = schedule_from_json(_read_text(opts["schedule"]))
 
     lam_point = None
     intervals = {}
@@ -424,69 +430,43 @@ def cmd_update(opts: dict) -> int:
         flr = flr_fit(fts, m)
         point = flr_update(flr, observed)
         if opts["intervals"]:
-            cfg = BootstrapConfig(opts["replicates"], opts["seed"], alphas)
-            reps = draw_replicates(model, var, cfg)
-            intervals = flr_interval_update(flr, observed, reps, alphas)
+            intervals = flr_interval_update(flr, observed, _draw(model, var, opts), alphas)
+    elif method == "ols":
+        point = ols_update(build_update_context(model, var, observed), model)
     else:
         ctx = build_update_context(model, var, observed)
-        if method == "ols":
-            if opts["intervals"]:
-                raise ConfigError("interval updating is not defined for ols")
-            point = ols_update(ctx, model)
+        if opts["lam"] is not None:
+            lam_point = float(opts["lam"])
+        elif schedule is not None:
+            lam_point = schedule.point_lambda(m)
         else:
+            raise ConfigError("pls needs --lam or --schedule")
+        point = pls_update(ctx, lam_point, model)
+        if opts["intervals"]:
             if opts["lam"] is not None:
-                lam_point = float(opts["lam"])
-            elif schedule is not None:
-                lam_point = schedule.point_lambda(m)
+                lam_by_alpha = {a: lam_point for a in alphas}
             else:
-                raise ConfigError("pls needs --lam or --schedule")
-            point = pls_update(ctx, lam_point, model)
-            if opts["intervals"]:
-                if opts["lam"] is not None:
-                    lam_by_alpha = {a: float(opts["lam"]) for a in alphas}
-                else:
-                    lam_by_alpha = {a: schedule.interval_lambda(a, m) for a in alphas}
-                cfg = BootstrapConfig(opts["replicates"], opts["seed"], alphas)
-                reps = draw_replicates(model, var, cfg)
-                intervals = pls_interval_update(ctx, lam_by_alpha, model, reps, alphas)
+                lam_by_alpha = {a: schedule.interval_lambda(a, m) for a in alphas}
+            reps = _draw(model, var, opts)
+            intervals = pls_interval_update(ctx, lam_by_alpha, model, reps, alphas)
 
-    cols = updating_columns(grid.tau, m)
+    grid_indices = [int(j) + 2 for j in updating_columns(grid.tau, m)]
     if opts["output_csv"]:
-        import csv as _csv
-
-        sorted_alphas = sorted(alphas, key=lambda a: 1.0 - a) if intervals else []
-        header = ["grid_index", "point"]
-        for a in sorted_alphas:
-            pct = round(100 * (1 - a))
-            header += [f"lo{pct}", f"hi{pct}"]
-        with open(opts["output_csv"], "w", newline="") as fh:
-            writer = _csv.writer(fh)
-            writer.writerow(header)
-            for i, j in enumerate(cols):
-                row = [int(j) + 2, repr(float(point[i]))]
-                for a in sorted_alphas:
-                    lo, hi = intervals[a]
-                    row += [repr(float(lo[i])), repr(float(hi[i]))]
-                writer.writerow(row)
+        write_curve_csv(opts["output_csv"], grid_indices, point, {"": intervals})
         print(f"updated forecast ({method}, m={m}) -> {opts['output_csv']}")
     if opts["output_json"]:
-        doc = {
-            "schema_version": 1,
-            "kind": "intraday_update",
+        doc = envelope("intraday_update", 1, {
             "manifest": _manifest(opts),
             "method": method,
             "m": m,
-            "grid_indices": [int(j) + 2 for j in cols],
+            "grid_indices": grid_indices,
             "point": [float(v) for v in point],
             "lambda": lam_point,
-            "lambda_by_alpha": {repr(a): v for a, v in lam_by_alpha.items()},
+            "lambda_by_alpha": lam_by_alpha,
             "seed": opts["seed"] if opts["intervals"] else None,
-            "intervals": {
-                repr(a): {"lower": lo.tolist(), "upper": hi.tolist()}
-                for a, (lo, hi) in intervals.items()
-            },
-        }
-        _write_text(opts["output_json"], json.dumps(doc, indent=2))
+            "intervals": bounds_doc(intervals),
+        })
+        _write_text(opts["output_json"], dump_doc(doc))
         print(f"update JSON -> {opts['output_json']}")
     return 0
 
@@ -520,9 +500,7 @@ def cmd_tune(opts: dict) -> int:
         bootstrap=BootstrapConfig(opts["replicates"], opts["seed"], opts["alphas"]),
     )
     out = _require(opts, "output")
-    doc = json.loads(schedule_to_json(schedule))
-    doc["manifest"] = _manifest(opts)
-    _write_text(out, json.dumps(doc, indent=2))
+    _write_text(out, _with_manifest(schedule_to_json(schedule), opts))
     print(f"tuned shrinkage schedule ({objective}) -> {out}")
     return 0
 
@@ -549,8 +527,7 @@ def cmd_backtest(opts: dict) -> int:
     fts, _, _, _ = _load_curves(_require(opts, "input"), opts["max_missing_frac"])
     schedule = None
     if opts["schedule"] is not None:
-        with open(opts["schedule"]) as fh:
-            schedule = schedule_from_json(fh.read())
+        schedule = schedule_from_json(_read_text(opts["schedule"]))
     plan = BacktestPlan(
         initial_train=opts["initial_train"],
         n_test=opts["n_test"],
@@ -595,8 +572,7 @@ EXPORT_OPTS = [
 
 
 def cmd_export_plots(opts: dict) -> int:
-    with open(_require(opts, "report")) as fh:
-        report = report_from_json(fh.read())
+    report = report_from_json(_read_text(_require(opts, "report")))
     paths = write_report_csvs(report, _require(opts, "outdir"))
     print(f"wrote {len(paths)} plot tables -> {opts['outdir']}")
     return 0

@@ -11,14 +11,24 @@ every artifact byte for byte.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
+import os
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
+from ._docs import (
+    by_coverage,
+    coverage_pct,
+    decode_keys,
+    dump_doc,
+    envelope,
+    load_doc,
+    reading,
+    write_csv,
+)
 from .errors import ConfigError, DataError, NumericalError
 from .fpca import fit_fpca
 from .gridcurves import FunctionalTimeSeries
@@ -41,6 +51,9 @@ from .updating import (
     pls_update,
     tune_lambda,
     updating_columns,
+    _resolve_periods,
+    _schedule_doc,
+    _schedule_from_doc,
 )
 from .varmodel import fit_var, select_order
 
@@ -54,20 +67,15 @@ REPORT_SCHEMA_VERSION = 1
 # ---------------------------------------------------------------------------
 
 
-def _pair(actuals, forecasts):
-    a = np.asarray(actuals, dtype=float)
-    f = np.asarray(forecasts, dtype=float)
-    if a.shape != f.shape or a.size == 0:
-        raise DataError(f"mismatched or empty arrays: {a.shape} vs {f.shape}")
-    return a, f
-
-
 def msfe(actuals: np.ndarray, forecasts: np.ndarray):
     """Mean squared forecast error: per-gridpoint curve and its average.
 
     Inputs are (days, points); a 1-d pair is treated as one day.
     """
-    a, f = _pair(actuals, forecasts)
+    a = np.asarray(actuals, dtype=float)
+    f = np.asarray(forecasts, dtype=float)
+    if a.shape != f.shape or a.size == 0:
+        raise DataError(f"mismatched or empty arrays: {a.shape} vs {f.shape}")
     if a.ndim == 1:
         a = a[None]
         f = f[None]
@@ -112,26 +120,6 @@ def interval_score(lower, upper, actual, alpha: float):
     if (hi < lo).any():
         raise DataError("upper interval bound below lower bound")
     return (hi - lo) + (2.0 / alpha) * ((lo - x) * (x < lo) + (x - hi) * (x > hi))
-
-
-def mean_interval_score(lower, upper, actuals, alpha: float):
-    """Interval score averaged over days: per-gridpoint curve and its average."""
-    a = np.asarray(actuals, dtype=float)
-    if a.ndim == 1:
-        a = a[None]
-    lo = np.broadcast_to(np.asarray(lower, dtype=float), a.shape)
-    hi = np.broadcast_to(np.asarray(upper, dtype=float), a.shape)
-    per_point = interval_score(lo, hi, a, alpha).mean(axis=0)
-    return per_point, float(per_point.mean())
-
-
-def sign_prediction_probability(actuals, forecasts) -> float:
-    """Fraction of entries whose forecast sign matches the actual sign.
-
-    Zero actuals are matched only by exactly zero forecasts.
-    """
-    a, f = _pair(actuals, forecasts)
-    return float((np.sign(a) == np.sign(f)).mean())
 
 
 # ---------------------------------------------------------------------------
@@ -181,13 +169,7 @@ def validate_plan(plan: BacktestPlan, fts: FunctionalTimeSeries) -> tuple:
     for mth in plan.methods:
         if mth not in METHODS:
             raise ConfigError(f"unknown method {mth!r}; choose from {METHODS}")
-    tau = fts.grid.tau
-    periods = tuple(range(2, tau)) if plan.periods is None else tuple(
-        sorted(set(int(m) for m in plan.periods))
-    )
-    for m in periods:
-        if not 2 <= m < tau:
-            raise ConfigError(f"updating period m={m} outside 2..{tau - 1}")
+    periods = _resolve_periods(plan.periods, fts.grid.tau)
     if "PLS" in plan.methods:
         if plan.lambda_schedule is None:
             normalize_lambda_grid(plan.lambda_grid)
@@ -276,23 +258,25 @@ class _Cell:
         self.iscore[alpha].append(interval_score(lo, hi, actual, alpha))
 
 
-def _cell_metrics(cell: _Cell, alphas) -> Optional[dict]:
+def _pooled_mean(parts: list) -> Optional[float]:
+    return float(np.mean(np.concatenate(parts))) if parts else None
+
+
+def _mean_present(values) -> Optional[float]:
+    values = [v for v in values if v is not None]
+    return float(np.mean(values)) if values else None
+
+
+def _cell_metrics(cell: _Cell) -> Optional[dict]:
     if not cell.sq:
         return None
-    out = {
-        "msfe": float(np.mean(np.concatenate(cell.sq))),
-        "sign_accuracy": float(np.mean(np.concatenate(cell.sign_ok))),
+    return {
+        "msfe": _pooled_mean(cell.sq),
+        "sign_accuracy": _pooled_mean(cell.sign_ok),
         "days": len(cell.sq),
+        "ecp_pointwise": {a: _pooled_mean(v) for a, v in cell.cover.items()},
+        "interval_score": {a: _pooled_mean(v) for a, v in cell.iscore.items()},
     }
-    out["ecp_pointwise"] = {
-        a: (float(np.mean(np.concatenate(v))) if v else None)
-        for a, v in cell.cover.items()
-    }
-    out["interval_score"] = {
-        a: (float(np.mean(np.concatenate(v))) if v else None)
-        for a, v in cell.iscore.items()
-    }
-    return out
 
 
 def run_backtest(fts: FunctionalTimeSeries, plan: BacktestPlan) -> MetricReport:
@@ -300,8 +284,7 @@ def run_backtest(fts: FunctionalTimeSeries, plan: BacktestPlan) -> MetricReport:
     periods = validate_plan(plan, fts)
     alphas = plan.bootstrap.alpha_levels
     tau = fts.grid.tau
-    d = tau - 1
-    updating_methods = tuple(m for m in plan.methods if m != "TS") or ()
+    updating_methods = tuple(m for m in plan.methods if m != "TS")
     track_periods = bool(periods) and (bool(updating_methods) or "TS" in plan.methods)
 
     schedule = plan.lambda_schedule
@@ -402,21 +385,15 @@ def run_backtest(fts: FunctionalTimeSeries, plan: BacktestPlan) -> MetricReport:
     full_day = {}
     if "TS" in plan.methods and ts_sq:
         sq = np.vstack(ts_sq)
-        entry = {
-            "msfe_curve": sq.mean(axis=0).tolist(),
+        iscore = {a: np.vstack(ts_iscore[a]).mean(axis=0) for a in alphas}
+        full_day["TS"] = {
             "msfe": float(sq.mean()),
-            "ecp_pointwise": {},
-            "ecp_uniform": {},
-            "interval_score": {},
-            "interval_score_curve": {},
+            "msfe_curve": sq.mean(axis=0).tolist(),
+            "ecp_pointwise": {a: float(np.mean(np.vstack(ts_cover[a]))) for a in alphas},
+            "ecp_uniform": {a: float(np.mean(ts_band_cover[a])) for a in alphas},
+            "interval_score": {a: float(iscore[a].mean()) for a in alphas},
+            "interval_score_curve": {a: iscore[a].tolist() for a in alphas},
         }
-        for a in alphas:
-            entry["ecp_pointwise"][a] = float(np.mean(np.vstack(ts_cover[a])))
-            entry["ecp_uniform"][a] = float(np.mean(ts_band_cover[a]))
-            curve = np.vstack(ts_iscore[a]).mean(axis=0)
-            entry["interval_score_curve"][a] = curve.tolist()
-            entry["interval_score"][a] = float(curve.mean())
-        full_day["TS"] = entry
 
     per_period = {}
     sign = {}
@@ -426,26 +403,21 @@ def run_backtest(fts: FunctionalTimeSeries, plan: BacktestPlan) -> MetricReport:
             continue
         table = {}
         for m in periods:
-            got = _cell_metrics(cells[mth][m], alphas)
+            got = _cell_metrics(cells[mth][m])
             if got is not None:
                 table[m] = got
         if not table:
             continue
         per_period[mth] = table
         sign[mth] = {m: v["sign_accuracy"] for m, v in table.items()}
-        agg = {
-            "msfe": float(np.mean([v["msfe"] for v in table.values()])),
-            "sign_accuracy": float(np.mean([v["sign_accuracy"] for v in table.values()])),
+        rows = table.values()
+        updating[mth] = {
+            "msfe": _mean_present(v["msfe"] for v in rows),
+            "sign_accuracy": _mean_present(v["sign_accuracy"] for v in rows),
             "periods_covered": sorted(table),
-            "ecp_pointwise": {},
-            "interval_score": {},
+            "ecp_pointwise": {a: _mean_present(v["ecp_pointwise"][a] for v in rows) for a in alphas},
+            "interval_score": {a: _mean_present(v["interval_score"][a] for v in rows) for a in alphas},
         }
-        for a in alphas:
-            covs = [v["ecp_pointwise"][a] for v in table.values() if v["ecp_pointwise"][a] is not None]
-            iscs = [v["interval_score"][a] for v in table.values() if v["interval_score"][a] is not None]
-            agg["ecp_pointwise"][a] = float(np.mean(covs)) if covs else None
-            agg["interval_score"][a] = float(np.mean(iscs)) if iscs else None
-        updating[mth] = agg
 
     return MetricReport(
         alpha_levels=alphas,
@@ -470,278 +442,123 @@ def run_backtest(fts: FunctionalTimeSeries, plan: BacktestPlan) -> MetricReport:
 # report export
 # ---------------------------------------------------------------------------
 
-
-def _pct(alpha: float) -> int:
-    return round(100.0 * (1.0 - alpha))
+#: report fields in their order in the JSON document; ``sign`` is derived
+_REPORT_FIELDS = (
+    "config_hash", "seed", "alpha_levels", "methods", "periods", "n_test", "days_used",
+    "plan", "full_day", "updating", "per_period", "failures", "skipped_cells",
+    "lambda_schedule",
+)
 
 
 def report_to_json(report: MetricReport) -> str:
-    from .updating import schedule_to_json
-
-    doc = {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "kind": "metric_report",
-        "config_hash": report.config_hash,
-        "seed": report.seed,
-        "alpha_levels": list(report.alpha_levels),
-        "methods": list(report.methods),
-        "periods": list(report.periods),
-        "n_test": report.n_test,
-        "days_used": report.days_used,
-        "plan": report.plan,
-        "full_day": {
-            mth: {
-                "msfe": e["msfe"],
-                "msfe_curve": e["msfe_curve"],
-                "ecp_pointwise": {repr(a): v for a, v in e["ecp_pointwise"].items()},
-                "ecp_uniform": {repr(a): v for a, v in e["ecp_uniform"].items()},
-                "interval_score": {repr(a): v for a, v in e["interval_score"].items()},
-                "interval_score_curve": {
-                    repr(a): v for a, v in e["interval_score_curve"].items()
-                },
-            }
-            for mth, e in report.full_day.items()
-        },
-        "updating": {
-            mth: {
-                "msfe": e["msfe"],
-                "sign_accuracy": e["sign_accuracy"],
-                "periods_covered": e["periods_covered"],
-                "ecp_pointwise": {repr(a): v for a, v in e["ecp_pointwise"].items()},
-                "interval_score": {repr(a): v for a, v in e["interval_score"].items()},
-            }
-            for mth, e in report.updating.items()
-        },
-        "per_period": {
-            mth: {
-                str(m): {
-                    "msfe": v["msfe"],
-                    "sign_accuracy": v["sign_accuracy"],
-                    "days": v["days"],
-                    "ecp_pointwise": {repr(a): x for a, x in v["ecp_pointwise"].items()},
-                    "interval_score": {repr(a): x for a, x in v["interval_score"].items()},
-                }
-                for m, v in table.items()
-            }
-            for mth, table in report.per_period.items()
-        },
-        "failures": report.failures,
-        "skipped_cells": [
-            {"method": mth, "m": m, "count": c}
-            for (mth, m), c in sorted(report.skipped_cells.items())
-        ],
-        "lambda_schedule": None
-        if report.lambda_schedule is None
-        else json.loads(schedule_to_json(report.lambda_schedule)),
-    }
-    return json.dumps(doc, indent=2)
+    body = {name: getattr(report, name) for name in _REPORT_FIELDS}
+    body["skipped_cells"] = [
+        {"method": mth, "m": m, "count": c}
+        for (mth, m), c in sorted(report.skipped_cells.items())
+    ]
+    if report.lambda_schedule is not None:
+        body["lambda_schedule"] = _schedule_doc(report.lambda_schedule)
+    return dump_doc(envelope("metric_report", REPORT_SCHEMA_VERSION, body))
 
 
 def report_from_json(text: str) -> MetricReport:
-    from .updating import schedule_from_json
-
-    doc = json.loads(text)
-    if doc.get("kind") != "metric_report":
-        raise DataError(f"not a metric report: kind={doc.get('kind')!r}")
-    if doc.get("schema_version") != REPORT_SCHEMA_VERSION:
-        raise DataError(f"unsupported report schema_version {doc.get('schema_version')!r}")
-    alphas = tuple(float(a) for a in doc["alpha_levels"])
-
-    def keyed(mapping):
-        return {float(k): v for k, v in mapping.items()}
-
-    full_day = {
-        mth: {
-            "msfe": e["msfe"],
-            "msfe_curve": e["msfe_curve"],
-            "ecp_pointwise": keyed(e["ecp_pointwise"]),
-            "ecp_uniform": keyed(e["ecp_uniform"]),
-            "interval_score": keyed(e["interval_score"]),
-            "interval_score_curve": keyed(e["interval_score_curve"]),
-        }
-        for mth, e in doc["full_day"].items()
-    }
-    updating = {
-        mth: {
-            "msfe": e["msfe"],
-            "sign_accuracy": e["sign_accuracy"],
-            "periods_covered": e["periods_covered"],
-            "ecp_pointwise": keyed(e["ecp_pointwise"]),
-            "interval_score": keyed(e["interval_score"]),
-        }
-        for mth, e in doc["updating"].items()
-    }
-    per_period = {
-        mth: {
-            int(m): {
-                "msfe": v["msfe"],
-                "sign_accuracy": v["sign_accuracy"],
-                "days": v["days"],
-                "ecp_pointwise": keyed(v["ecp_pointwise"]),
-                "interval_score": keyed(v["interval_score"]),
-            }
-            for m, v in table.items()
-        }
-        for mth, table in doc["per_period"].items()
-    }
-    schedule = None
-    if doc.get("lambda_schedule") is not None:
-        schedule = schedule_from_json(json.dumps(doc["lambda_schedule"]))
-    return MetricReport(
-        alpha_levels=alphas,
-        methods=tuple(doc["methods"]),
-        periods=tuple(doc["periods"]),
-        n_test=doc["n_test"],
-        days_used=doc["days_used"],
-        seed=doc["seed"],
-        full_day=full_day,
-        updating=updating,
-        per_period=per_period,
-        sign={mth: {m: v["sign_accuracy"] for m, v in table.items()} for mth, table in per_period.items()},
-        lambda_schedule=schedule,
-        failures=doc.get("failures", []),
-        skipped_cells={(e["method"], e["m"]): e["count"] for e in doc.get("skipped_cells", [])},
-        plan=doc.get("plan", {}),
-        config_hash=doc["config_hash"],
-    )
+    doc = load_doc(text, "metric_report", REPORT_SCHEMA_VERSION, _REPORT_FIELDS)
+    with reading("metric_report"):
+        f = {name: decode_keys(doc[name]) for name in _REPORT_FIELDS}
+        f.update(
+            alpha_levels=tuple(float(a) for a in f["alpha_levels"]),
+            methods=tuple(f["methods"]),
+            periods=tuple(f["periods"]),
+            sign={
+                mth: {m: v["sign_accuracy"] for m, v in table.items()}
+                for mth, table in f["per_period"].items()
+            },
+            skipped_cells={(e["method"], e["m"]): e["count"] for e in f["skipped_cells"]},
+            lambda_schedule=None
+            if doc["lambda_schedule"] is None
+            else _schedule_from_doc(doc["lambda_schedule"]),
+        )
+    return MetricReport(**f)
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+#: (key, file, scalar fields, per-alpha fields) of the per-method summary tables
+_SUMMARY_TABLES = (
+    ("full_day", "full_day_metrics.csv", ("msfe",),
+     ("ecp_pointwise", "ecp_uniform", "interval_score")),
+    ("updating", "updating_metrics.csv", ("msfe", "sign_accuracy"),
+     ("ecp_pointwise", "interval_score")),
+)
+
+#: (key, per-period field, one row per alpha) of the method-by-period tables
+_PERIOD_TABLES = (
+    ("msfe_by_period", "msfe", False),
+    ("interval_score_by_period", "interval_score", True),
+    ("ecp_by_period", "ecp_pointwise", True),
+    ("sign_by_period", "sign_accuracy", False),
+)
 
 
-def _cell_str(v) -> str:
-    return "" if v is None else repr(float(v))
+def _report_tables(report: MetricReport):
+    """Yield (key, file name, header, rows) for every CSV view of a report."""
+    alphas = by_coverage(report.alpha_levels)
+    pcts = [coverage_pct(a) for a in alphas]
+    for key, name, scalars, per_alpha in _SUMMARY_TABLES:
+        table = getattr(report, key)
+        header = ["method", *scalars] + [f"{f}_{p}" for p in pcts for f in per_alpha]
+        rows = [
+            [mth] + [table[mth][f] for f in scalars]
+            + [table[mth][f][a] for a in alphas for f in per_alpha]
+            for mth in report.methods
+            if mth in table
+        ]
+        yield key, name, header, rows
+
+    present = [mth for mth in report.methods if mth in report.per_period]
+    for key, field_name, by_alpha in _PERIOD_TABLES:
+        rows = []
+        for m in report.periods:
+            cells = [report.per_period[mth].get(m, {}).get(field_name) for mth in present]
+            if by_alpha:
+                rows += [[m, a] + [None if c is None else c[a] for c in cells] for a in alphas]
+            else:
+                rows.append([m] + cells)
+        yield key, f"{key}.csv", (["m", "alpha"] if by_alpha else ["m"]) + present, rows
+
+    if "TS" in report.full_day:
+        e = report.full_day["TS"]
+        curves = [e["interval_score_curve"][a] for a in alphas]
+        yield (
+            "ts_by_gridpoint", "ts_by_gridpoint.csv",
+            ["grid_index", "msfe"] + [f"interval_score_{p}" for p in pcts],
+            [[j + 2, v] + [c[j] for c in curves] for j, v in enumerate(e["msfe_curve"])],
+        )
+
+    sched = report.lambda_schedule
+    if sched is not None:
+        rows = [[m, "point", "", lam] for m, lam in sorted((sched.point or {}).items())]
+        for a in sorted(sched.interval or {}, reverse=True):
+            rows += [[m, "interval", a, lam] for m, lam in sorted(sched.interval[a].items())]
+        yield "lambda_schedule", "lambda_schedule.csv", ["m", "objective", "alpha", "lambda"], rows
 
 
 def write_report_csvs(report: MetricReport, outdir: str) -> dict:
     """Write the flat CSV views of a report; returns {name: path}."""
-    import os
+    from . import __version__
 
     os.makedirs(outdir, exist_ok=True)
     paths = {}
-    alphas = sorted(report.alpha_levels, key=lambda a: 1.0 - a)
+    for key, name, header, rows in _report_tables(report):
+        paths[key] = os.path.join(outdir, name)
+        write_csv(paths[key], header, rows)
 
-    header = ["method", "msfe"]
-    for a in alphas:
-        pct = _pct(a)
-        header += [f"ecp_pointwise_{pct}", f"ecp_uniform_{pct}", f"interval_score_{pct}"]
-    rows = []
-    for mth, e in report.full_day.items():
-        row = [mth, _cell_str(e["msfe"])]
-        for a in alphas:
-            row += [
-                _cell_str(e["ecp_pointwise"][a]),
-                _cell_str(e["ecp_uniform"][a]),
-                _cell_str(e["interval_score"][a]),
-            ]
-        rows.append(row)
-    paths["full_day"] = os.path.join(outdir, "full_day_metrics.csv")
-    _write_csv(paths["full_day"], header, rows)
-
-    header = ["method", "msfe", "sign_accuracy"]
-    for a in alphas:
-        pct = _pct(a)
-        header += [f"ecp_pointwise_{pct}", f"interval_score_{pct}"]
-    rows = []
-    for mth in report.methods:
-        if mth not in report.updating:
-            continue
-        e = report.updating[mth]
-        row = [mth, _cell_str(e["msfe"]), _cell_str(e["sign_accuracy"])]
-        for a in alphas:
-            row += [_cell_str(e["ecp_pointwise"][a]), _cell_str(e["interval_score"][a])]
-        rows.append(row)
-    paths["updating"] = os.path.join(outdir, "updating_metrics.csv")
-    _write_csv(paths["updating"], header, rows)
-
-    present = [mth for mth in report.methods if mth in report.per_period]
-    rows = []
-    for m in report.periods:
-        row = [m]
-        for mth in present:
-            v = report.per_period[mth].get(m)
-            row.append(_cell_str(None if v is None else v["msfe"]))
-        rows.append(row)
-    paths["msfe_by_period"] = os.path.join(outdir, "msfe_by_period.csv")
-    _write_csv(paths["msfe_by_period"], ["m"] + present, rows)
-
-    rows = []
-    for m in report.periods:
-        for a in alphas:
-            row = [m, repr(float(a))]
-            for mth in present:
-                v = report.per_period[mth].get(m)
-                row.append(_cell_str(None if v is None else v["interval_score"][a]))
-            rows.append(row)
-    paths["interval_score_by_period"] = os.path.join(outdir, "interval_score_by_period.csv")
-    _write_csv(paths["interval_score_by_period"], ["m", "alpha"] + present, rows)
-
-    rows = []
-    for m in report.periods:
-        for a in alphas:
-            row = [m, repr(float(a))]
-            for mth in present:
-                v = report.per_period[mth].get(m)
-                row.append(_cell_str(None if v is None else v["ecp_pointwise"][a]))
-            rows.append(row)
-    paths["ecp_by_period"] = os.path.join(outdir, "ecp_by_period.csv")
-    _write_csv(paths["ecp_by_period"], ["m", "alpha"] + present, rows)
-
-    rows = []
-    for m in report.periods:
-        row = [m]
-        for mth in present:
-            v = report.sign.get(mth, {}).get(m)
-            row.append(_cell_str(v))
-        rows.append(row)
-    paths["sign_by_period"] = os.path.join(outdir, "sign_by_period.csv")
-    _write_csv(paths["sign_by_period"], ["m"] + present, rows)
-
-    if "TS" in report.full_day:
-        e = report.full_day["TS"]
-        header = ["grid_index", "msfe"] + [f"interval_score_{_pct(a)}" for a in alphas]
-        rows = []
-        for j, v in enumerate(e["msfe_curve"]):
-            row = [j + 2, repr(float(v))]
-            for a in alphas:
-                row.append(repr(float(e["interval_score_curve"][a][j])))
-            rows.append(row)
-        paths["ts_by_gridpoint"] = os.path.join(outdir, "ts_by_gridpoint.csv")
-        _write_csv(paths["ts_by_gridpoint"], header, rows)
-
-    if report.lambda_schedule is not None:
-        sched = report.lambda_schedule
-        rows = []
-        if sched.point:
-            for m in sorted(sched.point):
-                rows.append([m, "point", "", repr(float(sched.point[m]))])
-        if sched.interval:
-            for a in sorted(sched.interval, reverse=True):
-                for m in sorted(sched.interval[a]):
-                    rows.append([m, "interval", repr(float(a)), repr(float(sched.interval[a][m]))])
-        paths["lambda_schedule"] = os.path.join(outdir, "lambda_schedule.csv")
-        _write_csv(paths["lambda_schedule"], ["m", "objective", "alpha", "lambda"], rows)
-
-    manifest = {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "kind": "backtest_manifest",
+    manifest = envelope("backtest_manifest", REPORT_SCHEMA_VERSION, {
         "config_hash": report.config_hash,
         "seed": report.seed,
-        "library": _library_version(),
+        "library": __version__,
         "files": sorted(os.path.basename(p) for p in paths.values()),
-    }
+    })
     paths["manifest"] = os.path.join(outdir, "manifest.json")
     with open(paths["manifest"], "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return paths
-
-
-def _library_version() -> str:
-    from . import __version__
-
-    return __version__

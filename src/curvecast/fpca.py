@@ -9,7 +9,6 @@ eigenvalue-ratio rule unless fixed explicitly.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -17,6 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ._docs import dump_doc, envelope
 from .errors import ConfigError, DataError
 from .gridcurves import FunctionalTimeSeries, _freeze
 
@@ -102,20 +102,6 @@ def select_num_components(eigenvalues: Sequence[float], n: int) -> int:
         else:
             objective.append(1.0)
     return int(np.argmin(objective)) + 1
-
-
-def select_num_components_by_variance(
-    eigenvalues: Sequence[float], threshold: float = 0.85
-) -> int:
-    """Smallest rank whose cumulative variance share reaches ``threshold``."""
-    ev = np.asarray(eigenvalues, dtype=float)
-    if not 0.0 < threshold <= 1.0:
-        raise DataError(f"threshold must lie in (0, 1], got {threshold}")
-    total = ev.sum()
-    if total <= 0.0:
-        return 1
-    share = np.cumsum(ev) / total
-    return int(np.searchsorted(share, threshold - 1e-12) + 1)
 
 
 def _fix_signs(phi: np.ndarray, w: float) -> np.ndarray:
@@ -210,15 +196,6 @@ def fit_fpca(
     )
 
 
-def project_scores(model: FpcaModel, curve: np.ndarray) -> np.ndarray:
-    """Scores of one curve on the retained components."""
-    curve = np.asarray(curve, dtype=float)
-    if curve.shape != (model.grid_size,):
-        raise DataError(f"curve has shape {curve.shape}, expected ({model.grid_size},)")
-    K = model.num_components
-    return model.quad_weight * ((curve - model.mean) @ model.eigenfunctions[:, :K])
-
-
 def reconstruct(model: FpcaModel, scores: np.ndarray) -> np.ndarray:
     """Curve implied by a score vector (any length up to the full rank)."""
     scores = np.asarray(scores, dtype=float)
@@ -230,9 +207,8 @@ def reconstruct(model: FpcaModel, scores: np.ndarray) -> np.ndarray:
 
 
 def model_to_json(model: FpcaModel) -> str:
-    doc = {
-        "schema_version": FPCA_SCHEMA_VERSION,
-        "kind": "fpca_model",
+    """The fitted decomposition as JSON, for inspection (nothing reads it back)."""
+    return dump_doc(envelope("fpca_model", FPCA_SCHEMA_VERSION, {
         "quad_weight": model.quad_weight,
         "num_components": model.num_components,
         "nobs": model.nobs,
@@ -240,26 +216,4 @@ def model_to_json(model: FpcaModel) -> str:
         "mean": model.mean.tolist(),
         "eigenvalues": model.eigenvalues.tolist(),
         "eigenfunctions": model.eigenfunctions.tolist(),
-    }
-    return json.dumps(doc, indent=2)
-
-
-def model_from_json(text: str) -> FpcaModel:
-    doc = json.loads(text)
-    if doc.get("kind") != "fpca_model":
-        raise DataError("JSON document is not an fpca_model")
-    if doc.get("schema_version") != FPCA_SCHEMA_VERSION:
-        raise DataError(f"unsupported fpca_model schema_version {doc.get('schema_version')}")
-    phi = np.asarray(doc["eigenfunctions"], dtype=float)
-    d, rank = phi.shape
-    return FpcaModel(
-        mean=_freeze(np.asarray(doc["mean"], dtype=float)),
-        eigenfunctions=_freeze(phi),
-        eigenvalues=_freeze(np.asarray(doc["eigenvalues"], dtype=float)),
-        scores=_freeze(np.zeros((0, rank))),
-        residuals=_freeze(np.zeros((0, d))),
-        num_components=int(doc["num_components"]),
-        quad_weight=float(doc["quad_weight"]),
-        nobs=int(doc["nobs"]),
-        degenerate=bool(doc["degenerate"]),
-    )
+    }))

@@ -67,18 +67,9 @@ class IntradayGrid:
         return cls(tau=tau, times=tuple(start + step * i for i in range(tau)))
 
     @property
-    def spacing(self) -> float:
-        return self.times[1] - self.times[0]
-
-    @property
     def quad_weight(self) -> float:
         """Rectangle-rule weight for inner products on the curve grid."""
         return 1.0 / (self.tau - 2)
-
-    @property
-    def curve_times(self) -> tuple:
-        """Clock labels of the curve grid (the open point is dropped)."""
-        return self.times[1:]
 
     @property
     def curve_size(self) -> int:

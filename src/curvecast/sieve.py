@@ -17,16 +17,14 @@ so results do not depend on evaluation order or worker count.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
+from ._docs import bounds_doc, dump_doc, envelope, write_curve_csv
 from .errors import ConfigError, DataError, NumericalError
 from .fpca import FpcaModel, select_num_components
 from .gridcurves import FunctionalTimeSeries, _freeze
@@ -64,7 +62,7 @@ class BootstrapConfig:
             raise ConfigError(f"center must be one of {CENTER_CHOICES}, got {self.center!r}")
 
 
-def replicate_rng(seed: int, index: int) -> np.random.Generator:
+def _replicate_rng(seed: int, index: int) -> np.random.Generator:
     """Independent stream for one replicate, split off the master seed."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
@@ -195,7 +193,7 @@ def _check_pair(fpca: FpcaModel, var: VarModel) -> None:
             f"score model dimension {var.dim} != retained components {fpca.num_components}"
         )
     if fpca.scores.shape[0] == 0:
-        raise DataError("fitted scores unavailable (model loaded without training data?)")
+        raise DataError("fitted scores unavailable")
     if var.nobs != fpca.scores.shape[0]:
         raise DataError(
             f"score model fit on {var.nobs} days but decomposition has {fpca.scores.shape[0]}"
@@ -228,15 +226,6 @@ class SieveReplicates:
     def num_replicates(self) -> int:
         return self.series_scores.shape[0]
 
-    @property
-    def series_length(self) -> int:
-        return self.series_scores.shape[1]
-
-
-def _pools(fpca: FpcaModel, var: VarModel):
-    resid_pool = fpca.residuals - fpca.residuals.mean(axis=0)
-    return var.centered_residuals, resid_pool
-
 
 def _replicate_draws(rng, T, M, p, n, n_eps, n_resid):
     """Index draws for one replicate, in the order the contract fixes."""
@@ -259,7 +248,8 @@ def _assemble_replicates(fpca, var, seed, indices) -> SieveReplicates:
         )
     if var.psi is None:
         raise NumericalError("moving-average expansion unavailable")
-    eps_pool, resid_pool = _pools(fpca, var)
+    eps_pool = var.centered_residuals
+    resid_pool = fpca.residuals - fpca.residuals.mean(axis=0)
     K = fpca.num_components
     n = fpca.scores.shape[0]
     p = var.order
@@ -272,7 +262,7 @@ def _assemble_replicates(fpca, var, seed, indices) -> SieveReplicates:
     series_resid_idx = np.empty((B, n), dtype=np.int64)
     fut_resid_idx = np.empty(B, dtype=np.int64)
     for row, b in enumerate(indices):
-        rng = replicate_rng(seed, b)
+        rng = _replicate_rng(seed, b)
         ext_idx[row], fut_eps_idx[row], series_resid_idx[row], fut_resid_idx[row] = (
             _replicate_draws(rng, T, M, p, n, eps_pool.shape[0], resid_pool.shape[0])
         )
@@ -312,24 +302,6 @@ def draw_replicates(fpca: FpcaModel, var: VarModel, cfg: BootstrapConfig) -> Sie
     return _assemble_replicates(fpca, var, cfg.seed, range(cfg.num_replicates))
 
 
-def pseudo_curves(reps: SieveReplicates, index: int) -> np.ndarray:
-    """Full pseudo-series of one replicate, shape (n, d)."""
-    return (
-        reps.mean
-        + reps.series_scores[index] @ reps.eigenfunctions.T
-        + reps.resid_pool[reps.series_resid_idx[index]]
-    )
-
-
-def future_curve(reps: SieveReplicates, index: int) -> np.ndarray:
-    """Simulated next-day curve of one replicate."""
-    return (
-        reps.mean
-        + reps.future_scores[index] @ reps.eigenfunctions.T
-        + reps.resid_pool[reps.future_resid_idx[index]]
-    )
-
-
 def future_curves(reps: SieveReplicates) -> np.ndarray:
     """All simulated next-day curves, shape (B, d)."""
     return (
@@ -357,29 +329,6 @@ def project_replicate_block(
     score_map = reps.eigenfunctions[cols].T @ bw  # (K, R)
     pool_proj = reps.resid_pool[:, cols] @ bw  # (n_pool, R)
     return base + reps.series_scores @ score_map + pool_proj[reps.series_resid_idx]
-
-
-def generate_pseudo_series(
-    fpca: FpcaModel,
-    var: VarModel,
-    cfg: BootstrapConfig,
-    replicate_index: int,
-    grid=None,
-):
-    """One replicate's pseudo-series and simulated future curve.
-
-    Bit-identical to the corresponding rows of :func:`draw_replicates`
-    because the draws come from the same per-replicate stream in the same
-    order.
-    """
-    if replicate_index < 0:
-        raise ConfigError(f"replicate_index must be >= 0, got {replicate_index}")
-    reps = _assemble_replicates(fpca, var, cfg.seed, [replicate_index])
-    if grid is None:
-        from .gridcurves import IntradayGrid
-
-        grid = IntradayGrid.regular(fpca.grid_size + 1)
-    return FunctionalTimeSeries(pseudo_curves(reps, 0), grid), future_curve(reps, 0)
 
 
 @dataclass(frozen=True)
@@ -505,14 +454,8 @@ def sieve_prediction(
 # ---------------------------------------------------------------------------
 
 
-def _coverage_pct(alpha: float) -> int:
-    return round(100.0 * (1.0 - alpha))
-
-
 def forecast_to_json(forecast: SieveForecast) -> str:
-    doc = {
-        "schema_version": FORECAST_SCHEMA_VERSION,
-        "kind": "sieve_forecast",
+    return dump_doc(envelope("sieve_forecast", FORECAST_SCHEMA_VERSION, {
         "num_replicates": forecast.num_replicates,
         "seed": forecast.seed,
         "center": forecast.center,
@@ -520,39 +463,15 @@ def forecast_to_json(forecast: SieveForecast) -> str:
         "alpha_levels": list(forecast.alpha_levels),
         "point": forecast.point.tolist(),
         "error_sd": forecast.error_sd.tolist(),
-        "pointwise": {
-            str(a): {"lower": lo.tolist(), "upper": hi.tolist()}
-            for a, (lo, hi) in forecast.pointwise.items()
-        },
-        "band_radius": {str(a): q for a, q in forecast.band_radius.items()},
-        "band": {
-            str(a): {"lower": lo.tolist(), "upper": hi.tolist()}
-            for a, (lo, hi) in forecast.band.items()
-        },
-    }
-    return json.dumps(doc, indent=2)
+        "pointwise": bounds_doc(forecast.pointwise),
+        "band_radius": forecast.band_radius,
+        "band": bounds_doc(forecast.band),
+    }))
 
 
 def write_forecast_csv(path: str, forecast: SieveForecast) -> None:
     """Plot-ready table: one row per curve grid point, one column block per level."""
-    alphas = sorted(forecast.alpha_levels, key=lambda a: 1.0 - a)
-    header = ["grid_index", "point"]
-    for a in alphas:
-        pct = _coverage_pct(a)
-        header += [f"lo{pct}", f"hi{pct}"]
-    for a in alphas:
-        pct = _coverage_pct(a)
-        header += [f"band_lo{pct}", f"band_hi{pct}"]
     d = forecast.point.shape[0]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for j in range(d):
-            row = [j + 2, repr(float(forecast.point[j]))]
-            for a in alphas:
-                lo, hi = forecast.pointwise[a]
-                row += [repr(float(lo[j])), repr(float(hi[j]))]
-            for a in alphas:
-                lo, hi = forecast.band[a]
-                row += [repr(float(lo[j])), repr(float(hi[j]))]
-            writer.writerow(row)
+    write_curve_csv(
+        path, range(2, d + 2), forecast.point, {"": forecast.pointwise, "band_": forecast.band}
+    )

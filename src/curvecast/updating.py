@@ -19,7 +19,6 @@ score for interval updates.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -27,6 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ._docs import check_doc, decode_keys, dump_doc, envelope, load_doc, reading
 from .errors import ConfigError, DataError, NumericalError
 from .fpca import FpcaModel, fit_fpca, select_num_components, weighted_pca
 from .gridcurves import FunctionalTimeSeries, _freeze
@@ -144,6 +144,17 @@ def _rebuild_late(ctx: UpdateContext, fpca: FpcaModel, betas: np.ndarray) -> np.
     return fpca.mean[cols] + (fpca.eigenfunctions[cols, :K] @ betas[..., None])[..., 0]
 
 
+def _check_lambda(lam) -> float:
+    """A shrinkage value as a float; negative or non-finite values are rejected.
+
+    Infinite shrinkage puts NaN off the diagonal of the penalized system.
+    """
+    lam = float(lam)
+    if not 0.0 <= lam < math.inf:
+        raise ConfigError(f"shrinkage must be finite and >= 0, got {lam}")
+    return lam
+
+
 def pls_coefficients(ctx: UpdateContext, lam: float, fpca: FpcaModel) -> np.ndarray:
     """Score estimate from the observed block, shrunk toward the forecast scores.
 
@@ -151,8 +162,7 @@ def pls_coefficients(ctx: UpdateContext, lam: float, fpca: FpcaModel) -> np.ndar
     is the component basis on the observed points.  ``lam = 0`` requires
     F to have full column rank.
     """
-    if lam < 0:
-        raise ConfigError(f"shrinkage must be >= 0, got {lam}")
+    lam = _check_lambda(lam)
     if lam == 0.0:
         _require_full_rank(ctx.eigenbasis_obs, ctx.m)
     return _pls_betas(ctx, fpca, (lam,))[0]
@@ -184,8 +194,8 @@ def _lam_for_alpha(lam, alpha: float) -> float:
     if isinstance(lam, dict):
         if alpha not in lam:
             raise ConfigError(f"no shrinkage value supplied for alpha={alpha}")
-        return float(lam[alpha])
-    return float(lam)
+        return _check_lambda(lam[alpha])
+    return _check_lambda(lam)
 
 
 def _pls_curve_stack(
@@ -450,64 +460,61 @@ class LambdaSchedule:
 
     def interval_lambda(self, alpha: float, m: int) -> float:
         if self.interval is None or alpha not in self.interval or m not in self.interval[alpha]:
-            raise ConfigError(
-                f"no interval-tuned shrinkage for alpha={alpha}, m={m}"
-            )
+            raise ConfigError(f"no interval-tuned shrinkage for alpha={alpha}, m={m}")
         return self.interval[alpha][m]
 
 
-def schedule_to_json(schedule: LambdaSchedule) -> str:
-    doc = {
-        "schema_version": SCHEDULE_SCHEMA_VERSION,
-        "kind": "lambda_schedule",
+def _schedule_doc(schedule: LambdaSchedule) -> dict:
+    return envelope("lambda_schedule", SCHEDULE_SCHEMA_VERSION, {
         "lambda_grid": list(schedule.lambda_grid),
-        "point": None
-        if schedule.point is None
-        else {str(m): v for m, v in sorted(schedule.point.items())},
+        "point": None if schedule.point is None else dict(sorted(schedule.point.items())),
         "interval": None
         if schedule.interval is None
-        else {
-            repr(a): {str(m): v for m, v in sorted(per_m.items())}
-            for a, per_m in schedule.interval.items()
-        },
-    }
-    return json.dumps(doc, indent=2)
+        else {a: dict(sorted(per_m.items())) for a, per_m in schedule.interval.items()},
+    })
+
+
+def _schedule_from_doc(doc) -> LambdaSchedule:
+    check_doc(doc, "lambda_schedule", SCHEDULE_SCHEMA_VERSION)
+    with reading("lambda_schedule"):
+        point = decode_keys(doc.get("point"))
+        interval = decode_keys(doc.get("interval"))
+        return LambdaSchedule(
+            point=None if point is None else {m: float(v) for m, v in point.items()},
+            interval=None
+            if interval is None
+            else {a: {m: float(v) for m, v in per_m.items()} for a, per_m in interval.items()},
+            lambda_grid=tuple(doc.get("lambda_grid", DEFAULT_LAMBDA_GRID)),
+        )
+
+
+def schedule_to_json(schedule: LambdaSchedule) -> str:
+    return dump_doc(_schedule_doc(schedule))
 
 
 def schedule_from_json(text: str) -> LambdaSchedule:
-    doc = json.loads(text)
-    if doc.get("kind") != "lambda_schedule":
-        raise DataError("JSON document is not a lambda_schedule")
-    if doc.get("schema_version") != SCHEDULE_SCHEMA_VERSION:
-        raise DataError(
-            f"unsupported lambda_schedule schema_version {doc.get('schema_version')}"
-        )
-    point = doc.get("point")
-    interval = doc.get("interval")
-    return LambdaSchedule(
-        point=None if point is None else {int(m): float(v) for m, v in point.items()},
-        interval=None
-        if interval is None
-        else {
-            float(a): {int(m): float(v) for m, v in per_m.items()}
-            for a, per_m in interval.items()
-        },
-        lambda_grid=tuple(doc.get("lambda_grid", DEFAULT_LAMBDA_GRID)),
-    )
+    return _schedule_from_doc(load_doc(text, "lambda_schedule", SCHEDULE_SCHEMA_VERSION))
 
 
 def normalize_lambda_grid(lambda_grid: Sequence[float]) -> tuple:
     """Sorted distinct shrinkage candidates.
 
-    An empty grid, or one holding a negative or non-finite value, is
-    rejected: infinite shrinkage makes the penalized system NaN.
+    An empty grid, or one holding a value :func:`pls_coefficients` would
+    reject, is a configuration error.
     """
-    grid = tuple(sorted(set(float(v) for v in lambda_grid)))
+    grid = tuple(sorted(set(_check_lambda(v) for v in lambda_grid)))
     if not grid:
         raise ConfigError("shrinkage grid is empty")
-    if not all(0.0 <= v < math.inf for v in grid):
-        raise ConfigError(f"shrinkage grid must hold finite non-negative values, got {grid}")
     return grid
+
+
+def _resolve_periods(periods: Optional[Sequence[int]], tau: int) -> tuple:
+    """Sorted distinct updating periods, checked; None means every one, 2..tau-1."""
+    periods = range(2, tau) if periods is None else sorted(set(int(m) for m in periods))
+    for m in periods:
+        if not 2 <= m < tau:
+            raise ConfigError(f"updating period m={m} outside 2..{tau - 1}")
+    return tuple(periods)
 
 
 def _feasible_from(ctx: UpdateContext, grid: tuple) -> int:
@@ -659,13 +666,7 @@ def tune_lambda(
             f"tuning split needs {train_size + validation_size} days, have {fts.n}"
         )
     grid = normalize_lambda_grid(lambda_grid)
-    tau = fts.grid.tau
-    if periods is None:
-        periods = range(2, tau)
-    periods = sorted(set(int(m) for m in periods))
-    for m in periods:
-        if not 2 <= m < tau:
-            raise ConfigError(f"updating period m={m} outside 2..{tau - 1}")
+    periods = _resolve_periods(periods, fts.grid.tau)
     want_point = objective != "interval_score"
     want_interval = objective != "msfe"
     if want_interval and bootstrap is None:

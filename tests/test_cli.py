@@ -275,3 +275,52 @@ class TestErrorPaths:
         assert err.startswith("error: ")
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("lam", ["inf", "nan", "schedule"])
+    def test_non_finite_lambda_is_exit_one(self, workdir, tmp_path, capsys, lam):
+        _, _, partial = workdir
+        if lam == "schedule":
+            sched = tmp_path / "sched.json"
+            sched.write_text(
+                '{"schema_version": 1, "kind": "lambda_schedule", "point": {"6": Infinity}}'
+            )
+            source = ["--schedule", str(sched)]
+        else:
+            source = ["--lam", lam]
+        out = tmp_path / "up.json"
+        capsys.readouterr()
+        rc = main(["update", "--input", str(partial), "--method", "pls", *source,
+                   "--output-json", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        ["not json {", '{"kind": "metric_report", "schema_version": 1}', "[1, 2]",
+         '{"kind": "metric_report", "schema_version": 1, "config_hash": "x", "seed": 0, '
+         '"alpha_levels": [0.2], "methods": ["TS"], "periods": [3], "n_test": 1, '
+         '"days_used": 1, "plan": {}, "full_day": {}, "updating": {}, "per_period": {}, '
+         '"failures": [], "skipped_cells": [1], "lambda_schedule": null}'],
+        ids=["not-json", "missing-keys", "not-an-object", "bad-field"],
+    )
+    def test_malformed_report_is_exit_two(self, tmp_path, capsys, text):
+        report = tmp_path / "report.json"
+        report.write_text(text)
+        capsys.readouterr()
+        rc = main(["export-plots", "--report", str(report), "--outdir", str(tmp_path / "p")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and len(err.strip().splitlines()) == 1
+
+    def test_malformed_schedule_is_exit_two(self, workdir, tmp_path, capsys):
+        _, _, partial = workdir
+        sched = tmp_path / "sched.json"
+        sched.write_text("not json {")
+        capsys.readouterr()
+        rc = main(["update", "--input", str(partial), "--method", "pls",
+                   "--schedule", str(sched), "--output-json", str(tmp_path / "up.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and len(err.strip().splitlines()) == 1

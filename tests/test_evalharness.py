@@ -14,13 +14,11 @@ from curvecast import (
     ecp,
     generate,
     interval_score,
-    mean_interval_score,
     msfe,
     plan_hash,
     report_from_json,
     report_to_json,
     run_backtest,
-    sign_prediction_probability,
     validate_plan,
     write_report_csvs,
 )
@@ -42,9 +40,6 @@ class TestIntervalScore:
         x = np.array([0.5, 2.0, 0.5])
         per = interval_score(lo, hi, x, 0.2)
         assert np.array_equal(per, np.array([1.0, 11.0, 1.0]))
-        per_point, agg = mean_interval_score(lo, hi, x, 0.2)
-        assert np.array_equal(per_point, np.array([1.0, 11.0, 1.0]))
-        assert agg == pytest.approx(13.0 / 3.0)
 
 
 class TestEcp:
@@ -85,11 +80,6 @@ class TestPointMetrics:
         assert per_point.shape == (7,)
         assert np.allclose(per_point, 0.25, atol=1e-15)
         assert agg == pytest.approx(0.25)
-
-    def test_sign_accuracy(self):
-        actuals = np.array([[1.0, -2.0, 3.0, 0.0]])
-        forecasts = np.array([[2.0, -1.0, -3.0, 0.0]])
-        assert sign_prediction_probability(actuals, forecasts) == pytest.approx(0.75)
 
 
 @pytest.fixture(scope="module")

@@ -3,19 +3,14 @@ import pytest
 
 from curvecast import (
     ConfigError,
-    DataError,
     FunctionalTimeSeries,
     IntradayGrid,
     SynthSpec,
     fit_fpca,
     generate,
-    model_from_json,
-    model_to_json,
     orthonormal_basis,
-    project_scores,
     reconstruct,
     select_num_components,
-    select_num_components_by_variance,
 )
 
 
@@ -53,8 +48,6 @@ class TestDecomposition:
         fts, m = fitted
         manual = m.quad_weight * (fts.values - m.mean) @ m.eigenfunctions
         assert np.allclose(m.scores, manual, atol=1e-12)
-        one = project_scores(m, fts.values[7])
-        assert np.allclose(one, m.scores[7, : m.num_components], atol=1e-12)
 
     def test_full_rank_reconstruction(self, fitted):
         fts, m = fitted
@@ -117,26 +110,6 @@ class TestComponentSelection:
 
     def test_two_clear_factors(self):
         assert select_num_components([5.0, 3.0, 1e-8, 1e-9], 200) == 2
-
-    def test_variance_threshold(self):
-        assert select_num_components_by_variance([3.0, 1.0, 0.5], 0.85) == 2
-        assert select_num_components_by_variance([3.0, 1.0, 0.5], 0.99) == 3
-
-
-class TestPersistence:
-    def test_json_round_trip_basis_exact(self, fitted):
-        _, m = fitted
-        back = model_from_json(model_to_json(m))
-        assert np.array_equal(back.mean, m.mean)
-        assert np.array_equal(back.eigenvalues, m.eigenvalues)
-        assert np.array_equal(back.eigenfunctions, m.eigenfunctions)
-        assert back.num_components == m.num_components
-        assert back.quad_weight == m.quad_weight
-        assert back.scores.shape[0] == 0
-
-    def test_rejects_wrong_kind(self):
-        with pytest.raises(DataError):
-            model_from_json('{"kind": "other", "schema_version": 1}')
 
 
 class TestBasis:

@@ -14,14 +14,11 @@ from curvecast import (
     draw_replicates,
     empirical_quantile,
     forecast_to_json,
-    future_curve,
     future_curves,
-    generate_pseudo_series,
-    pseudo_curves,
     sieve_prediction,
     write_forecast_csv,
 )
-from curvecast.sieve import sorted_intervals, sorted_quantile
+from curvecast.sieve import _assemble_replicates, sorted_intervals, sorted_quantile
 from conftest import sort_quantile_oracle
 
 # a few repeated values mixed with arbitrary ones, so ties are common
@@ -115,7 +112,7 @@ class TestReplicates:
         assert small_reps.series_scores.shape == (60, n, K)
         assert small_reps.future_scores.shape == (60, K)
         assert small_reps.resid_pool.shape[1] == d
-        assert pseudo_curves(small_reps, 2).shape == (n, d)
+        assert small_reps.series_resid_idx.shape == (60, n)
         assert future_curves(small_reps).shape == (60, d)
 
     def test_deterministic(self, small_fit):
@@ -135,16 +132,12 @@ class TestReplicates:
         assert np.array_equal(small.series_scores, big.series_scores[:50])
 
     def test_single_replicate_matches_batch(self, small_fit, small_reps):
-        fts, model, var = small_fit
-        cfg = BootstrapConfig(num_replicates=60, seed=5)
-        series, future = generate_pseudo_series(model, var, cfg, 3)
-        assert np.allclose(series.values, pseudo_curves(small_reps, 3), atol=1e-12)
-        assert np.allclose(future, future_curve(small_reps, 3), atol=1e-12)
-
-    def test_future_curve_consistency(self, small_reps):
-        assert np.allclose(
-            future_curve(small_reps, 4), future_curves(small_reps)[4], atol=1e-12
-        )
+        # replicate 3 drawn alone equals row 3 of the batch: draws depend on the index only
+        _, model, var = small_fit
+        one = _assemble_replicates(model, var, 5, [3])
+        assert np.allclose(one.series_scores[0], small_reps.series_scores[3], atol=1e-12)
+        assert np.array_equal(one.series_resid_idx[0], small_reps.series_resid_idx[3])
+        assert np.allclose(future_curves(one)[0], future_curves(small_reps)[3], atol=1e-12)
 
 
 @pytest.fixture(scope="module")

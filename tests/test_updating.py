@@ -166,10 +166,16 @@ class TestPls:
             other = beta + 0.1 * r.normal(size=beta.shape)
             assert best <= shrinkage_objective(context, model, lam, other) + 1e-12
 
-    def test_negative_lambda_rejected(self, pipeline, context):
+    def test_negative_lambda_rejected(self, pipeline, context, reps):
+        # an infinite shrinkage would put NaN in the penalized system; NaN compares false
         _, model, _ = pipeline
-        with pytest.raises(ConfigError):
-            pls_coefficients(context, -1.0, model)
+        for bad in (-1.0, np.inf, np.nan):
+            with pytest.raises(ConfigError):
+                pls_coefficients(context, bad, model)
+            with pytest.raises(ConfigError):
+                pls_interval_update(context, bad, model, reps)
+            with pytest.raises(ConfigError):
+                pls_interval_update(context, {0.2: 1.0, 0.05: bad}, model, reps)
 
 
 class TestFlr:
