@@ -30,7 +30,7 @@ from .evalharness import (
     run_backtest,
     write_report_csvs,
 )
-from .fpca import fit_fpca, model_to_json
+from .fpca import model_to_json
 from .gridcurves import (
     cidr_transform,
     ingest_price_matrix,
@@ -44,6 +44,7 @@ from .sieve import (
     forecast_to_json,
     sieve_prediction,
     write_forecast_csv,
+    _fit_models,
 )
 from .updating import (
     DEFAULT_LAMBDA_GRID,
@@ -59,7 +60,6 @@ from .updating import (
     tune_lambda,
     updating_columns,
 )
-from .varmodel import fit_var, select_order
 
 
 # ---------------------------------------------------------------------------
@@ -175,14 +175,6 @@ def _load_curves(path: str, max_missing_frac: float = 0.5):
     raw, grid, dates = read_price_csv(path)
     pm, kept, summary = ingest_price_matrix(raw, grid, dates, max_missing_frac)
     return cidr_transform(pm), pm, kept, summary
-
-
-def _fit_models(fts, num_components, max_order):
-    model = fit_fpca(fts, num_components)
-    scores = model.scores[:, : model.num_components]
-    order = select_order(scores, max_order)
-    var = fit_var(scores, order)
-    return model, var
 
 
 def _read_text(path: str) -> str:
@@ -350,6 +342,8 @@ FORECAST_OPTS = [
 
 
 def cmd_forecast(opts: dict) -> int:
+    if not opts["output_csv"] and not opts["output_json"]:
+        raise ConfigError("forecast needs --output-csv and/or --output-json")
     fts, _, _, _ = _load_curves(_require(opts, "input"), opts["max_missing_frac"])
     model, var = _fit_models(fts, opts["num_components"], opts["max_order"])
     cfg = BootstrapConfig(
@@ -359,8 +353,6 @@ def cmd_forecast(opts: dict) -> int:
         center=opts["center"],
     )
     forecast = sieve_prediction(fts, model, var, cfg, n_workers=opts["workers"])
-    if not opts["output_csv"] and not opts["output_json"]:
-        raise ConfigError("forecast needs --output-csv and/or --output-json")
     if opts["output_csv"]:
         write_forecast_csv(opts["output_csv"], forecast)
         print(f"forecast table -> {opts['output_csv']}")

@@ -11,6 +11,7 @@ ground truth alongside the curves.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -55,6 +56,8 @@ class SynthSpec:
             raise DataError(f"need n >= 1 days, got {self.n}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if not 0.0 <= self.noise_sd < math.inf:
+            raise ConfigError(f"noise_sd must be finite and >= 0, got {self.noise_sd}")
         if self.tau < 3:
             raise DataError(f"need tau >= 3, got {self.tau}")
         if self.num_factors < 1:

@@ -30,13 +30,13 @@ from ._docs import (
     write_csv,
 )
 from .errors import ConfigError, DataError, NumericalError
-from .fpca import fit_fpca
 from .gridcurves import FunctionalTimeSeries
 from .sieve import (
     BootstrapConfig,
     derive_seed,
     sieve_prediction,
     ts_point_forecast,
+    _fit_models,
 )
 from .updating import (
     DEFAULT_LAMBDA_GRID,
@@ -55,7 +55,6 @@ from .updating import (
     _schedule_doc,
     _schedule_from_doc,
 )
-from .varmodel import fit_var, select_order
 
 METHODS = ("TS", "PLS", "OLS", "FLR")
 
@@ -314,10 +313,7 @@ def run_backtest(fts: FunctionalTimeSeries, plan: BacktestPlan) -> MetricReport:
         train = fts.window(start, t_end)
         actual = fts.values[t_end]
         try:
-            model = fit_fpca(train, plan.num_components)
-            K = model.num_components
-            order = select_order(model.scores[:, :K], plan.max_order)
-            var = fit_var(model.scores[:, :K], order)
+            model, var = _fit_models(train, plan.num_components, plan.max_order)
             day_cfg = replace(plan.bootstrap, seed=derive_seed(plan.bootstrap.seed, 2, t_end))
             forecast = sieve_prediction(train, model, var, day_cfg, n_workers=plan.n_workers)
             ts_curve = ts_point_forecast(model, var)
@@ -463,6 +459,10 @@ def report_to_json(report: MetricReport) -> str:
 
 def report_from_json(text: str) -> MetricReport:
     doc = load_doc(text, "metric_report", REPORT_SCHEMA_VERSION, _REPORT_FIELDS)
+    for name in ("full_day", "updating", "per_period"):
+        if not isinstance(doc[name], dict):
+            kind = type(doc[name]).__name__
+            raise DataError(f"metric_report {name} must be a JSON object, got {kind}")
     with reading("metric_report"):
         f = {name: decode_keys(doc[name]) for name in _REPORT_FIELDS}
         f.update(

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 MISSING_TOKENS = ("", "NA")
 
@@ -193,9 +193,12 @@ def ingest_price_matrix(
     """Screen raw daily prices, drop unusable days, interpolate the rest.
 
     Days are dropped (with a warning) when more than ``max_missing_frac``
-    of their prices are missing or when a boundary price is missing.
+    (a fraction in [0, 1]) of their prices are missing or when a boundary
+    price is missing.
     Returns ``(PriceMatrix, kept_dates, summary_dict)``.
     """
+    if not 0.0 <= max_missing_frac <= 1.0:
+        raise ConfigError(f"max_missing_frac must lie in [0, 1], got {max_missing_frac}")
     raw = np.asarray(raw, dtype=float)
     if raw.ndim != 2:
         raise DataError(f"raw price matrix must be 2-d, got shape {raw.shape}")

@@ -4,15 +4,20 @@ Each replicate resamples centered score innovations, converts them to
 backward-model innovations, and rebuilds an artificial score history
 backward from the observed final days, so every pseudo-series shares the
 sample's most recent state.  Pseudo-curves add whole resampled residual
-curves on top of the reconstructed score part.  A one-step functional
-autoregression refit to each pseudo-series yields a forecast whose error
+curves on top of the reconstructed score part.  One FAR(1) routine,
+:func:`far1_fit`, refits the one-step functional autoregression to a
+stack of series: to every pseudo-series, where the forecast's error
 against that replicate's simulated future curve is the bootstrap proxy
-for the real forecast error; pointwise quantiles of these errors give
-prediction intervals and studentized sup-norm quantiles give a uniform
-band.
+for the real forecast error, and to the observed series (a stack of
+one), whose forecast is the default interval centre.  Pointwise
+quantiles of these errors give prediction intervals and studentized
+sup-norm quantiles give a uniform band.
 
 Replicate ``b`` always draws from its own counter-split random stream,
-so results do not depend on evaluation order or worker count.
+so results do not depend on evaluation order or worker count.  The
+private ``_fit_models`` is the one per-day fit (decomposition, order
+selection, score autoregression) shared by the CLI, tuning and the
+backtest.
 """
 
 from __future__ import annotations
@@ -26,9 +31,9 @@ import numpy as np
 
 from ._docs import bounds_doc, dump_doc, envelope, write_curve_csv
 from .errors import ConfigError, DataError, NumericalError
-from .fpca import FpcaModel, select_num_components
+from .fpca import FpcaModel, fit_fpca, select_num_components
 from .gridcurves import FunctionalTimeSeries, _freeze
-from .varmodel import VarModel, forecast_scores, _transfer_padded
+from .varmodel import VarModel, fit_var, forecast_scores, select_order, _transfer_padded
 
 SIGMA_FLOOR = 1e-12
 FORECAST_SCHEMA_VERSION = 1
@@ -123,16 +128,6 @@ def sorted_intervals(sorted_values: np.ndarray, alpha_levels, axis: int = 0) -> 
     }
 
 
-@dataclass(frozen=True)
-class Far1Model:
-    """One-step functional autoregression: next = mean + transfer @ (last - mean)."""
-
-    mean: np.ndarray
-    transfer: np.ndarray
-    num_components: int
-    degenerate: bool = False
-
-
 def _regularized_transfer(cov0: np.ndarray, cov1: np.ndarray, w: float, n: int):
     """Lagged covariance composed with the rank-truncated covariance inverse."""
     evals, evecs = np.linalg.eigh(w * cov0)
@@ -140,43 +135,48 @@ def _regularized_transfer(cov0: np.ndarray, cov1: np.ndarray, w: float, n: int):
     evecs = evecs[:, ::-1]
     evals[evals < 0.0] = 0.0
     if evals[0] <= 0.0:
-        return np.zeros_like(cov0), 0, True
+        return np.zeros_like(cov0), True
     J = select_num_components(evals, n)
     keep = evals[:J] > 1e-12 * evals[0]
     vecs = evecs[:, :J][:, keep]
     inv = (vecs / evals[:J][keep]) @ vecs.T
-    return (w * cov1) @ inv, J, False
+    return (w * cov1) @ inv, False
 
 
-def far1_fit(fts: FunctionalTimeSeries) -> Far1Model:
-    """Fit the one-step functional autoregression used as the resampled predictor.
+def far1_fit(curves: np.ndarray, weight: float) -> np.ndarray:
+    """Fit the one-step functional autoregression to each series and forecast its next day.
 
-    The lag-one cross-covariance is composed with the inverse of the
-    covariance restricted to its leading eigenspace; the rank is chosen
-    by the same eigenvalue-ratio rule as the main decomposition.
+    ``curves`` is a (B, n, d) stack of series; returns the (B, d)
+    forecasts ``mean + transfer @ (last - mean)``.  Per series, the
+    lag-one cross-covariance is composed with the inverse of the
+    covariance restricted to its leading eigenspace, the rank chosen by
+    the same eigenvalue-ratio rule as the main decomposition; ``weight``
+    is the grid's quadrature weight.  A series whose curves carry no
+    variance gets a zero transfer (forecast = its mean) and a warning.
     """
-    X = fts.values
-    n, d = X.shape
+    B, n, d = curves.shape
     if n < 2:
         raise DataError(f"need at least 2 days, got {n}")
-    mean = X.mean(axis=0)
-    c = X - mean
-    cov0 = (c.T @ c) / n
-    cov1 = (c[1:].T @ c[:-1]) / n
-    transfer, J, degenerate = _regularized_transfer(cov0, cov1, fts.grid.quad_weight, n)
+    means = curves.mean(axis=1)
+    c = curves - means[:, None, :]
+    cov0 = np.matmul(c.transpose(0, 2, 1), c) / n
+    cov1 = np.matmul(c[:, 1:].transpose(0, 2, 1), c[:, :-1]) / n
+    preds = np.empty((B, d))
+    degenerate = False
+    for b in range(B):
+        transfer, flat = _regularized_transfer(cov0[b], cov1[b], weight, n)
+        degenerate |= flat
+        preds[b] = means[b] + transfer @ c[b, -1]
     if degenerate:
         warnings.warn("curves carry no variance; autoregression transfer set to zero")
-    return Far1Model(mean=_freeze(mean), transfer=_freeze(transfer),
-                     num_components=J, degenerate=degenerate)
+    return preds
 
 
-def far1_forecast(model: Far1Model, last_curve: np.ndarray) -> np.ndarray:
-    last_curve = np.asarray(last_curve, dtype=float)
-    if last_curve.shape != model.mean.shape:
-        raise DataError(
-            f"curve has shape {last_curve.shape}, expected {model.mean.shape}"
-        )
-    return model.mean + model.transfer @ (last_curve - model.mean)
+def _fit_models(fts: FunctionalTimeSeries, num_components, max_order: int):
+    """One day's fit: the decomposition, then the score autoregression of the selected order."""
+    fpca = fit_fpca(fts, num_components)
+    scores = fpca.scores[:, : fpca.num_components]
+    return fpca, fit_var(scores, select_order(scores, max_order))
 
 
 def ts_point_forecast(fpca: FpcaModel, var: VarModel) -> np.ndarray:
@@ -215,12 +215,9 @@ class SieveReplicates:
     series_resid_idx: np.ndarray   # (B, n) rows into resid_pool
     future_scores: np.ndarray      # (B, K) next-day score draws
     future_resid_idx: np.ndarray   # (B,) rows into resid_pool
-    ts_scores: np.ndarray          # (K,) the conditional-mean score forecast
     mean: np.ndarray               # (d,)
     eigenfunctions: np.ndarray     # (d, K)
     resid_pool: np.ndarray         # (n, d) centered residual curves
-    eps_pool: np.ndarray           # (n - p, K) centered score innovations
-    seed: int
 
     @property
     def num_replicates(self) -> int:
@@ -284,12 +281,9 @@ def _assemble_replicates(fpca, var, seed, indices) -> SieveReplicates:
         series_resid_idx=series_resid_idx,
         future_scores=_freeze(future_scores),
         future_resid_idx=fut_resid_idx,
-        ts_scores=_freeze(ts1),
         mean=fpca.mean,
         eigenfunctions=_freeze(fpca.eigenfunctions[:, :K]),
         resid_pool=_freeze(resid_pool),
-        eps_pool=_freeze(eps_pool),
-        seed=seed,
     )
 
 
@@ -346,27 +340,11 @@ class SieveForecast:
     pointwise: dict
     band_radius: dict
     band: dict
-    replicates_future: np.ndarray
-    replicates_pred: np.ndarray
     replicates: SieveReplicates
     alpha_levels: tuple
     num_replicates: int
     seed: int
     degenerate: bool
-
-
-def _far1_predictions_batch(curves: np.ndarray, w: float) -> np.ndarray:
-    """Refit the one-step autoregression on each pseudo-series and forecast."""
-    B, n, d = curves.shape
-    means = curves.mean(axis=1)
-    c = curves - means[:, None, :]
-    cov0 = np.matmul(c.transpose(0, 2, 1), c) / n
-    cov1 = np.matmul(c[:, 1:].transpose(0, 2, 1), c[:, :-1]) / n
-    preds = np.empty((B, d))
-    for b in range(B):
-        transfer, _, _ = _regularized_transfer(cov0[b], cov1[b], w, n)
-        preds[b] = means[b] + transfer @ c[b, -1]
-    return preds
 
 
 def sieve_prediction(
@@ -398,7 +376,7 @@ def sieve_prediction(
             + reps.series_scores[lo:hi] @ reps.eigenfunctions.T
             + reps.resid_pool[reps.series_resid_idx[lo:hi]]
         )
-        return _far1_predictions_batch(curves, w)
+        return far1_fit(curves, w)
 
     if n_workers == 1:
         preds = predict_chunk(0, B)
@@ -419,7 +397,7 @@ def sieve_prediction(
     if cfg.center == "ts":
         center_curve = ts_point_forecast(fpca, var)
     else:
-        center_curve = far1_forecast(far1_fit(fts), fts.values[-1])
+        center_curve = far1_fit(fts.values[None], w)[0]
 
     shifted = center_curve + errors
     shifted.sort(axis=0)
@@ -439,8 +417,6 @@ def sieve_prediction(
         pointwise=pointwise,
         band_radius=band_radius,
         band=band,
-        replicates_future=_freeze(futures),
-        replicates_pred=_freeze(preds),
         replicates=reps,
         alpha_levels=cfg.alpha_levels,
         num_replicates=B,

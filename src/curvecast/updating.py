@@ -28,7 +28,7 @@ import numpy as np
 
 from ._docs import check_doc, decode_keys, dump_doc, envelope, load_doc, reading
 from .errors import ConfigError, DataError, NumericalError
-from .fpca import FpcaModel, fit_fpca, select_num_components, weighted_pca
+from .fpca import FpcaModel, select_num_components, weighted_pca
 from .gridcurves import FunctionalTimeSeries, _freeze
 from .sieve import (
     BootstrapConfig,
@@ -37,13 +37,14 @@ from .sieve import (
     draw_replicates,
     project_replicate_block,
     sorted_intervals,
+    _fit_models,
 )
-from .varmodel import fit_var, forecast_scores, select_order
+from .varmodel import forecast_scores
 
 #: default shrinkage grid: exact least squares plus decade steps
 DEFAULT_LAMBDA_GRID = (0.0,) + tuple(10.0**j for j in range(-2, 9))
 
-#: ridge floor applied when the early-score Gram matrix is numerically singular
+#: ridge floor, relative to its trace, for a numerically singular early-score Gram matrix
 LINK_RIDGE = 1e-8
 
 SCHEDULE_SCHEMA_VERSION = 1
@@ -274,28 +275,39 @@ def block_weight(npoints: int) -> float:
 
 
 def link_scores(theta: np.ndarray, vartheta: np.ndarray):
-    """Least-squares linkage of late scores on early scores.
+    """Least-squares linkage of late scores on early scores, for one series or a stack.
 
-    Returns ``(link, ridged)``; a numerically singular Gram matrix gets a
-    ridge floor proportional to its trace and the flag is set.
+    ``theta`` (..., n, R) and ``vartheta`` (..., n, S) may stack series
+    along their leading axes.  Returns ``(link, ridged)``: the (..., R, S)
+    links and a boolean array over the leading axes (0-d for one series).
+    A numerically singular Gram matrix gets a ridge floor proportional to
+    its trace and is flagged; where the trace is 0 (early scores
+    identically zero) the link is zero.  A call that ridges any fit warns
+    once.
     """
     theta = np.asarray(theta, dtype=float)
     vartheta = np.asarray(vartheta, dtype=float)
-    if theta.ndim != 2 or vartheta.ndim != 2 or theta.shape[0] != vartheta.shape[0]:
+    if theta.ndim < 2 or theta.shape[:-1] != vartheta.shape[:-1]:
         raise DataError(
-            f"score matrices must share rows, got {theta.shape} and {vartheta.shape}"
+            f"score arrays must share leading axes and rows, got {theta.shape} and {vartheta.shape}"
         )
-    gram = theta.T @ theta
+    theta_t = np.swapaxes(theta, -1, -2)
+    gram = theta_t @ theta
     evals = np.linalg.eigvalsh(gram)
-    ridged = evals[-1] <= 0.0 or evals[0] <= 1e-12 * evals[-1]
-    if ridged:
-        trace = float(np.trace(gram))
-        if trace <= 0.0:
-            warnings.warn("early scores are identically zero; linkage set to zero")
-            return np.zeros((theta.shape[1], vartheta.shape[1])), True
-        gram = gram + LINK_RIDGE * trace * np.eye(theta.shape[1])
-        warnings.warn("early-score Gram matrix is singular; ridge floor applied")
-    return np.linalg.solve(gram, theta.T @ vartheta), ridged
+    ridged = (evals[..., -1] <= 0.0) | (evals[..., 0] <= 1e-12 * evals[..., -1])
+    cross = theta_t @ vartheta
+    if ridged.any():
+        trace = np.trace(gram, axis1=-2, axis2=-1)
+        zero = (trace <= 0.0)[..., None, None]
+        eye = np.eye(theta.shape[-1])
+        gram = np.where(zero, eye, gram + (ridged * LINK_RIDGE * trace)[..., None, None] * eye)
+        cross = np.where(zero, 0.0, cross)
+        warnings.warn(
+            f"early-score Gram matrix singular in {int(ridged.sum())} of {ridged.size} "
+            f"linkage fits; ridge floor applied ({int(zero.sum())} with identically zero "
+            "early scores linked to zero)"
+        )
+    return np.linalg.solve(gram, cross), ridged
 
 
 @dataclass(frozen=True)
@@ -309,10 +321,6 @@ class FlrModel:
     late_basis: np.ndarray    # (tau - m, S)
     early_weight: float
     late_weight: float
-    early_eigenvalues: np.ndarray
-    late_eigenvalues: np.ndarray
-    early_scores: np.ndarray  # (n, R)
-    late_scores: np.ndarray   # (n, S)
     link: np.ndarray          # (R, S)
     ridged: bool
 
@@ -350,9 +358,7 @@ def flr_fit(
             f"block ranks ({num_early}, {num_late}) outside the available "
             f"({e_vals.size}, {l_vals.size})"
         )
-    theta = e_scores[:, :num_early]
-    vartheta = l_scores[:, :num_late]
-    link, ridged = link_scores(theta, vartheta)
+    link, ridged = link_scores(e_scores[:, :num_early], l_scores[:, :num_late])
     return FlrModel(
         split=m,
         early_mean=_freeze(e_mean),
@@ -361,12 +367,8 @@ def flr_fit(
         late_basis=_freeze(l_phi[:, :num_late]),
         early_weight=w_e,
         late_weight=w_l,
-        early_eigenvalues=_freeze(e_vals),
-        late_eigenvalues=_freeze(l_vals),
-        early_scores=_freeze(theta),
-        late_scores=_freeze(vartheta),
         link=_freeze(link),
-        ridged=ridged,
+        ridged=bool(ridged),
     )
 
 
@@ -407,15 +409,7 @@ def flr_interval_update(
     vartheta_star = project_replicate_block(
         reps, lcols, model.late_basis, model.late_weight, model.late_mean
     )  # (B, n, S)
-    gram = np.einsum("bnr,bns->brs", theta_star, theta_star)
-    cross = np.einsum("bnr,bns->brs", theta_star, vartheta_star)
-    R = gram.shape[1]
-    evals = np.linalg.eigvalsh(gram)
-    bad = (evals[:, -1] <= 0.0) | (evals[:, 0] <= 1e-12 * evals[:, -1])
-    if bad.any():
-        trace = np.einsum("bii->b", gram)
-        gram = gram + (bad * LINK_RIDGE * np.maximum(trace, 1.0))[:, None, None] * np.eye(R)
-    links = np.linalg.solve(gram, cross)  # (B, R, S)
+    links, _ = link_scores(theta_star, vartheta_star)  # (B, R, S)
     theta_obs = _early_projection(model, observed)
     preds = np.einsum("r,brs,ls->bl", theta_obs, links, model.late_basis)
     curves = model.late_mean + preds + reps.resid_pool[reps.future_resid_idx[:, None], lcols]
@@ -429,16 +423,6 @@ def flr_interval_update(
 # ---------------------------------------------------------------------------
 # shrinkage tuning
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TuningCase:
-    """One validation day at one updating period."""
-
-    ctx: UpdateContext
-    actual_late: np.ndarray
-    fpca: FpcaModel
-    reps: Optional[SieveReplicates] = None
 
 
 @dataclass(frozen=True)
@@ -527,23 +511,27 @@ def _feasible_from(ctx: UpdateContext, grid: tuple) -> int:
     return 0
 
 
-def _msfe_case_scores(case: TuningCase, grid: tuple) -> np.ndarray:
+def _msfe_case_scores(
+    ctx: UpdateContext, fpca: FpcaModel, actual_late: np.ndarray, grid: tuple
+) -> np.ndarray:
     """Squared forecast error of one case for every grid value (inf where infeasible).
 
-    Equals ``mean((pls_update(ctx, lam, fpca) - actual_late) ** 2)`` per
+    A case is one validation day at one updating period.  Equals ``mean((pls_update(ctx, lam, fpca) - actual_late) ** 2)`` per
     value: the same solve and rebuild, batched over the grid.
     """
     out = np.full(len(grid), np.inf)
-    start = _feasible_from(case.ctx, grid)
+    start = _feasible_from(ctx, grid)
     if start == len(grid):
         return out
-    preds = _rebuild_late(case.ctx, case.fpca, _pls_betas(case.ctx, case.fpca, grid[start:]))
-    out[start:] = np.mean((preds - case.actual_late) ** 2, axis=-1)
+    preds = _rebuild_late(ctx, fpca, _pls_betas(ctx, fpca, grid[start:]))
+    out[start:] = np.mean((preds - actual_late) ** 2, axis=-1)
     return out
 
 
 def _interval_case_scores(
-    case: TuningCase,
+    ctx: UpdateContext,
+    fpca: FpcaModel,
+    actual_late: np.ndarray,
     future_scores: np.ndarray,
     future_resid_t: np.ndarray,
     grid: tuple,
@@ -559,21 +547,17 @@ def _interval_case_scores(
     from .evalharness import interval_score
 
     out = np.full((len(alphas), len(grid)), np.inf)
-    start = _feasible_from(case.ctx, grid)
+    start = _feasible_from(ctx, grid)
     if start == len(grid):
         return out
     curves = _pls_curve_stack(
-        case.ctx,
-        case.fpca,
-        future_scores,
-        future_resid_t[case.ctx.updating_cols],
-        grid[start:],
+        ctx, fpca, future_scores, future_resid_t[ctx.updating_cols], grid[start:]
     )
     curves.sort(axis=-1)
     bounds = sorted_intervals(curves, alphas, axis=-1)
     for i, a in enumerate(alphas):
         lo, hi = bounds[a]
-        out[i, start:] = interval_score(lo, hi, case.actual_late, a).mean(axis=-1)
+        out[i, start:] = interval_score(lo, hi, actual_late, a).mean(axis=-1)
     return out
 
 
@@ -583,48 +567,6 @@ def _argmin_grid(totals: np.ndarray, grid: tuple) -> float:
     if not np.isfinite(means).any():
         raise NumericalError("no feasible shrinkage value on the grid")
     return grid[int(np.argmin(means))]
-
-
-def select_lambda_from_cases(
-    cases: Sequence[TuningCase],
-    lambda_grid: Sequence[float] = DEFAULT_LAMBDA_GRID,
-    objective: str = "msfe",
-    alpha_levels: Sequence[float] = (0.2, 0.05),
-):
-    """Grid-search the shrinkage for one updating period over prepared cases.
-
-    Returns a float for the squared-error objective, or a dict mapping
-    each alpha level to its own value for the interval-score objective.
-    Each case is scored once for the whole grid and every alpha (one
-    batched solve and one sort of its curve stack), by the same scorer
-    :func:`tune_lambda` streams its validation days through.  Infeasible
-    grid entries (rank-deficient exact least squares) are skipped; ties
-    resolve to the smallest value.
-    """
-    if not cases:
-        raise ConfigError("no tuning cases supplied")
-    grid = normalize_lambda_grid(lambda_grid)
-    if objective == "msfe":
-        table = np.stack([_msfe_case_scores(c, grid) for c in cases], axis=-1)
-        return _argmin_grid(table, grid)
-    if objective == "interval_score":
-        if any(c.reps is None for c in cases):
-            raise ConfigError("interval-score tuning needs bootstrap replicates per case")
-        table = np.stack(
-            [
-                _interval_case_scores(
-                    c,
-                    c.reps.future_scores,
-                    c.reps.resid_pool.T[:, c.reps.future_resid_idx],
-                    grid,
-                    alpha_levels,
-                )
-                for c in cases
-            ],
-            axis=-1,
-        )
-        return {a: _argmin_grid(table[i], grid) for i, a in enumerate(alpha_levels)}
-    raise ConfigError(f"unknown tuning objective {objective!r}")
 
 
 def tune_lambda(
@@ -679,10 +621,7 @@ def tune_lambda(
     for j, v in enumerate(range(train_size, train_size + validation_size)):
         prefix = fts.window(0, v)
         actual = fts.values[v]
-        model = fit_fpca(prefix, num_components)
-        K = model.num_components
-        order = select_order(model.scores[:, :K], max_order)
-        var = fit_var(model.scores[:, :K], order)
+        model, var = _fit_models(prefix, num_components, max_order)
         if want_interval:
             day_cfg = replace(bootstrap, seed=derive_seed(bootstrap.seed, 1, v))
             # keep only what the scorer reads, so one day's replicates are live at a time
@@ -691,16 +630,13 @@ def tune_lambda(
             future_resid_t = reps.resid_pool.T[:, reps.future_resid_idx]
             del reps
         for i, m in enumerate(periods):
-            case = TuningCase(
-                ctx=build_update_context(model, var, actual[: m - 1]),
-                actual_late=actual[m - 1 :],
-                fpca=model,
-            )
+            ctx = build_update_context(model, var, actual[: m - 1])
+            actual_late = actual[m - 1 :]
             if want_point:
-                point_table[i, :, j] = _msfe_case_scores(case, grid)
+                point_table[i, :, j] = _msfe_case_scores(ctx, model, actual_late, grid)
             if want_interval:
                 interval_table[i, :, :, j] = _interval_case_scores(
-                    case, future_scores, future_resid_t, grid, alphas
+                    ctx, model, actual_late, future_scores, future_resid_t, grid, alphas
                 )
 
     point = interval = None

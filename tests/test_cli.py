@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+import curvecast.cli as cli
 from curvecast.cli import main
 
 
@@ -247,6 +248,17 @@ class TestErrorPaths:
         )
         assert rc == 1
 
+    # the options after the command run it to completion when the bad value is fixed
+    _MISSING_FRAC_RUNS = {
+        "ingest": [],
+        "fit": [],
+        "forecast": ["--replicates", "60"],
+        "update": ["--method", "pls", "--lam", "1"],
+        "tune": ["--train-size", "40", "--validation-size", "2", "--periods", "6"],
+        "backtest": ["--initial-train", "60", "--n-test", "1", "--methods", "TS",
+                     "--replicates", "50"],
+    }
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -256,19 +268,32 @@ class TestErrorPaths:
             ["fit", "--num-components", "0"],
             ["tune", "--lambda-grid", ",", "--train-size", "40", "--validation-size", "10",
              "--periods", "6"],
+            ["simulate", "--noise-sd", "-1", "--days", "20", "--tau", "8"],
+            ["simulate", "--noise-sd", "nan", "--days", "20", "--tau", "8"],
+        ]
+        + [
+            [command, "--max-missing-frac", bad, *options]
+            for command, options in _MISSING_FRAC_RUNS.items()
+            for bad in ("nan", "inf")
         ],
         ids=["forecast-negative-seed", "simulate-negative-seed", "max-order-zero",
-             "num-components-zero", "tune-empty-lambda-grid"],
+             "num-components-zero", "tune-empty-lambda-grid", "simulate-negative-noise",
+             "simulate-nan-noise"]
+        + [f"{command}-{bad}-missing-frac" for command in _MISSING_FRAC_RUNS
+           for bad in ("nan", "inf")],
     )
     def test_bad_config_value_is_exit_one(self, workdir, tmp_path, capsys, argv):
-        _, prices, _ = workdir
+        _, prices, partial = workdir
         command, options = argv[0], argv[1:]
-        if command == "simulate":
-            io = ["--output", str(tmp_path / "s.csv")]
-        elif command in ("fit", "tune"):
-            io = ["--input", str(prices), "--output", str(tmp_path / "m.json")]
-        else:
-            io = ["--input", str(prices), "--output-json", str(tmp_path / "f.json")]
+        io = {
+            "simulate": ["--output", str(tmp_path / "s.csv")],
+            "ingest": ["--input", str(prices), "--output", str(tmp_path / "c.csv")],
+            "fit": ["--input", str(prices), "--output", str(tmp_path / "m.json")],
+            "tune": ["--input", str(prices), "--output", str(tmp_path / "m.json")],
+            "forecast": ["--input", str(prices), "--output-json", str(tmp_path / "f.json")],
+            "update": ["--input", str(partial), "--output-json", str(tmp_path / "u.json")],
+            "backtest": ["--input", str(prices), "--outdir", str(tmp_path / "bt")],
+        }[command]
         capsys.readouterr()
         assert main([command] + options + io) == 1
         err = capsys.readouterr().err
@@ -302,8 +327,12 @@ class TestErrorPaths:
          '{"kind": "metric_report", "schema_version": 1, "config_hash": "x", "seed": 0, '
          '"alpha_levels": [0.2], "methods": ["TS"], "periods": [3], "n_test": 1, '
          '"days_used": 1, "plan": {}, "full_day": {}, "updating": {}, "per_period": {}, '
-         '"failures": [], "skipped_cells": [1], "lambda_schedule": null}'],
-        ids=["not-json", "missing-keys", "not-an-object", "bad-field"],
+         '"failures": [], "skipped_cells": [1], "lambda_schedule": null}',
+         '{"kind": "metric_report", "schema_version": 1, "config_hash": "x", "seed": 0, '
+         '"alpha_levels": [0.2], "methods": ["TS"], "periods": [3], "n_test": 1, '
+         '"days_used": 1, "plan": {}, "full_day": [], "updating": {}, "per_period": {}, '
+         '"failures": [], "skipped_cells": [], "lambda_schedule": null}'],
+        ids=["not-json", "missing-keys", "not-an-object", "bad-field", "list-for-object"],
     )
     def test_malformed_report_is_exit_two(self, tmp_path, capsys, text):
         report = tmp_path / "report.json"
@@ -324,3 +353,34 @@ class TestErrorPaths:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and len(err.strip().splitlines()) == 1
+
+    def test_forecast_checks_outputs_before_fitting(self, workdir, monkeypatch, capsys):
+        _, prices, _ = workdir
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the bootstrap ran before the outputs were checked")
+
+        monkeypatch.setattr(cli, "sieve_prediction", unreachable)
+        capsys.readouterr()
+        assert main(["forecast", "--input", str(prices)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+# every option that converts its value, read from the CLI's own table, so new flags are covered
+_CONVERTED_OPTIONS = [
+    (command, o.name)
+    for command, _, opts, _ in cli._COMMANDS
+    for o in opts
+    if o.conv not in (str, cli._bool)
+]
+
+
+@pytest.mark.parametrize(
+    "command,name", _CONVERTED_OPTIONS, ids=[f"{c}-{n}" for c, n in _CONVERTED_OPTIONS]
+)
+def test_unconvertible_option_value_is_exit_one(capsys, command, name):
+    capsys.readouterr()
+    assert main([command, "--" + name.replace("_", "-"), "x"]) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error: ") and "Traceback" not in err

@@ -13,6 +13,7 @@ from curvecast import (
     derive_seed,
     draw_replicates,
     empirical_quantile,
+    far1_fit,
     forecast_to_json,
     future_curves,
     sieve_prediction,
@@ -138,6 +139,23 @@ class TestReplicates:
         assert np.allclose(one.series_scores[0], small_reps.series_scores[3], atol=1e-12)
         assert np.array_equal(one.series_resid_idx[0], small_reps.series_resid_idx[3])
         assert np.allclose(future_curves(one)[0], future_curves(small_reps)[3], atol=1e-12)
+
+
+class TestFar1:
+    def test_stack_rows_match_single_fits_and_flat_series_warn(self, small_fit):
+        fts, _, _ = small_fit
+        w = fts.grid.quad_weight
+        flat = np.full_like(fts.values, 0.25)
+        stack = np.stack([fts.values, flat, fts.values[::-1]])
+        with pytest.warns(UserWarning, match="carry no variance"):
+            preds = far1_fit(stack, w)
+        assert np.array_equal(preds[1], flat[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for b in (0, 2):
+                assert np.array_equal(preds[b], far1_fit(stack[b][None], w)[0])
+        with pytest.raises(DataError):
+            far1_fit(stack[:, :1], w)
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,6 @@
+import warnings
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 from numpy.random import default_rng
@@ -9,7 +12,6 @@ from curvecast import (
     FpcaModel,
     NumericalError,
     SynthSpec,
-    TuningCase,
     UpdateContext,
     build_update_context,
     derive_seed,
@@ -29,12 +31,12 @@ from curvecast import (
     pls_interval_update,
     pls_update,
     reconstruct,
-    select_lambda_from_cases,
     select_order,
     shrinkage_objective,
     tune_lambda,
     updating_columns,
 )
+from curvecast.updating import link_scores
 
 
 @pytest.fixture(scope="module")
@@ -218,6 +220,51 @@ class TestFlr:
             flr_update(model, fts.values[0, :10])
 
 
+class TestLinkScores:
+    """The one linkage solve: FLR fits call it in 2-D, FLR intervals on the replicate stack."""
+
+    @staticmethod
+    def _stack():
+        r = default_rng(8)
+        theta = r.normal(size=(4, 30, 3))
+        theta[1] = 0.0                                # zero trace
+        theta[2, :, 2] = theta[2, :, 0] - theta[2, :, 1]  # collinear columns
+        return theta, r.normal(size=(4, 30, 2))
+
+    def test_collinear_early_block_is_ridged_with_a_warning(self):
+        # component scores are orthogonal, so an FLR fit cannot build this block itself
+        r = default_rng(3)
+        x = r.normal(size=30)
+        theta = np.column_stack([x, 2.0 * x])
+        with pytest.warns(UserWarning, match="ridge floor"):
+            link, ridged = link_scores(theta, r.normal(size=(30, 2)))
+        assert ridged
+        assert link.shape == (2, 2) and np.isfinite(link).all()
+
+    def test_zero_trace_slice_links_to_zero_with_one_warning(self):
+        theta, vartheta = self._stack()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            link, ridged = link_scores(theta, vartheta)
+        assert len(caught) == 1
+        assert ridged.tolist() == [False, True, True, False]
+        assert np.array_equal(link[1], np.zeros((3, 2)))
+        assert np.isfinite(link).all()
+
+    def test_stack_equals_one_call_per_slice(self):
+        theta, vartheta = self._stack()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            link, ridged = link_scores(theta, vartheta)
+            for b in range(theta.shape[0]):
+                one, flag = link_scores(theta[b], vartheta[b])
+                assert one.shape == (3, 2) and np.ndim(flag) == 0
+                assert np.array_equal(link[b], one)
+                assert ridged[b] == flag
+        with pytest.raises(DataError):
+            link_scores(theta, vartheta[:3])
+
+
 @pytest.fixture(scope="module")
 def reps(pipeline):
     _, model, var = pipeline
@@ -277,36 +324,21 @@ class TestTuning:
         assert set(sched.interval.keys()) == {0.2, 0.05}
         assert set(sched.interval[0.2].keys()) == {10}
 
-    def test_select_from_rigged_cases(self, pipeline, linked_data):
-        fts, _ = linked_data
-        train, model, var = pipeline
-        reps = draw_replicates(model, var, BootstrapConfig(num_replicates=60, seed=4))
-        cases = []
-        for t in range(150, 160):
-            ctx = build_update_context(model, var, fts.values[t, :9])
-            cases.append(
-                TuningCase(ctx=ctx, actual_late=fts.values[t, 9:], fpca=model, reps=reps)
-            )
-        lam = select_lambda_from_cases(cases, lambda_grid=(0.0, 1e10))
-        manual = {
-            cand: float(
-                np.mean(
-                    [
-                        np.mean((pls_update(c.ctx, cand, c.fpca) - c.actual_late) ** 2)
-                        for c in cases
-                    ]
-                )
-            )
-            for cand in (0.0, 1e10)
-        }
-        assert lam == min(manual, key=manual.get)
-
 
 # ---------------------------------------------------------------------------
 # the streamed, lambda-batched tuning against the per-(case, lambda, alpha) loop
 # ---------------------------------------------------------------------------
 
 ORACLE_GRID = (0.0, 0.1, 1.0, 10.0, 1e3)
+
+
+class Case(NamedTuple):
+    """One validation day at one updating period, its replicates kept whole."""
+
+    ctx: UpdateContext
+    actual_late: np.ndarray
+    fpca: FpcaModel
+    reps: object
 
 
 def _oracle_bounds(case, lam, alpha):
@@ -380,9 +412,7 @@ class TestStreamedTuning:
             reps = draw_replicates(model, var, cfg)
             for m in self.periods:
                 ctx = build_update_context(model, var, fts.values[v, : m - 1])
-                out[m].append(
-                    TuningCase(ctx=ctx, actual_late=fts.values[v, m - 1 :], fpca=model, reps=reps)
-                )
+                out[m].append(Case(ctx, fts.values[v, m - 1 :], model, reps))
         return out
 
     @pytest.fixture(scope="class")
@@ -411,25 +441,18 @@ class TestStreamedTuning:
                 np.array_equal(a, b) for a, b in zip(out[alpha], _oracle_bounds(case, lam, alpha))
             )
 
-    def test_select_matches_oracle(self, cases_by_m):
-        for m in self.periods:
-            got = select_lambda_from_cases(
-                cases_by_m[m], ORACLE_GRID, "interval_score", (0.2, 0.05)
-            )
-            assert got == _oracle_interval_lambda(cases_by_m[m], ORACLE_GRID, (0.2, 0.05))
-            assert select_lambda_from_cases(cases_by_m[m], ORACLE_GRID) == _oracle_msfe_lambda(
-                cases_by_m[m], ORACLE_GRID
-            )
-
-    def test_infeasible_exact_least_squares_is_skipped(self, cases_by_m):
+    def test_infeasible_exact_least_squares_is_skipped(self, linked_data, cases_by_m):
         # two components cannot be fitted from the single point observed at m=2
+        fts, _ = linked_data
         case = cases_by_m[2][0]
         assert _oracle_bounds(case, 0.0, 0.2) is None
         with pytest.raises(NumericalError):
             pls_interval_update(case.ctx, {0.2: 1.0, 0.05: 0.0}, case.fpca, case.reps)
-        assert select_lambda_from_cases(cases_by_m[2], (0.0, 1.0)) == 1.0
+        sched = tune_lambda(fts, lambda_grid=(0.0, 1.0), periods=(2,), **self.split)
+        assert sched.point == {2: 1.0}
         with pytest.raises(NumericalError):
-            select_lambda_from_cases(cases_by_m[2], (0.0,), "interval_score")
+            tune_lambda(fts, objective="interval_score", lambda_grid=(0.0,), periods=(2,),
+                        bootstrap=self.cfg, **self.split)
 
     def test_both_matches_oracle(self, both, cases_by_m):
         for m in self.periods:
@@ -438,7 +461,9 @@ class TestStreamedTuning:
                 assert both.interval[alpha][m] == oracle[alpha]
             assert both.point[m] == _oracle_msfe_lambda(cases_by_m[m], ORACLE_GRID)
 
-    def test_batched_solves_stack_their_right_hand_sides(self, cases_by_m, monkeypatch):
+    def test_batched_solves_stack_their_right_hand_sides(
+        self, linked_data, cases_by_m, monkeypatch
+    ):
         # NumPy < 2 reads a right-hand side with one dimension fewer than a
         # stacked matrix as a stack of vectors, so batched solves pass 3-D ones
         solve = np.linalg.solve
@@ -448,11 +473,12 @@ class TestStreamedTuning:
             return solve(a, b)
 
         monkeypatch.setattr(np.linalg, "solve", strict)
-        cases = cases_by_m[10]
-        select_lambda_from_cases(cases, ORACLE_GRID, "interval_score", (0.2, 0.05))
-        select_lambda_from_cases(cases, ORACLE_GRID)
-        pls_interval_update(cases[0].ctx, {0.2: 1.0, 0.05: 1e3}, cases[0].fpca, cases[0].reps)
-        pls_update(cases[0].ctx, 1.0, cases[0].fpca)
+        fts, _ = linked_data
+        tune_lambda(fts, objective="both", lambda_grid=ORACLE_GRID, periods=(10,),
+                    bootstrap=self.cfg, train_size=120, validation_size=2)
+        case = cases_by_m[10][0]
+        pls_interval_update(case.ctx, {0.2: 1.0, 0.05: 1e3}, case.fpca, case.reps)
+        pls_update(case.ctx, 1.0, case.fpca)
 
     def test_both_equals_single_objectives(self, both, linked_data):
         fts, _ = linked_data
@@ -465,9 +491,7 @@ class TestStreamedTuning:
         assert both.lambda_grid == point.lambda_grid == interval.lambda_grid == ORACLE_GRID
 
     @pytest.mark.parametrize("grid", [(), (1.0, -0.5), (float("nan"),), (1.0, float("inf"))])
-    def test_bad_grid_is_config_error(self, linked_data, cases_by_m, grid):
+    def test_bad_grid_is_config_error(self, linked_data, grid):
         fts, _ = linked_data
         with pytest.raises(ConfigError):
             tune_lambda(fts, lambda_grid=grid, periods=(5,), **self.split)
-        with pytest.raises(ConfigError):
-            select_lambda_from_cases(cases_by_m[5], grid)
