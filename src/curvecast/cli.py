@@ -114,7 +114,10 @@ def _add_options(parser: argparse.ArgumentParser, opts) -> None:
             parser.add_argument(arg, dest=o.name, action="store_const", const=True,
                                 default=None, help=o.help)
         else:
-            parser.add_argument(arg, dest=o.name, default=None, metavar="V", help=o.help)
+            text = o.help
+            if o.conv in (_floats, _strs, _ints):
+                text += f" (comma-separated; a list starting with '-' needs {arg}=-0.5,0.3)"
+            parser.add_argument(arg, dest=o.name, default=None, metavar="V", help=text)
 
 
 def _resolve(args: argparse.Namespace, opts) -> dict:

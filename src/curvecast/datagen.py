@@ -58,6 +58,11 @@ class SynthSpec:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.noise_sd < math.inf:
             raise ConfigError(f"noise_sd must be finite and >= 0, got {self.noise_sd}")
+        for name in ("innovation_sd", "link_noise_sd"):
+            given = getattr(self, name)
+            scales = np.asarray(given, dtype=float)
+            if not (np.isfinite(scales) & (scales >= 0.0)).all():
+                raise ConfigError(f"{name} entries must be finite and >= 0, got {given}")
         if self.tau < 3:
             raise DataError(f"need tau >= 3, got {self.tau}")
         if self.num_factors < 1:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -69,7 +69,7 @@ class FpcaModel:
         return self.mean.shape[0]
 
 
-def select_num_components(eigenvalues: Sequence[float], n: int) -> int:
+def select_num_components(eigenvalues, n: int):
     """Pick the retained rank by the eigenvalue-ratio rule.
 
     Over candidate ranks ``k = 1..k_max`` the objective is the ratio of
@@ -79,29 +79,33 @@ def select_num_components(eigenvalues: Sequence[float], n: int) -> int:
     ``k_max`` counts the eigenvalues at least as large as the average
     total variance per training curve.  A ratio whose numerator falls
     past the end of the spectrum counts as the non-informative value 1.
+
+    A 1-d spectrum gives an int.  A (B, d) stack of spectra, one per row,
+    gives a (B,) int array, each row ranked as it would be alone.
     """
     ev = np.asarray(eigenvalues, dtype=float)
-    if ev.ndim != 1 or ev.size == 0:
-        raise DataError("eigenvalues must be a non-empty 1-d sequence")
+    if ev.ndim not in (1, 2) or ev.shape[-1] == 0:
+        raise DataError("eigenvalues must be a non-empty 1-d sequence or a 2-d stack of them")
     if n < 2:
         raise DataError(f"need sample size n >= 2, got {n}")
-    if (np.diff(ev) > 1e-9 * max(abs(ev[0]), 1.0)).any():
+    stack = ev.reshape(-1, ev.shape[-1])
+    lead = stack[:, :1]
+    if (np.diff(stack, axis=1) > 1e-9 * np.maximum(np.abs(lead), 1.0)).any():
         raise DataError("eigenvalues must be non-increasing")
-    if ev[0] <= 0.0:
+    flat = lead[:, 0] <= 0.0
+    if flat.any():
         warnings.warn("all eigenvalues are zero; defaulting to a single component")
-        return 1
-    threshold = ev.sum() / n
-    k_max = max(1, int((ev >= threshold).sum()))
-    upsilon = 1.0 / math.log(max(ev[0], n))
-    objective = []
-    for k in range(1, k_max + 1):
-        if ev[k - 1] / ev[0] < upsilon:
-            objective.append(1.0)
-        elif k < ev.size:
-            objective.append(ev[k] / ev[k - 1])
-        else:
-            objective.append(1.0)
-    return int(np.argmin(objective)) + 1
+    threshold = stack.sum(axis=1, keepdims=True) / n
+    k_max = np.maximum(1, (stack >= threshold).sum(axis=1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        upsilon = 1.0 / np.log(np.maximum(lead, n))
+        informative = stack / lead >= upsilon
+        ratio = stack[:, 1:] / stack[:, :-1]
+    objective = np.ones_like(stack)
+    objective[:, :-1] = np.where(informative[:, :-1], ratio, 1.0)
+    objective[np.arange(stack.shape[1]) >= k_max[:, None]] = np.inf
+    ranks = np.where(flat, 1, np.argmin(objective, axis=1) + 1)
+    return int(ranks[0]) if ev.ndim == 1 else ranks
 
 
 def _fix_signs(phi: np.ndarray, w: float) -> np.ndarray:

@@ -9,12 +9,18 @@ curves on top of the reconstructed score part.  One FAR(1) routine,
 stack of series: to every pseudo-series, where the forecast's error
 against that replicate's simulated future curve is the bootstrap proxy
 for the real forecast error, and to the observed series (a stack of
-one), whose forecast is the default interval centre.  Pointwise
+one), whose forecast is the default interval centre.  Each refit takes
+the exact spectrum of its covariance (one batched ``eigvalsh`` for the
+whole stack) to pick its rank, and its leading eigenvectors from a
+fixed-size block subspace iteration whose Ritz pairs are certified
+against that spectrum by a Davis-Kahan residual bound; a series that
+fails the certificate is refit by a full ``eigh``.  Pointwise
 quantiles of these errors give prediction intervals and studentized
 sup-norm quantiles give a uniform band.
 
 Replicate ``b`` always draws from its own counter-split random stream,
-so results do not depend on evaluation order or worker count.  The
+and its refit depends on its own pseudo-series alone, so results do not
+depend on evaluation order, chunking or worker count.  The
 private ``_fit_models`` is the one per-day fit (decomposition, order
 selection, score autoregression) shared by the CLI, tuning and the
 backtest.
@@ -36,6 +42,14 @@ from .gridcurves import FunctionalTimeSeries, _freeze
 from .varmodel import VarModel, fit_var, forecast_scores, select_order, _transfer_padded
 
 SIGMA_FLOOR = 1e-12
+#: block size and step count of the subspace iteration in ``far1_fit``; fixed,
+#: so a series' forecast never depends on the stack it is refit in
+_FAR1_BLOCK = 4
+_FAR1_STEPS = 8
+#: largest certified Ritz residual in ``far1_fit``, as a share of the eigenvalue gap
+_FAR1_TOL = 1e-12
+#: bytes of pseudo-curves ``sieve_prediction`` builds at once, whatever ``n_workers``
+_STACK_BYTES = 8 * 2**20
 FORECAST_SCHEMA_VERSION = 1
 CENTER_CHOICES = ("far1", "ts")
 
@@ -143,30 +157,91 @@ def _regularized_transfer(cov0: np.ndarray, cov1: np.ndarray, w: float, n: int):
     return (w * cov1) @ inv, False
 
 
+def _leading_ritz_pairs(cov: np.ndarray):
+    """Leading Ritz pairs of a (B, d, d) covariance stack, largest first.
+
+    Block subspace iteration from a fixed start, the first ``_FAR1_BLOCK``
+    cosines of a DCT-IV basis (smooth, like the leading eigenfunctions of
+    curve data), then Rayleigh-Ritz on the block.  The block size and step
+    count are constants, so each row's result depends on that row alone.
+    Returns the Ritz values (B, p), vectors (B, d, p) and residual norms
+    ``|A x - theta x|`` (B, p), with p = min(_FAR1_BLOCK, d).
+    """
+    d = cov.shape[-1]
+    p = min(_FAR1_BLOCK, d)
+    grid = np.arange(d)[:, None] + 0.5
+    basis = math.sqrt(2.0 / d) * np.cos(np.pi / d * grid * (np.arange(p) + 0.5))
+    for _ in range(_FAR1_STEPS):
+        basis, _ = np.linalg.qr(cov @ basis)
+    image = cov @ basis
+    theta, rot = np.linalg.eigh(basis.transpose(0, 2, 1) @ image)
+    theta, rot = theta[:, ::-1], rot[:, :, ::-1]
+    vecs = basis @ rot
+    resid = np.linalg.norm(image @ rot - vecs * theta[:, None, :], axis=1)
+    return theta, vecs, resid
+
+
 def far1_fit(curves: np.ndarray, weight: float) -> np.ndarray:
     """Fit the one-step functional autoregression to each series and forecast its next day.
 
     ``curves`` is a (B, n, d) stack of series; returns the (B, d)
     forecasts ``mean + transfer @ (last - mean)``.  Per series, the
     lag-one cross-covariance is composed with the inverse of the
-    covariance restricted to its leading eigenspace, the rank chosen by
-    the same eigenvalue-ratio rule as the main decomposition; ``weight``
-    is the grid's quadrature weight.  A series whose curves carry no
+    covariance restricted to its leading J eigenvectors, J chosen by the
+    same eigenvalue-ratio rule as the main decomposition; ``weight`` is
+    the grid's quadrature weight.  A series whose curves carry no
     variance gets a zero transfer (forecast = its mean) and a warning.
+
+    The exact spectrum of every covariance comes from one batched
+    ``eigvalsh``; the J eigenvectors come from :func:`_leading_ritz_pairs`.
+    Each series' Ritz pairs must pass a Davis-Kahan certificate against
+    that spectrum: for every i < J, the residual is at most
+    ``_FAR1_TOL`` times the gap between the i-th eigenvalue and its
+    neighbours, and the Ritz value lies within half that gap of it.  A
+    series that fails (a near-repeated eigenvalue, J above the block
+    size) is refit by a full ``eigh`` of its own covariance.  The transfer
+    is applied as ``(w/n) c[1:]^T (c[:-1] v)`` with
+    ``v = V_J diag(1/lambda_J) V_J^T c_last``, so the lag-one covariance
+    is never formed.  Row b's forecast depends on row b alone.
     """
     B, n, d = curves.shape
     if n < 2:
         raise DataError(f"need at least 2 days, got {n}")
     means = curves.mean(axis=1)
     c = curves - means[:, None, :]
-    cov0 = np.matmul(c.transpose(0, 2, 1), c) / n
-    cov1 = np.matmul(c[:, 1:].transpose(0, 2, 1), c[:, :-1]) / n
-    preds = np.empty((B, d))
-    degenerate = False
-    for b in range(B):
-        transfer, flat = _regularized_transfer(cov0[b], cov1[b], weight, n)
+    cov = np.matmul(c.transpose(0, 2, 1), c)
+    cov *= weight / n
+    evals = np.maximum(np.linalg.eigvalsh(cov)[:, ::-1], 0.0)
+    live = evals[:, 0] > 0.0
+    rank = np.ones(B, dtype=np.intp)
+    rank[live] = select_num_components(evals[live], n)
+
+    theta, vecs, resid = _leading_ritz_pairs(cov)
+    p = theta.shape[1]
+    lam = evals[:, :p]
+    spacing = np.full((B, d + 1), np.inf)
+    spacing[:, 1:-1] = evals[:, :-1] - evals[:, 1:]
+    gap = np.minimum(spacing[:, :p], spacing[:, 1 : p + 1])
+    used = np.arange(p) < rank[:, None]
+    sound = (
+        (resid <= _FAR1_TOL * gap)
+        & (np.abs(theta - lam) <= 0.5 * gap)
+        & (lam > 1e-12 * evals[:, :1])
+    )
+    certified = live & (rank <= p) & (sound | ~used).all(axis=1)
+
+    inv = np.zeros_like(lam)
+    np.divide(1.0, lam, out=inv, where=used & certified[:, None])
+    coef = np.matmul(c[:, -1:], vecs) * inv[:, None, :]
+    lagged = np.matmul(c[:, :-1], np.matmul(vecs, coef.transpose(0, 2, 1)))
+    preds = means + (weight / n) * np.matmul(c[:, 1:].transpose(0, 2, 1), lagged)[:, :, 0]
+
+    degenerate = not live.all()
+    for b in np.flatnonzero(live & ~certified):
+        cb = c[b]
+        transfer, flat = _regularized_transfer(cb.T @ cb / n, cb[1:].T @ cb[:-1] / n, weight, n)
         degenerate |= flat
-        preds[b] = means[b] + transfer @ c[b, -1]
+        preds[b] = means[b] + transfer @ cb[-1]
     if degenerate:
         warnings.warn("curves carry no variance; autoregression transfer set to zero")
     return preds
@@ -356,9 +431,11 @@ def sieve_prediction(
 ) -> SieveForecast:
     """Bootstrap the next day's forecast distribution.
 
-    ``n_workers`` splits replicates across threads; each replicate's
-    stream is fixed by its index, so the result is identical for any
-    worker count.
+    The pseudo-series are built and refit in chunks of at most
+    ``_STACK_BYTES`` of curves, so memory stays bounded for any B.
+    ``n_workers`` runs the chunks on that many threads; each replicate's
+    stream is fixed by its index and each refit depends on its own series
+    alone, so the result is identical for any worker count.
     """
     if n_workers < 1:
         raise ConfigError(f"n_workers must be >= 1, got {n_workers}")
@@ -378,14 +455,14 @@ def sieve_prediction(
         )
         return far1_fit(curves, w)
 
+    rows = max(1, _STACK_BYTES // fts.values.nbytes)
+    bounds = [(lo, min(lo + rows, B)) for lo in range(0, B, rows)]
     if n_workers == 1:
-        preds = predict_chunk(0, B)
+        parts = [predict_chunk(lo, hi) for lo, hi in bounds]
     else:
-        step = -(-B // n_workers)
-        bounds = [(lo, min(lo + step, B)) for lo in range(0, B, step)]
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             parts = list(pool.map(lambda ab: predict_chunk(*ab), bounds))
-        preds = np.vstack(parts)
+    preds = np.vstack(parts)
 
     errors = futures - preds
     sigma = errors.std(axis=0)

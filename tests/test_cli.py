@@ -270,6 +270,9 @@ class TestErrorPaths:
              "--periods", "6"],
             ["simulate", "--noise-sd", "-1", "--days", "20", "--tau", "8"],
             ["simulate", "--noise-sd", "nan", "--days", "20", "--tau", "8"],
+            ["simulate", "--innovation-sd=-1,-1", "--days", "20", "--tau", "8"],
+            ["simulate", "--link-split", "4", "--link-noise-sd=-0.5,0.3", "--days", "20",
+             "--tau", "8"],
         ]
         + [
             [command, "--max-missing-frac", bad, *options]
@@ -278,7 +281,8 @@ class TestErrorPaths:
         ],
         ids=["forecast-negative-seed", "simulate-negative-seed", "max-order-zero",
              "num-components-zero", "tune-empty-lambda-grid", "simulate-negative-noise",
-             "simulate-nan-noise"]
+             "simulate-nan-noise", "simulate-negative-innovation-sd",
+             "simulate-negative-link-noise-sd"]
         + [f"{command}-{bad}-missing-frac" for command in _MISSING_FRAC_RUNS
            for bad in ("nan", "inf")],
     )
@@ -297,7 +301,7 @@ class TestErrorPaths:
         capsys.readouterr()
         assert main([command] + options + io) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ")
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
 

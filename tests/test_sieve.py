@@ -1,8 +1,9 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.random import default_rng
 
@@ -10,16 +11,25 @@ from curvecast import (
     BootstrapConfig,
     ConfigError,
     DataError,
+    SynthSpec,
     derive_seed,
     draw_replicates,
     empirical_quantile,
     far1_fit,
     forecast_to_json,
     future_curves,
+    generate,
     sieve_prediction,
     write_forecast_csv,
 )
-from curvecast.sieve import _assemble_replicates, sorted_intervals, sorted_quantile
+from curvecast import sieve
+from curvecast.sieve import (
+    _assemble_replicates,
+    _fit_models,
+    _regularized_transfer,
+    sorted_intervals,
+    sorted_quantile,
+)
 from conftest import sort_quantile_oracle
 
 # a few repeated values mixed with arbitrary ones, so ties are common
@@ -141,6 +151,57 @@ class TestReplicates:
         assert np.allclose(future_curves(one)[0], future_curves(small_reps)[3], atol=1e-12)
 
 
+def far1_oracle(curves, weight):
+    """The per-series refit: full covariances and one ``eigh`` per series."""
+    B, n, d = curves.shape
+    means = curves.mean(axis=1)
+    c = curves - means[:, None, :]
+    cov0 = np.matmul(c.transpose(0, 2, 1), c) / n
+    cov1 = np.matmul(c[:, 1:].transpose(0, 2, 1), c[:, :-1]) / n
+    preds = np.empty((B, d))
+    for b in range(B):
+        transfer, _ = _regularized_transfer(cov0[b], cov1[b], weight, n)
+        preds[b] = means[b] + transfer @ c[b, -1]
+    return preds
+
+
+# the acceptance suite's calibration (C06) and updating (C08) panels, cut at one day
+_PANELS = {
+    "C06": (SynthSpec(n=300, tau=40, num_factors=2, score_ar=(0.6, 0.3),
+                      innovation_sd=(2.0, 1.0), noise_sd=0.5, mean_scale=1.0, seed=12345), 250),
+    "C08": (SynthSpec(n=250, tau=75, num_factors=2, score_ar=(0.85, 0.7),
+                      innovation_sd=(1.0, 0.8), noise_sd=0.25, mean_scale=1.0, seed=777,
+                      link_split=38, link_matrix=((0.9, 0.3), (0.2, 0.8)),
+                      num_late_factors=2, link_noise_sd=(0.25, 0.25)), 225),
+}
+
+
+def _replicate_stack(panel, num_replicates):
+    spec, days = _PANELS[panel]
+    train = generate(spec)[0].head(days)
+    fpca, var = _fit_models(train, None, 10)
+    reps = draw_replicates(fpca, var, BootstrapConfig(num_replicates=num_replicates, seed=days))
+    curves = (
+        reps.mean
+        + reps.series_scores @ reps.eigenfunctions.T
+        + reps.resid_pool[reps.series_resid_idx]
+    )
+    return curves, train.grid.quad_weight
+
+
+@pytest.fixture()
+def fallbacks(monkeypatch):
+    """Records every series ``far1_fit`` sends to its full-``eigh`` refit."""
+    calls = []
+
+    def counted(cov0, cov1, w, n):
+        calls.append(cov0)
+        return _regularized_transfer(cov0, cov1, w, n)
+
+    monkeypatch.setattr(sieve, "_regularized_transfer", counted)
+    return calls
+
+
 class TestFar1:
     def test_stack_rows_match_single_fits_and_flat_series_warn(self, small_fit):
         fts, _, _ = small_fit
@@ -156,6 +217,41 @@ class TestFar1:
                 assert np.array_equal(preds[b], far1_fit(stack[b][None], w)[0])
         with pytest.raises(DataError):
             far1_fit(stack[:, :1], w)
+
+    @pytest.mark.parametrize("panel", sorted(_PANELS))
+    def test_certified_eigenpairs_match_the_eigh_oracle(self, panel, fallbacks):
+        curves, w = _replicate_stack(panel, 100)
+        got = far1_fit(curves, w)
+        assert not fallbacks  # every series took the certified path
+        np.testing.assert_allclose(got, far1_oracle(curves, w), rtol=0.0, atol=1e-12)
+
+    def test_repeated_leading_eigenvalue_falls_back_to_eigh(self, fallbacks):
+        # Walsh columns: orthogonal and centred, so the covariance is exactly
+        # diagonal with a repeated leading eigenvalue and a zero gap
+        t = np.arange(64)
+        walsh = np.stack([(-1.0) ** (t >> k) for k in range(3)], axis=1)
+        tied = np.zeros((64, 6))
+        tied[:, :3] = walsh * [1.0, 1.0, 0.5]
+        smooth = default_rng(2).standard_normal((2, 64, 6)) * [3.0, 1.0, 0.5, 0.2, 0.1, 0.05]
+        stack = np.concatenate([smooth[:1], tied[None], smooth[1:]]) + 1.0
+        w = 0.2
+        got = far1_fit(stack, w)
+        assert len(fallbacks) == 1
+        assert np.array_equal(fallbacks[0], tied.T @ tied / 64)
+        np.testing.assert_allclose(got, far1_oracle(stack, w), rtol=0.0, atol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.tuples(st.integers(1, 6), st.integers(2, 12), st.integers(1, 9)),
+        data=st.data(),
+    )
+    def test_rows_do_not_depend_on_the_stack(self, seed, shape, data):
+        B, n, d = shape
+        rng = default_rng(seed)
+        stack = rng.standard_normal((B, n, d)) * rng.uniform(0.05, 3.0, size=d)
+        rows = data.draw(st.lists(st.integers(0, B - 1), min_size=1, max_size=2 * B))
+        assert np.array_equal(far1_fit(stack, 0.1)[rows], far1_fit(stack[rows], 0.1))
 
 
 @pytest.fixture(scope="module")
@@ -189,11 +285,17 @@ class TestSievePrediction:
         assert other.center == "ts"
         assert not np.array_equal(other.pointwise[0.2][0], forecast.pointwise[0.2][0])
 
-    def test_worker_invariance(self, small_fit, forecast):
+    @settings(max_examples=12, deadline=None)
+    @given(n_workers=st.integers(1, 4), rows_per_chunk=st.integers(1, 60))
+    @example(n_workers=1, rows_per_chunk=1)
+    def test_worker_invariance(self, small_fit, forecast, n_workers, rows_per_chunk):
+        # the fixture ran in one chunk; any chunk budget and worker count agree with it
         fts, model, var = small_fit
         cfg = BootstrapConfig(num_replicates=60, seed=5)
-        par = sieve_prediction(fts, model, var, cfg, n_workers=4)
+        with mock.patch.object(sieve, "_STACK_BYTES", rows_per_chunk * fts.values.nbytes):
+            par = sieve_prediction(fts, model, var, cfg, n_workers=n_workers)
         assert np.array_equal(par.point, forecast.point)
+        assert np.array_equal(par.error_sd, forecast.error_sd)
         for alpha in (0.2, 0.05):
             for side in (0, 1):
                 assert np.array_equal(
