@@ -15,6 +15,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import sys
 from typing import Any, Callable, NamedTuple
 
@@ -97,6 +98,11 @@ def _bool(v) -> bool:
     raise ConfigError(f"expected a JSON boolean, got {v!r}")
 
 
+_LIST_CONVS = (_floats, _strs, _ints)
+#: a separate token that opens a list of numbers, such as -0.5,0.3 or -.5
+_NEGATIVE_VALUE = re.compile(r"-[\d.]")
+
+
 class _Opt(NamedTuple):
     """One merged option: flag name, converter, default, help text."""
 
@@ -115,8 +121,8 @@ def _add_options(parser: argparse.ArgumentParser, opts) -> None:
                                 default=None, help=o.help)
         else:
             text = o.help
-            if o.conv in (_floats, _strs, _ints):
-                text += f" (comma-separated; a list starting with '-' needs {arg}=-0.5,0.3)"
+            if o.conv in _LIST_CONVS:
+                text += " (comma-separated, e.g. -0.5,0.3)"
             parser.add_argument(arg, dest=o.name, default=None, metavar="V", help=text)
 
 
@@ -603,10 +609,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_lists(argv) -> list:
+    """Join a list flag and a following value such as ``-0.5,0.3`` into ``--flag=-0.5,0.3``.
+
+    argparse takes a separate token that starts with '-' for a flag unless
+    it is a single plain negative number, so a list value would fail.
+    """
+    flags = {
+        "--" + o.name.replace("_", "-")
+        for _, _, opts, _ in _COMMANDS
+        for o in opts
+        if o.conv in _LIST_CONVS
+    }
+    joined = []
+    for token in argv:
+        if joined and joined[-1] in flags and _NEGATIVE_VALUE.match(token):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_lists(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 1
         return 0 if code == 0 else 1

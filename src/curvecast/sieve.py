@@ -9,21 +9,26 @@ curves on top of the reconstructed score part.  One FAR(1) routine,
 stack of series: to every pseudo-series, where the forecast's error
 against that replicate's simulated future curve is the bootstrap proxy
 for the real forecast error, and to the observed series (a stack of
-one), whose forecast is the default interval centre.  Each refit takes
-the exact spectrum of its covariance (one batched ``eigvalsh`` for the
-whole stack) to pick its rank, and its leading eigenvectors from a
-fixed-size block subspace iteration whose Ritz pairs are certified
-against that spectrum by a Davis-Kahan residual bound; a series that
-fails the certificate is refit by a full ``eigh``.  Pointwise
-quantiles of these errors give prediction intervals and studentized
-sup-norm quantiles give a uniform band.
+one, its own residual pool), whose forecast is the default interval
+centre.  The pseudo-series are never built: each refit works from how
+often its series draws each residual-pool row and from its scores
+scattered onto the rows they were drawn with, so its covariance is the
+count-weighted pool covariance plus a low-rank score term.  Each refit
+takes the exact spectrum of its covariance (one batched ``eigvalsh``
+for the whole stack) to pick its rank, and its leading eigenvectors
+from a fixed-size block subspace iteration whose Ritz pairs are
+certified against that spectrum by a Davis-Kahan residual bound; a
+series that fails the certificate is built and refit by a full
+``eigh``.  Pointwise quantiles of these errors give prediction
+intervals and studentized sup-norm quantiles give a uniform band.
 
 Replicate ``b`` always draws from its own counter-split random stream,
-and its refit depends on its own pseudo-series alone, so results do not
-depend on evaluation order, chunking or worker count.  The
-private ``_fit_models`` is the one per-day fit (decomposition, order
-selection, score autoregression) shared by the CLI, tuning and the
-backtest.
+and its refit depends on its own draws alone (every per-replicate sum
+is a stacked product, never one matrix product across replicates), so
+results do not depend on evaluation order, chunking or worker count.
+The private ``_fit_models`` is the one per-day fit (decomposition,
+order selection, score autoregression) shared by the CLI, tuning and
+the backtest.
 """
 
 from __future__ import annotations
@@ -48,7 +53,8 @@ _FAR1_BLOCK = 4
 _FAR1_STEPS = 8
 #: largest certified Ritz residual in ``far1_fit``, as a share of the eigenvalue gap
 _FAR1_TOL = 1e-12
-#: bytes of pseudo-curves ``sieve_prediction`` builds at once, whatever ``n_workers``
+#: bytes of count-scaled residual pool (d x m per series) one ``far1_fit`` call
+#: builds at once, in one buffer it reuses for every chunk of series
 _STACK_BYTES = 8 * 2**20
 FORECAST_SCHEMA_VERSION = 1
 CENTER_CHOICES = ("far1", "ts")
@@ -181,70 +187,157 @@ def _leading_ritz_pairs(cov: np.ndarray):
     return theta, vecs, resid
 
 
-def far1_fit(curves: np.ndarray, weight: float) -> np.ndarray:
+def far1_fit(pool, idx, weight, scores=None, basis=None) -> np.ndarray:
     """Fit the one-step functional autoregression to each series and forecast its next day.
 
-    ``curves`` is a (B, n, d) stack of series; returns the (B, d)
-    forecasts ``mean + transfer @ (last - mean)``.  Per series, the
-    lag-one cross-covariance is composed with the inverse of the
-    covariance restricted to its leading J eigenvectors, J chosen by the
-    same eigenvalue-ratio rule as the main decomposition; ``weight`` is
-    the grid's quadrature weight.  A series whose curves carry no
-    variance gets a zero transfer (forecast = its mean) and a warning.
+    Series b is ``scores[b] @ basis.T + pool[idx[b]]``: n days of (K,)
+    component scores on a (d, K) basis plus n rows of a residual pool.
+    ``pool`` is one (m, d) pool every series draws from, or a (B, m, d)
+    stack with a pool per series; ``idx`` is (B, n).  Without ``scores``
+    and ``basis`` (K = 0), a plain (B, n, d) stack of curve series is
+    refit with each series as its own pool and every row of ``idx``
+    equal to ``arange(n)``.  Returns the (B, d) forecasts
+    ``mean + transfer @ (last - mean)``.  Per series, the lag-one
+    cross-covariance is composed with the inverse of the covariance
+    restricted to its leading J eigenvectors, J chosen by the same
+    eigenvalue-ratio rule as the main decomposition; ``weight`` is the
+    grid's quadrature weight.  A series whose curves carry no variance
+    gets a zero transfer (forecast = its mean) and a warning.
 
-    The exact spectrum of every covariance comes from one batched
-    ``eigvalsh``; the J eigenvectors come from :func:`_leading_ritz_pairs`.
-    Each series' Ritz pairs must pass a Davis-Kahan certificate against
-    that spectrum: for every i < J, the residual is at most
-    ``_FAR1_TOL`` times the gap between the i-th eigenvalue and its
-    neighbours, and the Ritz value lies within half that gap of it.  A
-    series that fails (a near-repeated eigenvalue, J above the block
-    size) is refit by a full ``eigh`` of its own covariance.  The transfer
-    is applied as ``(w/n) c[1:]^T (c[:-1] v)`` with
-    ``v = V_J diag(1/lambda_J) V_J^T c_last``, so the lag-one covariance
-    is never formed.  Row b's forecast depends on row b alone.
+    No series is built.  With the pool centred to R, ``cnt_b`` counting
+    how often series b draws each row, ``D_b`` its scores summed onto
+    the rows they were drawn with and ``xbar_b`` its mean, the
+    covariance is ``(w/n)`` times ``R^T diag(cnt_b) R`` plus the
+    rank-(2K+1) term ``Phi S_b Phi^T + Phi D_b^T R + R^T D_b Phi^T -
+    n xbar_b xbar_b^T``, where ``S_b = scores[b]^T scores[b]``.  The
+    first part is a symmetric rank-m update of the pool scaled by the
+    root counts, the one large array, built for at most ``_STACK_BYTES``
+    at a time into one buffer.  The exact spectrum of every covariance
+    comes from one batched ``eigvalsh``; the J eigenvectors come from
+    :func:`_leading_ritz_pairs`.  Each series' Ritz pairs must pass a
+    Davis-Kahan certificate against that spectrum: for every i < J, the
+    residual is at most ``_FAR1_TOL`` times the gap between the i-th
+    eigenvalue and its neighbours, and the Ritz value lies within half
+    that gap of it.  A series that fails (a near-repeated eigenvalue, J
+    above the block size) is built and refit by a full ``eigh`` of its
+    own covariance.  The transfer is applied as ``(w/n) c[1:]^T (c[:-1]
+    v)`` with ``v = V_J diag(1/lambda_J) V_J^T c_last``: ``c[:-1] v`` is
+    a gather from ``R v``, and ``c[1:]^T`` applies as a ``bincount`` of
+    it onto the pool rows times ``R``.  Every per-series sum is a
+    stacked product or a per-series ``bincount``, so row b's forecast
+    depends on row b (and its pool) alone.
     """
-    B, n, d = curves.shape
+    idx = np.asarray(idx)
+    B, n = idx.shape
     if n < 2:
         raise DataError(f"need at least 2 days, got {n}")
-    means = curves.mean(axis=1)
-    c = curves - means[:, None, :]
-    cov = np.matmul(c.transpose(0, 2, 1), c)
+    shift = pool.mean(axis=-2, keepdims=True)
+    resid = pool - shift
+    m, d = resid.shape[-2:]
+    if scores is None:
+        scores, basis = np.zeros((B, n, 0)), np.zeros((d, 0))
+    rows = max(1, _STACK_BYTES // (8 * m * d))
+    scaled = np.empty((min(rows, B), d, m))
+    preds = np.empty((B, d))
+    degenerate = False
+    for lo in range(0, B, rows):
+        hi = min(lo + rows, B)
+        preds[lo:hi], flat = _far1_rows(
+            resid[lo:hi] if resid.ndim == 3 else resid,
+            idx[lo:hi],
+            scores[lo:hi],
+            basis,
+            weight,
+            scaled[: hi - lo],
+        )
+        degenerate |= flat
+    if degenerate:
+        warnings.warn("curves carry no variance; autoregression transfer set to zero")
+    return preds + shift.reshape(-1, d)
+
+
+def _far1_rows(resid, idx, scores, basis, weight, scaled):
+    """:func:`far1_fit` on one chunk of series, from the centred pool; also says if any was flat."""
+    rows, n = idx.shape
+    m, d = resid.shape[-2:]
+    K = basis.shape[1]
+    at = np.arange(rows)[:, None]
+    bins = (idx + m * at).ravel()  # series b's pool rows as bins of its own
+    cnt = np.bincount(bins, minlength=rows * m).reshape(rows, m).astype(float)
+    drawn = np.empty((K, rows * m))
+    for k in range(K):
+        drawn[k] = np.bincount(bins, weights=scores[:, :, k].ravel(), minlength=rows * m)
+    drawn = drawn.reshape(K, rows, m).transpose(1, 0, 2)
+    # series b is x_t = basis s_t + resid[idx_t]; c_t = x_t - xbar
+    xbar = (
+        np.matmul(basis, np.matmul(np.ones(n), scores)[:, :, None])[:, :, 0]
+        + np.matmul(cnt[:, None, :], resid)[:, 0]
+    ) / n
+
+    # sum_t resid[idx_t] resid[idx_t]^T, one symmetric rank-k update per series
+    resid_t = np.ascontiguousarray(np.swapaxes(resid, -1, -2))
+    np.multiply(resid_t, np.sqrt(cnt)[:, None, :], out=scaled)
+    cov = np.matmul(scaled, scaled.transpose(0, 2, 1))
+    # sum_t x_t x_t^T - n xbar xbar^T = cov + A + A^T, A = [basis, xbar] @ half
+    half = np.empty((rows, K + 1, d))
+    half[:, :K] = 0.5 * np.matmul(np.matmul(scores.transpose(0, 2, 1), scores), basis.T)
+    half[:, :K] += np.matmul(drawn, resid)
+    half[:, K] = -0.5 * n * xbar
+    lift = np.empty((rows, d, K + 1))
+    lift[:, :, :K] = basis
+    lift[:, :, K] = xbar
+    cross = np.matmul(lift, half)
+    cov += cross
+    cov += cross.transpose(0, 2, 1)
     cov *= weight / n
+
     evals = np.maximum(np.linalg.eigvalsh(cov)[:, ::-1], 0.0)
     live = evals[:, 0] > 0.0
-    rank = np.ones(B, dtype=np.intp)
+    rank = np.ones(rows, dtype=np.intp)
     rank[live] = select_num_components(evals[live], n)
 
-    theta, vecs, resid = _leading_ritz_pairs(cov)
+    theta, vecs, resnorm = _leading_ritz_pairs(cov)
     p = theta.shape[1]
     lam = evals[:, :p]
-    spacing = np.full((B, d + 1), np.inf)
+    spacing = np.full((rows, d + 1), np.inf)
     spacing[:, 1:-1] = evals[:, :-1] - evals[:, 1:]
     gap = np.minimum(spacing[:, :p], spacing[:, 1 : p + 1])
     used = np.arange(p) < rank[:, None]
     sound = (
-        (resid <= _FAR1_TOL * gap)
+        (resnorm <= _FAR1_TOL * gap)
         & (np.abs(theta - lam) <= 0.5 * gap)
         & (lam > 1e-12 * evals[:, :1])
     )
     certified = live & (rank <= p) & (sound | ~used).all(axis=1)
 
+    own = np.broadcast_to(resid, (rows, m, d))
+    last = np.matmul(basis, scores[:, -1, :, None])[:, :, 0] + own[at[:, 0], idx[:, -1]] - xbar
     inv = np.zeros_like(lam)
     np.divide(1.0, lam, out=inv, where=used & certified[:, None])
-    coef = np.matmul(c[:, -1:], vecs) * inv[:, None, :]
-    lagged = np.matmul(c[:, :-1], np.matmul(vecs, coef.transpose(0, 2, 1)))
-    preds = means + (weight / n) * np.matmul(c[:, 1:].transpose(0, 2, 1), lagged)[:, :, 0]
+    coef = np.matmul(last[:, None, :], vecs) * inv[:, None, :]
+    v = np.matmul(vecs, coef.transpose(0, 2, 1))
+    lagged = (
+        np.matmul(scores[:, :-1], np.matmul(basis.T, v))[:, :, 0]
+        + np.take_along_axis(np.matmul(resid, v)[:, :, 0], idx[:, :-1], axis=1)
+        - np.matmul(xbar[:, None, :], v)[:, :, 0]
+    )
+    spread = np.bincount(
+        (idx[:, 1:] + m * at).ravel(), weights=lagged.ravel(), minlength=rows * m
+    ).reshape(rows, 1, m)
+    step = (
+        np.matmul(basis, np.matmul(scores[:, 1:].transpose(0, 2, 1), lagged[:, :, None]))[:, :, 0]
+        + np.matmul(spread, resid)[:, 0]
+        - xbar * lagged.sum(axis=1, keepdims=True)
+    )
+    preds = xbar + (weight / n) * step
 
-    degenerate = not live.all()
+    flat = not live.all()
     for b in np.flatnonzero(live & ~certified):
-        cb = c[b]
-        transfer, flat = _regularized_transfer(cb.T @ cb / n, cb[1:].T @ cb[:-1] / n, weight, n)
-        degenerate |= flat
-        preds[b] = means[b] + transfer @ cb[-1]
-    if degenerate:
-        warnings.warn("curves carry no variance; autoregression transfer set to zero")
-    return preds
+        cb = scores[b] @ basis.T + own[b, idx[b]] - xbar[b]
+        transfer, zero = _regularized_transfer(cb.T @ cb / n, cb[1:].T @ cb[:-1] / n, weight, n)
+        flat |= zero
+        preds[b] = xbar[b] + transfer @ cb[-1]
+    return preds, flat
 
 
 def _fit_models(fts: FunctionalTimeSeries, num_components, max_order: int):
@@ -431,11 +524,13 @@ def sieve_prediction(
 ) -> SieveForecast:
     """Bootstrap the next day's forecast distribution.
 
-    The pseudo-series are built and refit in chunks of at most
-    ``_STACK_BYTES`` of curves, so memory stays bounded for any B.
-    ``n_workers`` runs the chunks on that many threads; each replicate's
-    stream is fixed by its index and each refit depends on its own series
-    alone, so the result is identical for any worker count.
+    The pseudo-series are refit by :func:`far1_fit` from the replicates'
+    pool counts and scattered scores, never built as curves; its chunks
+    keep memory bounded for any B.  ``n_workers`` splits the replicates
+    into that many contiguous blocks, refit on as many threads, each with
+    its own buffer.  Each replicate's stream is fixed by its index and
+    each refit depends on its own draws alone, so the result is
+    identical for any worker count.
     """
     if n_workers < 1:
         raise ConfigError(f"n_workers must be >= 1, got {n_workers}")
@@ -447,22 +542,22 @@ def sieve_prediction(
 
     futures = future_curves(reps)
 
-    def predict_chunk(lo: int, hi: int) -> np.ndarray:
-        curves = (
-            reps.mean
-            + reps.series_scores[lo:hi] @ reps.eigenfunctions.T
-            + reps.resid_pool[reps.series_resid_idx[lo:hi]]
+    def refit(lo: int, hi: int) -> np.ndarray:
+        return far1_fit(
+            reps.resid_pool,
+            reps.series_resid_idx[lo:hi],
+            w,
+            reps.series_scores[lo:hi],
+            reps.eigenfunctions,
         )
-        return far1_fit(curves, w)
 
-    rows = max(1, _STACK_BYTES // fts.values.nbytes)
-    bounds = [(lo, min(lo + rows, B)) for lo in range(0, B, rows)]
-    if n_workers == 1:
-        parts = [predict_chunk(lo, hi) for lo, hi in bounds]
+    cuts = np.linspace(0, B, min(n_workers, B) + 1).astype(int)
+    if len(cuts) == 2:
+        preds = refit(0, B)
     else:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            parts = list(pool.map(lambda ab: predict_chunk(*ab), bounds))
-    preds = np.vstack(parts)
+            preds = np.vstack(list(pool.map(refit, cuts[:-1], cuts[1:])))
+    preds += reps.mean
 
     errors = futures - preds
     sigma = errors.std(axis=0)
@@ -474,7 +569,7 @@ def sieve_prediction(
     if cfg.center == "ts":
         center_curve = ts_point_forecast(fpca, var)
     else:
-        center_curve = far1_fit(fts.values[None], w)[0]
+        center_curve = far1_fit(fts.values, np.arange(fts.n)[None], w)[0]
 
     shifted = center_curve + errors
     shifted.sort(axis=0)

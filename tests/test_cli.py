@@ -388,3 +388,32 @@ def test_unconvertible_option_value_is_exit_one(capsys, command, name):
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+# every list option, read from the CLI's own table
+_LIST_OPTIONS = [
+    (command, o)
+    for command, _, opts, _ in cli._COMMANDS
+    for o in opts
+    if o.conv in cli._LIST_CONVS
+]
+
+
+@pytest.mark.parametrize(
+    "command,opt", _LIST_OPTIONS, ids=[f"{c}-{o.name}" for c, o in _LIST_OPTIONS]
+)
+def test_list_value_starting_with_minus_may_be_its_own_token(monkeypatch, command, opt):
+    seen = {}
+
+    def record(opts):
+        seen.update(opts)
+        return 0
+
+    monkeypatch.setattr(cli, "_COMMANDS", [(c, record, o, h) for c, _, o, h in cli._COMMANDS])
+    flag = "--" + opt.name.replace("_", "-")
+    value = "-.5,2" if opt.conv is cli._floats else "-1,2"
+    assert main([command, flag, value]) == 0
+    assert seen[opt.name] == opt.conv(value)
+    seen.clear()
+    assert main([command, f"{flag}={value}"]) == 0
+    assert seen[opt.name] == opt.conv(value)

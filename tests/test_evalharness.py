@@ -1,8 +1,13 @@
 import json
 import warnings
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.random import default_rng
 
 from curvecast import (
@@ -22,6 +27,18 @@ from curvecast import (
     validate_plan,
     write_report_csvs,
 )
+from curvecast import evalharness
+
+_finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+_alpha = st.floats(min_value=1e-3, max_value=1.0 - 1e-3)
+
+
+@st.composite
+def _bounds_and_actuals(draw, max_days=6, max_points=10):
+    """Lower and upper bounds (lower <= upper) and actuals of one (days, points) shape."""
+    shape = (draw(st.integers(1, max_days)), draw(st.integers(1, max_points)))
+    a, b, x = (draw(arrays(float, shape, elements=_finite)) for _ in range(3))
+    return np.minimum(a, b), np.maximum(a, b), x
 
 
 class TestIntervalScore:
@@ -33,6 +50,12 @@ class TestIntervalScore:
     def test_boundary_hit_has_no_penalty(self):
         assert interval_score(0.0, 1.0, 1.0, 0.2) == 1.0
         assert interval_score(0.0, 1.0, 0.0, 0.2) == 1.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(bounds=_bounds_and_actuals(), alpha=_alpha)
+    def test_never_below_the_width(self, bounds, alpha):
+        lo, hi, x = bounds
+        assert np.all(interval_score(lo, hi, x, alpha) >= hi - lo)
 
     def test_vectorized_mean(self):
         lo = np.zeros(3)
@@ -59,18 +82,11 @@ class TestEcp:
         with pytest.raises(ConfigError):
             ecp(np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)), "banded")
 
-    def test_uniform_never_exceeds_pointwise(self):
-        r = default_rng(123)
-        for _ in range(100):
-            days = int(r.integers(1, 8))
-            pts = int(r.integers(1, 12))
-            actuals = r.normal(size=(days, pts))
-            lower = actuals - r.uniform(0.0, 2.0, size=(days, pts)) + 0.5
-            upper = actuals + r.uniform(0.0, 2.0, size=(days, pts)) - 0.5
-            lower, upper = np.minimum(lower, upper), np.maximum(lower, upper)
-            assert ecp(actuals, lower, upper, "uniform") <= ecp(
-                actuals, lower, upper, "pointwise"
-            ) + 1e-15
+    @settings(max_examples=100, deadline=None)
+    @given(bounds=_bounds_and_actuals())
+    def test_uniform_never_exceeds_pointwise(self, bounds):
+        lo, hi, x = bounds
+        assert ecp(x, lo, hi, "uniform") <= ecp(x, lo, hi, "pointwise")
 
 
 class TestPointMetrics:
@@ -178,6 +194,30 @@ class TestBacktestReport:
             rolled = run_backtest(fts, replace(plan, rolling=True))
         assert rolled.days_used == report.days_used
         assert rolled.updating["TS"]["msfe"] != report.updating["TS"]["msfe"]
+
+
+class TestFailedDays:
+    def test_non_stationary_day_is_a_fit_failure(self, small_backtest):
+        fts, plan, _ = small_backtest
+        plan = replace(plan, methods=("TS", "FLR"), n_test=3)
+        bad_day = plan.initial_train + 1
+        fit = evalharness._fit_models
+
+        def explosive_on_bad_day(train, num_components, max_order):
+            model, var = fit(train, num_components, max_order)
+            if train.n == bad_day:
+                var = replace(var, spectral_radius=1.2)
+            return model, var
+
+        with mock.patch.object(evalharness, "_fit_models", explosive_on_bad_day):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                report = run_backtest(fts, plan)
+        assert [(f["day"], f["stage"]) for f in report.failures] == [(bad_day, "fit")]
+        assert "spectral radius" in report.failures[0]["error"]
+        assert report.days_used == plan.n_test - 1
+        for mth in ("TS", "FLR"):
+            assert report.updating[mth]["msfe"] > 0.0
 
 
 class TestReportSerialization:

@@ -135,12 +135,19 @@ class TestReplicates:
         assert np.array_equal(a.future_scores, b.future_scores)
         assert np.array_equal(a.future_resid_idx, b.future_resid_idx)
 
-    def test_prefix_property(self, small_fit):
+    @settings(max_examples=15, deadline=None)
+    @given(sizes=st.tuples(st.integers(1, 40), st.integers(1, 40)).map(sorted))
+    @example(sizes=[50, 80])
+    def test_prefix_property(self, small_fit, sizes):
+        # the first B' replicates of a B-replicate draw are the B'-replicate draw
         _, model, var = small_fit
-        big = draw_replicates(model, var, BootstrapConfig(num_replicates=80, seed=11))
-        small = draw_replicates(model, var, BootstrapConfig(num_replicates=50, seed=11))
-        assert np.array_equal(small.future_scores, big.future_scores[:50])
-        assert np.array_equal(small.series_scores, big.series_scores[:50])
+        few, many = sizes
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # B < 50 warns
+            small = draw_replicates(model, var, BootstrapConfig(num_replicates=few, seed=11))
+            big = draw_replicates(model, var, BootstrapConfig(num_replicates=many, seed=11))
+        for name in ("series_scores", "series_resid_idx", "future_scores", "future_resid_idx"):
+            assert np.array_equal(getattr(small, name), getattr(big, name)[:few]), name
 
     def test_single_replicate_matches_batch(self, small_fit, small_reps):
         # replicate 3 drawn alone equals row 3 of the batch: draws depend on the index only
@@ -177,6 +184,7 @@ _PANELS = {
 
 
 def _replicate_stack(panel, num_replicates):
+    """One day's replicates in ``far1_fit``'s factored form, and their materialised curves."""
     spec, days = _PANELS[panel]
     train = generate(spec)[0].head(days)
     fpca, var = _fit_models(train, None, 10)
@@ -186,7 +194,24 @@ def _replicate_stack(panel, num_replicates):
         + reps.series_scores @ reps.eigenfunctions.T
         + reps.resid_pool[reps.series_resid_idx]
     )
-    return curves, train.grid.quad_weight
+    factored = (reps.resid_pool, reps.series_resid_idx, train.grid.quad_weight,
+                reps.series_scores, reps.eigenfunctions)
+    return reps.mean, factored, curves
+
+
+def own_pool(curves):
+    """A plain (B, n, d) stack in ``far1_fit``'s form: no scores, each series its own pool."""
+    B, n, _ = curves.shape
+    return curves, np.tile(np.arange(n), (B, 1))
+
+
+def factored_series(seed, B, n, d, K, m):
+    """Random scores, basis, shared pool and pool rows (with repeats) for ``far1_fit``."""
+    rng = default_rng(seed)
+    scores = rng.standard_normal((B, n, K)) * rng.uniform(0.5, 3.0, size=K)
+    basis = rng.standard_normal((d, K))
+    pool = rng.standard_normal((m, d)) * rng.uniform(0.05, 3.0, size=d) + rng.uniform(-2, 2, d)
+    return pool, rng.integers(0, m, size=(B, n)), scores, basis
 
 
 @pytest.fixture()
@@ -209,19 +234,20 @@ class TestFar1:
         flat = np.full_like(fts.values, 0.25)
         stack = np.stack([fts.values, flat, fts.values[::-1]])
         with pytest.warns(UserWarning, match="carry no variance"):
-            preds = far1_fit(stack, w)
+            preds = far1_fit(*own_pool(stack), w)
         assert np.array_equal(preds[1], flat[0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for b in (0, 2):
-                assert np.array_equal(preds[b], far1_fit(stack[b][None], w)[0])
+                assert np.array_equal(preds[b], far1_fit(*own_pool(stack[b][None]), w)[0])
         with pytest.raises(DataError):
-            far1_fit(stack[:, :1], w)
+            far1_fit(*own_pool(stack[:, :1]), w)
 
     @pytest.mark.parametrize("panel", sorted(_PANELS))
     def test_certified_eigenpairs_match_the_eigh_oracle(self, panel, fallbacks):
-        curves, w = _replicate_stack(panel, 100)
-        got = far1_fit(curves, w)
+        mean, factored, curves = _replicate_stack(panel, 100)
+        w = factored[2]
+        got = mean + far1_fit(*factored)
         assert not fallbacks  # every series took the certified path
         np.testing.assert_allclose(got, far1_oracle(curves, w), rtol=0.0, atol=1e-12)
 
@@ -235,7 +261,7 @@ class TestFar1:
         smooth = default_rng(2).standard_normal((2, 64, 6)) * [3.0, 1.0, 0.5, 0.2, 0.1, 0.05]
         stack = np.concatenate([smooth[:1], tied[None], smooth[1:]]) + 1.0
         w = 0.2
-        got = far1_fit(stack, w)
+        got = far1_fit(*own_pool(stack), w)
         assert len(fallbacks) == 1
         assert np.array_equal(fallbacks[0], tied.T @ tied / 64)
         np.testing.assert_allclose(got, far1_oracle(stack, w), rtol=0.0, atol=1e-12)
@@ -244,14 +270,37 @@ class TestFar1:
     @given(
         seed=st.integers(0, 2**32 - 1),
         shape=st.tuples(st.integers(1, 6), st.integers(2, 12), st.integers(1, 9)),
+        K=st.integers(0, 3),
+        m=st.integers(1, 15),
         data=st.data(),
     )
-    def test_rows_do_not_depend_on_the_stack(self, seed, shape, data):
+    def test_rows_do_not_depend_on_the_stack(self, seed, shape, K, m, data):
         B, n, d = shape
-        rng = default_rng(seed)
-        stack = rng.standard_normal((B, n, d)) * rng.uniform(0.05, 3.0, size=d)
+        pool, idx, scores, basis = factored_series(seed, B, n, d, K, m)
         rows = data.draw(st.lists(st.integers(0, B - 1), min_size=1, max_size=2 * B))
-        assert np.array_equal(far1_fit(stack, 0.1)[rows], far1_fit(stack[rows], 0.1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a one-row pool is flat
+            assert np.array_equal(
+                far1_fit(pool, idx, 0.1, scores, basis)[rows],
+                far1_fit(pool, idx[rows], 0.1, scores[rows], basis),
+            )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.tuples(st.integers(1, 5), st.integers(2, 30), st.integers(1, 8)),
+        K=st.integers(0, 3),
+        m=st.integers(1, 20),
+    )
+    def test_factored_refit_matches_the_materialised_curves(self, seed, shape, K, m):
+        # one refit path: scores on a basis plus pool rows, or the curves they add up to
+        pool, idx, scores, basis = factored_series(seed, *shape, K, m)
+        curves = scores @ basis.T + pool[idx]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a one-row pool is flat
+            got = far1_fit(pool, idx, 0.1, scores, basis)
+            want = far1_fit(*own_pool(curves), 0.1)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
 
 @pytest.fixture(scope="module")
