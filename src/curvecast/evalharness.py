@@ -312,6 +312,8 @@ def run_backtest(fts: FunctionalTimeSeries, plan: BacktestPlan) -> MetricReport:
         start = j if plan.rolling else 0
         train = fts.window(start, t_end)
         actual = fts.values[t_end]
+        # the previous day's replicates and their cached pool statistics go first
+        forecast = None
         try:
             model, var = _fit_models(train, plan.num_components, plan.max_order)
             day_cfg = replace(plan.bootstrap, seed=derive_seed(plan.bootstrap.seed, 2, t_end))

@@ -109,20 +109,22 @@ def select_num_components(eigenvalues, n: int):
 
 
 def _fix_signs(phi: np.ndarray, w: float) -> np.ndarray:
-    """Deterministic sign: weighted integral positive, else first big coordinate."""
-    phi = phi.copy()
-    for k in range(phi.shape[1]):
-        col = phi[:, k]
-        integral = w * col.sum()
-        scale = np.abs(col).max()
-        if abs(integral) > 1e-10 * max(scale, 1.0):
-            if integral < 0:
-                phi[:, k] = -col
-        else:
-            big = np.nonzero(np.abs(col) > 1e-10 * max(scale, 1.0))[0]
-            if big.size and col[big[0]] < 0:
-                phi[:, k] = -col
-    return phi
+    """Deterministic sign: weighted integral positive, else first big coordinate.
+
+    A column is flipped when its weighted integral is negative and not
+    negligible (beyond 1e-10 of its largest magnitude, or of 1), and when
+    the integral is negligible but its first entry beyond that threshold
+    is negative.  Each column is summed as a contiguous row, so every
+    integral is the one-column sum bit for bit.
+    """
+    rows = np.ascontiguousarray(phi.T)
+    integral = w * rows.sum(axis=1)
+    mag = np.abs(rows)
+    tol = 1e-10 * np.maximum(mag.max(axis=1), 1.0)
+    big = mag > tol[:, None]
+    first = np.where(big.any(axis=1), rows[np.arange(rows.shape[0]), big.argmax(axis=1)], 0.0)
+    lead = np.where(np.abs(integral) > tol, integral, first)
+    return np.where(lead < 0, -phi, phi)
 
 
 def weighted_pca(values: np.ndarray, weight: float):

@@ -37,6 +37,7 @@ import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -256,18 +257,36 @@ def far1_fit(pool, idx, weight, scores=None, basis=None) -> np.ndarray:
     return preds + shift.reshape(-1, d)
 
 
+def _pool_tally(idx, scores, m):
+    """Per-series pool counts and scores summed onto the pool rows they were drawn with.
+
+    Series b draws pool row ``idx[b, t]`` on day t with (K,) scores
+    ``scores[b, t]``.  Returns a (B, 1 + K, m) array: row 0 of series b
+    counts how often it draws each of the m pool rows, row 1 + k sums its
+    k-th score over the days that drew each row.  Each series' pool rows
+    are bins of their own, summed in day order, so a series' tally
+    depends on its own draws alone.
+    """
+    rows, n = idx.shape
+    K = scores.shape[2]
+    tally = np.empty((rows, 1 + K, m))
+    bins = (idx + m * np.arange(rows)[:, None]).ravel()
+    tally[:, 0] = np.bincount(bins, minlength=rows * m).reshape(rows, m)
+    for k in range(K):
+        tally[:, 1 + k] = np.bincount(
+            bins, weights=scores[:, :, k].ravel(), minlength=rows * m
+        ).reshape(rows, m)
+    return tally
+
+
 def _far1_rows(resid, idx, scores, basis, weight, scaled):
     """:func:`far1_fit` on one chunk of series, from the centred pool; also says if any was flat."""
     rows, n = idx.shape
     m, d = resid.shape[-2:]
     K = basis.shape[1]
     at = np.arange(rows)[:, None]
-    bins = (idx + m * at).ravel()  # series b's pool rows as bins of its own
-    cnt = np.bincount(bins, minlength=rows * m).reshape(rows, m).astype(float)
-    drawn = np.empty((K, rows * m))
-    for k in range(K):
-        drawn[k] = np.bincount(bins, weights=scores[:, :, k].ravel(), minlength=rows * m)
-    drawn = drawn.reshape(K, rows, m).transpose(1, 0, 2)
+    tally = _pool_tally(idx, scores, m)
+    cnt, drawn = tally[:, 0], tally[:, 1:]
     # series b is x_t = basis s_t + resid[idx_t]; c_t = x_t - xbar
     xbar = (
         np.matmul(basis, np.matmul(np.ones(n), scores)[:, :, None])[:, :, 0]
@@ -391,6 +410,28 @@ class SieveReplicates:
     def num_replicates(self) -> int:
         return self.series_scores.shape[0]
 
+    @cached_property
+    def _pool_stats(self):
+        """Pool statistics of every pseudo-series, built on first use and kept.
+
+        Returns ``(tally, score_gram)``: the (B, 1 + K, n_pool) pool
+        counts and drawn scores of :func:`_pool_tally`, and the
+        (B, 1 + K, 1 + K) Gram matrix of the scores with a leading
+        column of ones: ``[0, 0]`` is n, ``[0, 1:]`` the score sums and
+        ``[1:, 1:]`` the score cross-products.  Any linear projection of
+        the pseudo-curves has second moments that follow from these and
+        the pool alone; the FLR interval update reads them every
+        updating period.
+        """
+        scores = self.series_scores
+        B, n, K = scores.shape
+        gram = np.empty((B, 1 + K, 1 + K))
+        gram[:, 0, 0] = n
+        gram[:, 0, 1:] = np.matmul(np.ones(n), scores)
+        gram[:, 1:, 0] = gram[:, 0, 1:]
+        gram[:, 1:, 1:] = np.matmul(scores.transpose(0, 2, 1), scores)
+        return _pool_tally(self.series_resid_idx, scores, self.resid_pool.shape[0]), gram
+
 
 def _replicate_draws(rng, T, M, p, n, n_eps, n_resid):
     """Index draws for one replicate, in the order the contract fixes."""
@@ -471,26 +512,6 @@ def future_curves(reps: SieveReplicates) -> np.ndarray:
         + reps.future_scores @ reps.eigenfunctions.T
         + reps.resid_pool[reps.future_resid_idx]
     )
-
-
-def project_replicate_block(
-    reps: SieveReplicates,
-    cols: np.ndarray,
-    basis: np.ndarray,
-    weight: float,
-    center: np.ndarray,
-) -> np.ndarray:
-    """Scores of every pseudo-curve block on an external basis, shape (B, n, R).
-
-    Equivalent to reconstructing ``curves[:, :, cols]``, subtracting
-    ``center`` and taking weighted inner products with ``basis`` columns,
-    but without materializing the curves.
-    """
-    bw = weight * basis  # (len(cols), R)
-    base = (reps.mean[cols] - center) @ bw
-    score_map = reps.eigenfunctions[cols].T @ bw  # (K, R)
-    pool_proj = reps.resid_pool[:, cols] @ bw  # (n_pool, R)
-    return base + reps.series_scores @ score_map + pool_proj[reps.series_resid_idx]
 
 
 @dataclass(frozen=True)

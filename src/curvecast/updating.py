@@ -35,7 +35,6 @@ from .sieve import (
     SieveReplicates,
     derive_seed,
     draw_replicates,
-    project_replicate_block,
     sorted_intervals,
     _fit_models,
 )
@@ -292,14 +291,17 @@ def link_scores(theta: np.ndarray, vartheta: np.ndarray):
             f"score arrays must share leading axes and rows, got {theta.shape} and {vartheta.shape}"
         )
     theta_t = np.swapaxes(theta, -1, -2)
-    gram = theta_t @ theta
+    return _solve_link(theta_t @ theta, theta_t @ vartheta)
+
+
+def _solve_link(gram: np.ndarray, cross: np.ndarray):
+    """:func:`link_scores` from the early-score Gram matrices and early-late cross products."""
     evals = np.linalg.eigvalsh(gram)
     ridged = (evals[..., -1] <= 0.0) | (evals[..., 0] <= 1e-12 * evals[..., -1])
-    cross = theta_t @ vartheta
     if ridged.any():
         trace = np.trace(gram, axis1=-2, axis2=-1)
         zero = (trace <= 0.0)[..., None, None]
-        eye = np.eye(theta.shape[-1])
+        eye = np.eye(gram.shape[-1])
         gram = np.where(zero, eye, gram + (ridged * LINK_RIDGE * trace)[..., None, None] * eye)
         cross = np.where(zero, 0.0, cross)
         warnings.warn(
@@ -386,6 +388,44 @@ def flr_update(model: FlrModel, observed: Sequence[float]) -> np.ndarray:
     return model.late_mean + (theta_new @ model.link) @ model.late_basis.T
 
 
+def _bootstrap_links(model: FlrModel, reps: SieveReplicates):
+    """Every replicate's early-to-late linkage on the fitted block bases: ``(links, ridged)``.
+
+    Equals :func:`link_scores` on the replicates' projected early and late
+    blocks, without building them.  Projected on both bases side by side
+    (R + S columns), day t of pseudo-series b is ``z_t = L^T (1, s_t) +
+    P[idx_t]``: L stacks the projected mean offset over the projected
+    component functions and P is the projected residual pool.  With the
+    replicate set's cached pool statistics (pool counts and drawn scores
+    U_b, Gram matrix G_b of the scores with a ones column), the first R
+    rows of ``sum_t z_t z_t^T`` are ``L^T (G_b L + U_b P) + (U_b P)^T L``
+    plus the counts times the pool's pairwise column products, all from
+    one stacked product of U_b with P and those products and three small
+    stacked products over the 1 + K score rows.  Every sum is per
+    replicate, so a replicate's link depends on its own draws alone.
+    """
+    R, C = model.num_early, model.num_early + model.num_late
+    tally, score_gram = reps._pool_stats
+    # both weighted block bases on the whole grid, which the m - 1 observed
+    # columns and the late ones after them partition
+    split = model.early_basis.shape[0]
+    bw = np.zeros((reps.mean.shape[0], C))
+    bw[:split, :R] = model.early_weight * model.early_basis
+    bw[split:, R:] = model.late_weight * model.late_basis
+    lift = np.empty((tally.shape[1], C))
+    lift[0] = (reps.mean - np.concatenate([model.early_mean, model.late_mean])) @ bw
+    lift[1:] = reps.eigenfunctions.T @ bw
+    pool = np.empty((reps.resid_pool.shape[0], C + R * C))
+    proj = np.matmul(reps.resid_pool, bw, out=pool[:, :C])
+    pool[:, C:] = (proj[:, :R, None] * proj[:, None, :]).reshape(-1, R * C)
+    moments = np.matmul(tally, pool)  # (B, 1 + K, C + R C)
+    drawn = moments[:, :, :C]  # U_b P
+    outer = moments[:, 0, C:].reshape(-1, R, C)  # sum_t p_t[:R] p_t^T
+    outer += np.matmul(lift[:, :R].T, drawn + np.matmul(score_gram, lift))
+    outer += np.matmul(drawn[:, :, :R].transpose(0, 2, 1), lift)
+    return _solve_link(outer[:, :, :R], outer[:, :, R:])
+
+
 def flr_interval_update(
     model: FlrModel,
     observed: Sequence[float],
@@ -395,23 +435,16 @@ def flr_interval_update(
     """Prediction intervals for the remaining block via bootstrap linkages.
 
     Each replicate's pseudo-series is projected on the fitted block bases
-    and its own linkage re-estimated; the observed block is pushed
-    through every bootstrap linkage and the replicate's resampled
-    residual curve (restricted to the remaining block) is added before
-    taking empirical quantiles.
+    and its own linkage re-estimated (from the replicate set's pool
+    statistics, which the first call builds and later calls reuse); the
+    observed block is pushed through every bootstrap linkage and the
+    replicate's resampled residual curve (restricted to the remaining
+    block) is added before taking empirical quantiles.
     """
-    tau = reps.mean.shape[0] + 1
-    ecols = observed_columns(tau, model.split)
-    lcols = updating_columns(tau, model.split)
-    theta_star = project_replicate_block(
-        reps, ecols, model.early_basis, model.early_weight, model.early_mean
-    )  # (B, n, R)
-    vartheta_star = project_replicate_block(
-        reps, lcols, model.late_basis, model.late_weight, model.late_mean
-    )  # (B, n, S)
-    links, _ = link_scores(theta_star, vartheta_star)  # (B, R, S)
+    lcols = updating_columns(reps.mean.shape[0] + 1, model.split)
     theta_obs = _early_projection(model, observed)
-    preds = np.einsum("r,brs,ls->bl", theta_obs, links, model.late_basis)
+    links, _ = _bootstrap_links(model, reps)  # (B, R, S)
+    preds = np.matmul(np.matmul(theta_obs, links)[:, None], model.late_basis.T)[:, 0]
     curves = model.late_mean + preds + reps.resid_pool[reps.future_resid_idx[:, None], lcols]
     curves.sort(axis=0)
     return {
@@ -512,15 +545,16 @@ def _feasible_from(ctx: UpdateContext, grid: tuple) -> int:
 
 
 def _msfe_case_scores(
-    ctx: UpdateContext, fpca: FpcaModel, actual_late: np.ndarray, grid: tuple
+    ctx: UpdateContext, fpca: FpcaModel, actual_late: np.ndarray, grid: tuple, start: int
 ) -> np.ndarray:
     """Squared forecast error of one case for every grid value (inf where infeasible).
 
-    A case is one validation day at one updating period.  Equals ``mean((pls_update(ctx, lam, fpca) - actual_late) ** 2)`` per
-    value: the same solve and rebuild, batched over the grid.
+    A case is one validation day at one updating period; ``start`` is its
+    :func:`_feasible_from`.  Equals ``mean((pls_update(ctx, lam, fpca) -
+    actual_late) ** 2)`` per value: the same solve and rebuild, batched
+    over the grid.
     """
     out = np.full(len(grid), np.inf)
-    start = _feasible_from(ctx, grid)
     if start == len(grid):
         return out
     preds = _rebuild_late(ctx, fpca, _pls_betas(ctx, fpca, grid[start:]))
@@ -536,18 +570,19 @@ def _interval_case_scores(
     future_resid_t: np.ndarray,
     grid: tuple,
     alphas: Sequence[float],
+    start: int,
 ) -> np.ndarray:
     """Mean interval score of one case for every (alpha, grid value) pair.
 
     ``future_scores`` (B, K) and ``future_resid_t`` (d, B) are the
-    replicates' next-day score draws and residual curves.  The curve
-    stack for the whole grid is sorted once and every bound read from
-    that sort; infeasible values score inf.
+    replicates' next-day score draws and residual curves, and ``start``
+    is the case's :func:`_feasible_from`.  The curve stack for the whole
+    grid is sorted once and every bound read from that sort; infeasible
+    values score inf.
     """
     from .evalharness import interval_score
 
     out = np.full((len(alphas), len(grid)), np.inf)
-    start = _feasible_from(ctx, grid)
     if start == len(grid):
         return out
     curves = _pls_curve_stack(
@@ -632,11 +667,12 @@ def tune_lambda(
         for i, m in enumerate(periods):
             ctx = build_update_context(model, var, actual[: m - 1])
             actual_late = actual[m - 1 :]
+            start = _feasible_from(ctx, grid)
             if want_point:
-                point_table[i, :, j] = _msfe_case_scores(ctx, model, actual_late, grid)
+                point_table[i, :, j] = _msfe_case_scores(ctx, model, actual_late, grid, start)
             if want_interval:
                 interval_table[i, :, :, j] = _interval_case_scores(
-                    ctx, model, actual_late, future_scores, future_resid_t, grid, alphas
+                    ctx, model, actual_late, future_scores, future_resid_t, grid, alphas, start
                 )
 
     point = interval = None

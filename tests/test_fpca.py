@@ -12,6 +12,7 @@ from curvecast import (
     reconstruct,
     select_num_components,
 )
+from curvecast.fpca import _fix_signs
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +100,54 @@ class TestDecomposition:
         with pytest.warns(UserWarning):
             m = fit_fpca(fts)
         assert m.degenerate
+
+
+def loop_fix_signs(phi, w):
+    """The per-column sign rule, one column at a time."""
+    phi = phi.copy()
+    for k in range(phi.shape[1]):
+        col = phi[:, k]
+        integral = w * col.sum()
+        scale = np.abs(col).max()
+        if abs(integral) > 1e-10 * max(scale, 1.0):
+            if integral < 0:
+                phi[:, k] = -col
+        else:
+            big = np.nonzero(np.abs(col) > 1e-10 * max(scale, 1.0))[0]
+            if big.size and col[big[0]] < 0:
+                phi[:, k] = -col
+    return phi
+
+
+class TestFixSigns:
+    def test_edge_columns_match_the_column_loop(self):
+        w = 0.5
+        columns = [
+            [0.0, 0.0, 0.0, 0.0],                  # all zero
+            [1e-12, -1.0, 2.0, -1.0],              # zero integral, negative first big entry
+            [1e-12, 1.0, -2.0, 1.0],               # zero integral, positive first big entry
+            [-0.99e-10, 1.0, -1.0, 0.99e-10],      # first entry just under the big threshold
+            [-1.01e-10, 1.0, -1.0, 1.01e-10],      # first entry just over it
+            [-3.0, 5.0, -1.0, 0.5],                # scale above 1
+        ]
+        # integrals just either side of the 1e-10 threshold, sign against the first entry
+        for c in (0.99e-10, 1.0e-10, 1.01e-10):
+            columns.append([1.0, -1.0, -c / w, 0.0])
+            columns.append([-1.0, 1.0, c / w, 0.0])
+        phi = np.array(columns).T
+        got = _fix_signs(phi, w)
+        want = loop_fix_signs(phi, w)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        flipped = (got != phi).any(axis=0)
+        assert flipped.any() and not flipped.all()
+
+    def test_random_bases_match_the_column_loop(self):
+        r = np.random.default_rng(11)
+        for d, k in ((3, 3), (39, 12), (74, 40)):
+            phi = r.normal(size=(d, k))
+            phi[:, 0] -= phi[:, 0].mean()     # a near-zero integral
+            assert np.array_equal(_fix_signs(phi, 1.0 / d), loop_fix_signs(phi, 1.0 / d))
 
 
 class TestComponentSelection:

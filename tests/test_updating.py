@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -36,7 +37,9 @@ from curvecast import (
     tune_lambda,
     updating_columns,
 )
-from curvecast.updating import link_scores
+from curvecast import sieve, updating
+from curvecast.sieve import SieveReplicates
+from curvecast.updating import FlrModel, link_scores
 
 
 @pytest.fixture(scope="module")
@@ -293,6 +296,212 @@ class TestIntervalUpdates:
             lo, hi = out[alpha]
             assert lo.shape == (10,)
             assert np.all(lo <= hi)
+
+
+# ---------------------------------------------------------------------------
+# FLR bootstrap links from the replicate set's pool statistics
+# ---------------------------------------------------------------------------
+
+
+def materialised_links(model, reps):
+    """Oracle: build every pseudo-curve, project both blocks, and call link_scores."""
+    tau = reps.mean.shape[0] + 1
+    curves = (
+        reps.mean
+        + reps.series_scores @ reps.eigenfunctions.T
+        + reps.resid_pool[reps.series_resid_idx]
+    )
+    ecols = observed_columns(tau, model.split)
+    lcols = updating_columns(tau, model.split)
+    theta = (curves[:, :, ecols] - model.early_mean) @ (model.early_weight * model.early_basis)
+    vartheta = (curves[:, :, lcols] - model.late_mean) @ (model.late_weight * model.late_basis)
+    return link_scores(theta, vartheta)
+
+
+@pytest.fixture(scope="module")
+def c08_day():
+    """A C08-shaped day: 74 grid columns, so the periods run from 2 to 74."""
+    spec = SynthSpec(
+        n=101, tau=75, num_factors=2, score_ar=(0.6, 0.4), innovation_sd=(1.0, 0.7),
+        noise_sd=0.15, seed=777, link_split=38,
+        link_matrix=((0.9, 0.2), (0.1, 0.8)), num_late_factors=2,
+        link_noise_sd=(0.1, 0.1),
+    )
+    fts, _ = generate(spec)
+    train = fts.head(100)
+    model = fit_fpca(train)
+    scores = model.scores[:, : model.num_components]
+    var = fit_var(scores, select_order(scores, 4))
+    return train, fts.values[100], model, var
+
+
+def _max_rel(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+class TestBootstrapLinks:
+    """FLR interval links from pool counts and drawn scores, against built pseudo-curves."""
+
+    def test_intervals_match_the_materialised_oracle(self, c08_day, monkeypatch):
+        train, actual, model, var = c08_day
+        reps = draw_replicates(model, var, BootstrapConfig(num_replicates=100, seed=4))
+        tau = train.grid.tau
+        worst_links = worst_bounds = 0.0
+        fits = 0
+        for m in (2, 3, 38, 73, 74):
+            ranks = [(None, None)] + [
+                (r, s) for r in range(1, min(3, m - 1) + 1) for s in range(1, min(3, tau - m) + 1)
+            ]
+            for num_early, num_late in ranks:
+                flr = flr_fit(train, m, num_early, num_late)
+                links, ridged = updating._bootstrap_links(flr, reps)
+                want_links, want_ridged = materialised_links(flr, reps)
+                assert not ridged.any() and not want_ridged.any()
+                worst_links = max(worst_links, _max_rel(links, want_links))
+                got = flr_interval_update(flr, actual[: m - 1], reps)
+                with monkeypatch.context() as patch:
+                    patch.setattr(updating, "_bootstrap_links", materialised_links)
+                    want = flr_interval_update(flr, actual[: m - 1], reps)
+                for a in (0.2, 0.05):
+                    for side in (0, 1):
+                        worst_bounds = max(worst_bounds, _max_rel(got[a][side], want[a][side]))
+                fits += 1
+        assert fits == 5 + 1 * 3 + 2 * 3 + 3 * 3 + 3 * 2 + 3 * 1
+        assert worst_bounds <= 1e-12
+        assert worst_links <= 1e-12
+
+    def test_block_means_away_from_the_replicate_mean(self, c08_day, monkeypatch):
+        # fitted on fewer days, the block means differ from the replicates' mean curve,
+        # so the constant term of the projected scores is not zero
+        train, actual, model, var = c08_day
+        reps = draw_replicates(model, var, BootstrapConfig(num_replicates=100, seed=4))
+        for m in (3, 38, 73):
+            flr = flr_fit(train.head(40), m)
+            shifted = replace(flr, early_mean=flr.early_mean + 0.5, late_mean=flr.late_mean - 0.5)
+            for fit in (flr, shifted):
+                links, _ = updating._bootstrap_links(fit, reps)
+                assert _max_rel(links, materialised_links(fit, reps)[0]) <= 1e-12
+                got = flr_interval_update(fit, actual[: m - 1], reps)
+                with monkeypatch.context() as patch:
+                    patch.setattr(updating, "_bootstrap_links", materialised_links)
+                    want = flr_interval_update(fit, actual[: m - 1], reps)
+                for a in (0.2, 0.05):
+                    assert _max_rel(got[a][0], want[a][0]) <= 1e-12
+                    assert _max_rel(got[a][1], want[a][1]) <= 1e-12
+
+    def test_links_of_a_prefix_are_the_prefix_draw_links(self, c08_day):
+        train, _, model, var = c08_day
+        flr = flr_fit(train, 38, 2, 2)
+        full = draw_replicates(model, var, BootstrapConfig(num_replicates=400, seed=6))
+        head = draw_replicates(model, var, BootstrapConfig(num_replicates=50, seed=6))
+        links, _ = updating._bootstrap_links(flr, full)
+        head_links, _ = updating._bootstrap_links(flr, head)
+        assert np.array_equal(links[:50], head_links)
+
+    def test_second_call_reuses_the_cached_statistics(self, c08_day, monkeypatch):
+        train, actual, model, var = c08_day
+        reps = draw_replicates(model, var, BootstrapConfig(num_replicates=60, seed=2))
+        assert "_pool_stats" not in reps.__dict__
+        first = flr_interval_update(flr_fit(train, 38), actual[:37], reps)
+        assert "_pool_stats" in reps.__dict__
+
+        def recount(*args):
+            raise AssertionError("pool statistics rebuilt")
+
+        monkeypatch.setattr(sieve, "_pool_tally", recount)
+        again = flr_interval_update(flr_fit(train, 38), actual[:37], reps)
+        other = flr_interval_update(flr_fit(train, 20), actual[:19], reps)
+        assert np.array_equal(first[0.05][0], again[0.05][0])
+        assert other[0.05][0].shape == (55,)
+
+
+def _hand_built(early_basis, *, zero_early_rows=(), zero_replicates=()):
+    """A replicate set on a 6-point grid split at m=4, with one component score.
+
+    Pool rows in ``zero_early_rows`` and the component function are zero on
+    the early columns, so a replicate with zero scores that draws only
+    those rows has identically zero early scores.
+    """
+    r = default_rng(17)
+    B, n, d = 6, 12, 6
+    mean = r.normal(size=d)
+    eigenfunctions = r.normal(size=(d, 1))
+    pool = r.normal(size=(n, d))
+    pool[list(zero_early_rows), :3] = 0.0
+    scores = r.normal(size=(B, n, 1))
+    idx = r.integers(0, n, size=(B, n))
+    if zero_replicates:
+        eigenfunctions[:3] = 0.0
+        scores[list(zero_replicates)] = 0.0
+        idx[list(zero_replicates)] = r.choice(list(zero_early_rows), size=(len(zero_replicates), n))
+    reps = SieveReplicates(
+        series_scores=scores,
+        series_resid_idx=idx,
+        future_scores=r.normal(size=(B, 1)),
+        future_resid_idx=r.integers(0, n, size=B),
+        mean=mean,
+        eigenfunctions=eigenfunctions,
+        resid_pool=pool,
+    )
+    late_basis = r.normal(size=(3, 2))
+    model = FlrModel(
+        split=4, early_mean=mean[:3], late_mean=mean[3:],
+        early_basis=early_basis, late_basis=late_basis,
+        early_weight=0.5, late_weight=0.5,
+        link=np.zeros((early_basis.shape[1], 2)), ridged=False,
+    )
+    return model, reps
+
+
+def _links_and_warnings(route, model, reps):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        links, ridged = route(model, reps)
+    return links, ridged, [str(w.message) for w in caught]
+
+
+class TestBootstrapLinkRidge:
+    """The replicate-stack ridge, reached through the pool statistics."""
+
+    def _agree(self, model, reps):
+        links, ridged, said = _links_and_warnings(updating._bootstrap_links, model, reps)
+        want, want_ridged, want_said = _links_and_warnings(materialised_links, model, reps)
+        assert ridged.tolist() == want_ridged.tolist()
+        assert said == want_said and len(said) == 1
+        assert np.isfinite(links).all()
+        return links, ridged, want
+
+    def test_constant_early_block_links_to_zero(self):
+        r = default_rng(5)
+        model, reps = _hand_built(
+            r.normal(size=(3, 2)), zero_early_rows=range(12), zero_replicates=range(6)
+        )
+        links, ridged, want = self._agree(model, reps)
+        assert ridged.all()
+        assert np.array_equal(links, np.zeros_like(links))
+        assert np.array_equal(want, np.zeros_like(want))
+        with pytest.warns(UserWarning, match="ridge floor"):
+            lo, hi = flr_interval_update(model, np.ones(3), reps)[0.2]
+        assert np.all(lo <= hi)
+
+    def test_one_constant_replicate_among_live_ones(self):
+        r = default_rng(5)
+        model, reps = _hand_built(
+            r.normal(size=(3, 2)), zero_early_rows=range(4), zero_replicates=(1,)
+        )
+        links, ridged, want = self._agree(model, reps)
+        assert ridged.tolist() == [False, True, False, False, False, False]
+        assert np.array_equal(links[1], np.zeros((2, 2)))
+        live = [0, 2, 3, 4, 5]
+        assert _max_rel(links[live], want[live]) <= 1e-10
+
+    def test_collinear_early_scores_are_ridged(self):
+        r = default_rng(5)
+        column = r.normal(size=(3, 1))
+        model, reps = _hand_built(np.hstack([column, column]))
+        links, ridged, want = self._agree(model, reps)
+        assert ridged.all()
+        assert _max_rel(links, want) <= 1e-6
 
 
 class TestTuning:
