@@ -45,21 +45,15 @@ from .sieve import (
     forecast_to_json,
     sieve_prediction,
     write_forecast_csv,
-    _fit_models,
+    _fit_day,
 )
 from .updating import (
     DEFAULT_LAMBDA_GRID,
-    build_update_context,
-    flr_fit,
-    flr_interval_update,
-    flr_update,
-    ols_update,
-    pls_interval_update,
-    pls_update,
     schedule_from_json,
     schedule_to_json,
     tune_lambda,
     updating_columns,
+    _update_period,
 )
 
 
@@ -316,7 +310,8 @@ FIT_OPTS = [
 
 def cmd_fit(opts: dict) -> int:
     fts, _, _, _ = _load_curves(_require(opts, "input"), opts["max_missing_frac"])
-    model, var = _fit_models(fts, opts["num_components"], opts["max_order"])
+    day = _fit_day(fts, opts["num_components"], opts["max_order"])
+    model, var = day.fpca, day.var
     doc = envelope("fitted_models", 1, {
         "manifest": _manifest(opts),
         "days": fts.n,
@@ -354,14 +349,14 @@ def cmd_forecast(opts: dict) -> int:
     if not opts["output_csv"] and not opts["output_json"]:
         raise ConfigError("forecast needs --output-csv and/or --output-json")
     fts, _, _, _ = _load_curves(_require(opts, "input"), opts["max_missing_frac"])
-    model, var = _fit_models(fts, opts["num_components"], opts["max_order"])
+    day = _fit_day(fts, opts["num_components"], opts["max_order"])
     cfg = BootstrapConfig(
         num_replicates=opts["replicates"],
         seed=opts["seed"],
         alpha_levels=opts["alphas"],
         center=opts["center"],
     )
-    forecast = sieve_prediction(fts, model, var, cfg, n_workers=opts["workers"])
+    forecast = sieve_prediction(fts, day.fpca, day.var, cfg, n_workers=opts["workers"])
     if opts["output_csv"]:
         write_forecast_csv(opts["output_csv"], forecast)
         print(f"forecast table -> {opts['output_csv']}")
@@ -397,14 +392,12 @@ def _split_partial_day(path: str, max_missing_frac: float):
         raise DataError("last day is complete; nothing left to update")
     if finite[m:].any():
         raise DataError("partial day has interior gaps after the observed prefix")
+    bad = np.flatnonzero(last[:m] <= 0)
+    if bad.size:
+        raise DataError(f"non-positive price in the partial day at grid index {bad[0] + 1}")
     pm, kept, _ = ingest_price_matrix(raw[:-1], grid, dates[:-1], max_missing_frac)
     observed = 100.0 * (np.log(last[1:m]) - np.log(last[0]))
     return cidr_transform(pm), observed, m, grid
-
-
-def _draw(model, var, opts: dict):
-    cfg = BootstrapConfig(opts["replicates"], opts["seed"], opts["alphas"])
-    return draw_replicates(model, var, cfg)
 
 
 def cmd_update(opts: dict) -> int:
@@ -418,38 +411,29 @@ def cmd_update(opts: dict) -> int:
     fts, observed, m, grid = _split_partial_day(
         _require(opts, "input"), opts["max_missing_frac"]
     )
-    model, var = _fit_models(fts, opts["num_components"], opts["max_order"])
+    day = _fit_day(fts, opts["num_components"], opts["max_order"])
     alphas = opts["alphas"]
     schedule = None
     if opts["schedule"] is not None:
         schedule = schedule_from_json(_read_text(opts["schedule"]))
 
-    lam_point = None
-    intervals = {}
-    lam_by_alpha = {}
-    if method == "flr":
-        flr = flr_fit(fts, m)
-        point = flr_update(flr, observed)
-        if opts["intervals"]:
-            intervals = flr_interval_update(flr, observed, _draw(model, var, opts), alphas)
-    elif method == "ols":
-        point = ols_update(build_update_context(model, var, observed), model)
-    else:
-        ctx = build_update_context(model, var, observed)
-        if opts["lam"] is not None:
-            lam_point = float(opts["lam"])
-        elif schedule is not None:
-            lam_point = schedule.point_lambda(m)
-        else:
+    lam_point, lam_by_alpha = None, {}
+    if method == "pls":
+        fixed = opts["lam"]
+        if fixed is None and schedule is None:
             raise ConfigError("pls needs --lam or --schedule")
-        point = pls_update(ctx, lam_point, model)
+        lam_point = fixed if fixed is not None else schedule.point_lambda(m)
         if opts["intervals"]:
-            if opts["lam"] is not None:
-                lam_by_alpha = {a: lam_point for a in alphas}
-            else:
-                lam_by_alpha = {a: schedule.interval_lambda(a, m) for a in alphas}
-            reps = _draw(model, var, opts)
-            intervals = pls_interval_update(ctx, lam_by_alpha, model, reps, alphas)
+            lam_by_alpha = {
+                a: fixed if fixed is not None else schedule.interval_lambda(a, m) for a in alphas
+            }
+    reps = None
+    if opts["intervals"]:
+        cfg = BootstrapConfig(opts["replicates"], opts["seed"], alphas)
+        reps = draw_replicates(day.fpca, day.var, cfg)
+    point, intervals = _update_period(
+        day, method.upper(), observed, lam_point, lam_by_alpha, reps, alphas
+    )
 
     grid_indices = [int(j) + 2 for j in updating_columns(grid.tau, m)]
     if opts["output_csv"]:

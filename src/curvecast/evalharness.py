@@ -31,29 +31,17 @@ from ._docs import (
 )
 from .errors import ConfigError, DataError, NumericalError
 from .gridcurves import FunctionalTimeSeries
-from .sieve import (
-    BootstrapConfig,
-    derive_seed,
-    sieve_prediction,
-    ts_point_forecast,
-    _fit_models,
-)
+from .sieve import BootstrapConfig, derive_seed, sieve_prediction, _fit_day
 from .updating import (
     DEFAULT_LAMBDA_GRID,
     LambdaSchedule,
-    build_update_context,
-    flr_fit,
-    flr_interval_update,
-    flr_update,
     normalize_lambda_grid,
-    ols_update,
-    pls_interval_update,
-    pls_update,
     tune_lambda,
     updating_columns,
     _resolve_periods,
     _schedule_doc,
     _schedule_from_doc,
+    _update_period,
 )
 
 METHODS = ("TS", "PLS", "OLS", "FLR")
@@ -237,7 +225,7 @@ class MetricReport:
 
 
 class _Cell:
-    """Accumulates per-day vectors for one (method, updating period)."""
+    """Accumulates per-day vectors for one (method, updating period), or for TS's whole curve."""
 
     __slots__ = ("sq", "sign_ok", "cover", "iscore")
 
@@ -284,7 +272,6 @@ def run_backtest(fts: FunctionalTimeSeries, plan: BacktestPlan) -> MetricReport:
     alphas = plan.bootstrap.alpha_levels
     tau = fts.grid.tau
     updating_methods = tuple(m for m in plan.methods if m != "TS")
-    track_periods = bool(periods) and (bool(updating_methods) or "TS" in plan.methods)
 
     schedule = plan.lambda_schedule
     if "PLS" in plan.methods and schedule is None:
@@ -301,7 +288,7 @@ def run_backtest(fts: FunctionalTimeSeries, plan: BacktestPlan) -> MetricReport:
             bootstrap=replace(plan.bootstrap, seed=derive_seed(plan.bootstrap.seed, 1)),
         )
 
-    ts_sq, ts_iscore, ts_cover, ts_band_cover = [], {a: [] for a in alphas}, {a: [] for a in alphas}, {a: [] for a in alphas}
+    ts_full, ts_band_cover = _Cell(alphas), {a: [] for a in alphas}
     cells = {mth: {m: _Cell(alphas) for m in periods} for mth in plan.methods}
     failures = []
     skipped = {}
@@ -310,84 +297,63 @@ def run_backtest(fts: FunctionalTimeSeries, plan: BacktestPlan) -> MetricReport:
     for j in range(plan.n_test):
         t_end = plan.initial_train + j
         start = j if plan.rolling else 0
-        train = fts.window(start, t_end)
         actual = fts.values[t_end]
         # the previous day's replicates and their cached pool statistics go first
         forecast = None
         try:
-            model, var = _fit_models(train, plan.num_components, plan.max_order)
+            day = _fit_day(fts.window(start, t_end), plan.num_components, plan.max_order)
             day_cfg = replace(plan.bootstrap, seed=derive_seed(plan.bootstrap.seed, 2, t_end))
-            forecast = sieve_prediction(train, model, var, day_cfg, n_workers=plan.n_workers)
-            ts_curve = ts_point_forecast(model, var)
+            forecast = sieve_prediction(
+                day.train, day.fpca, day.var, day_cfg, n_workers=plan.n_workers
+            )
         except (DataError, NumericalError, ConfigError) as exc:
             failures.append({"day": t_end, "stage": "fit", "error": str(exc)})
             continue
         days_used += 1
 
         if "TS" in plan.methods:
-            ts_sq.append((actual - ts_curve) ** 2)
+            ts_full.add_point(actual, day.ts_curve)
             for a in alphas:
-                lo, hi = forecast.pointwise[a]
-                ts_cover[a].append(~(actual < lo) & ~(actual > hi))
-                ts_iscore[a].append(interval_score(lo, hi, actual, a))
+                ts_full.add_interval(a, actual, *forecast.pointwise[a])
                 blo, bhi = forecast.band[a]
                 ts_band_cover[a].append(bool((~(actual < blo) & ~(actual > bhi)).all()))
 
-        if not track_periods:
-            continue
         for m in periods:
             cols = updating_columns(tau, m)
             actual_late = actual[cols]
             if "TS" in plan.methods:
                 cell = cells["TS"][m]
-                cell.add_point(actual_late, ts_curve[cols])
+                cell.add_point(actual_late, day.ts_curve[cols])
                 for a in alphas:
                     lo, hi = forecast.pointwise[a]
                     cell.add_interval(a, actual_late, lo[cols], hi[cols])
-            if not updating_methods:
-                continue
-            ctx = build_update_context(model, var, actual[: m - 1])
+            lam = lam_iv = None
             if "PLS" in plan.methods:
-                cell = cells["PLS"][m]
+                lam = schedule.point_lambda(m)
+                lam_iv = {a: schedule.interval_lambda(a, m) for a in alphas}
+            for mth in updating_methods:
                 try:
-                    curve = pls_update(ctx, schedule.point_lambda(m), model)
-                    cell.add_point(actual_late, curve)
-                    lam_iv = {a: schedule.interval_lambda(a, m) for a in alphas}
-                    ivs = pls_interval_update(ctx, lam_iv, model, forecast.replicates, alphas)
-                    for a in alphas:
-                        lo, hi = ivs[a]
-                        cell.add_interval(a, actual_late, lo, hi)
-                except NumericalError:
-                    skipped[("PLS", m)] = skipped.get(("PLS", m), 0) + 1
-            if "OLS" in plan.methods:
-                cell = cells["OLS"][m]
-                try:
-                    cell.add_point(actual_late, ols_update(ctx, model))
-                except NumericalError:
-                    skipped[("OLS", m)] = skipped.get(("OLS", m), 0) + 1
-            if "FLR" in plan.methods:
-                cell = cells["FLR"][m]
-                try:
-                    flr = flr_fit(train, m)
-                    cell.add_point(actual_late, flr_update(flr, actual[: m - 1]))
-                    ivs = flr_interval_update(flr, actual[: m - 1], forecast.replicates, alphas)
-                    for a in alphas:
-                        lo, hi = ivs[a]
-                        cell.add_interval(a, actual_late, lo, hi)
+                    point, ivs = _update_period(
+                        day, mth, actual[: m - 1], lam, lam_iv, forecast.replicates, alphas
+                    )
                 except (NumericalError, DataError):
-                    skipped[("FLR", m)] = skipped.get(("FLR", m), 0) + 1
+                    skipped[(mth, m)] = skipped.get((mth, m), 0) + 1
+                    continue
+                cells[mth][m].add_point(actual_late, point)
+                for a, (lo, hi) in ivs.items():
+                    cells[mth][m].add_interval(a, actual_late, lo, hi)
 
     if days_used == 0:
         raise NumericalError(f"every test day failed; first error: {failures[0]['error']}")
 
     full_day = {}
-    if "TS" in plan.methods and ts_sq:
-        sq = np.vstack(ts_sq)
-        iscore = {a: np.vstack(ts_iscore[a]).mean(axis=0) for a in alphas}
+    if ts_full.sq:
+        sq = np.vstack(ts_full.sq)
+        iscore = {a: np.vstack(ts_full.iscore[a]).mean(axis=0) for a in alphas}
         full_day["TS"] = {
             "msfe": float(sq.mean()),
             "msfe_curve": sq.mean(axis=0).tolist(),
-            "ecp_pointwise": {a: float(np.mean(np.vstack(ts_cover[a]))) for a in alphas},
+            "ecp_pointwise": {a: float(np.mean(np.vstack(ts_full.cover[a]))) for a in alphas},
             "ecp_uniform": {a: float(np.mean(ts_band_cover[a])) for a in alphas},
             "interval_score": {a: float(iscore[a].mean()) for a in alphas},
             "interval_score_curve": {a: iscore[a].tolist() for a in alphas},
@@ -397,8 +363,6 @@ def run_backtest(fts: FunctionalTimeSeries, plan: BacktestPlan) -> MetricReport:
     sign = {}
     updating = {}
     for mth in plan.methods:
-        if not track_periods:
-            continue
         table = {}
         for m in periods:
             got = _cell_metrics(cells[mth][m])

@@ -26,9 +26,11 @@ Replicate ``b`` always draws from its own counter-split random stream,
 and its refit depends on its own draws alone (every per-replicate sum
 is a stacked product, never one matrix product across replicates), so
 results do not depend on evaluation order, chunking or worker count.
-The private ``_fit_models`` is the one per-day fit (decomposition,
-order selection, score autoregression) shared by the CLI, tuning and
-the backtest.
+The private ``_fit_day`` is the one per-day fit shared by the CLI,
+tuning and the backtest: it fits the decomposition, selects the order
+and fits the score autoregression, and keeps them in a frozen ``_Day``
+with the one-step score forecast (computed once per day) and the curve
+it implies, which every intraday update of that day reads.
 """
 
 from __future__ import annotations
@@ -359,19 +361,35 @@ def _far1_rows(resid, idx, scores, basis, weight, scaled):
     return preds, flat
 
 
-def _fit_models(fts: FunctionalTimeSeries, num_components, max_order: int):
-    """One day's fit: the decomposition, then the score autoregression of the selected order."""
-    fpca = fit_fpca(fts, num_components)
-    scores = fpca.scores[:, : fpca.num_components]
-    return fpca, fit_var(scores, select_order(scores, max_order))
+@dataclass(frozen=True)
+class _Day:
+    """One fitted day: what the day-ahead forecast and every intraday update of it read.
+
+    ``ts_scores`` is the one-step score forecast of ``var`` from the
+    decomposition's scores and ``ts_curve`` the next-day curve it implies.
+    """
+
+    train: FunctionalTimeSeries
+    fpca: FpcaModel
+    var: VarModel
+    ts_scores: np.ndarray
+    ts_curve: np.ndarray
 
 
-def ts_point_forecast(fpca: FpcaModel, var: VarModel) -> np.ndarray:
-    """Next-day curve implied by the one-step score forecast."""
+def _one_step(fpca: FpcaModel, var: VarModel):
+    """The one-step score forecast and the next-day curve it implies."""
     _check_pair(fpca, var)
     K = fpca.num_components
     step = forecast_scores(var, fpca.scores[:, :K], horizon=1)[0]
-    return fpca.mean + fpca.eigenfunctions[:, :K] @ step
+    return _freeze(step), _freeze(fpca.mean + fpca.eigenfunctions[:, :K] @ step)
+
+
+def _fit_day(train: FunctionalTimeSeries, num_components, max_order: int) -> _Day:
+    """One day's fit: the decomposition, the score autoregression of the selected order, its forecast."""
+    fpca = fit_fpca(train, num_components)
+    scores = fpca.scores[:, : fpca.num_components]
+    var = fit_var(scores, select_order(scores, max_order))
+    return _Day(train, fpca, var, *_one_step(fpca, var))
 
 
 def _check_pair(fpca: FpcaModel, var: VarModel) -> None:
@@ -446,7 +464,7 @@ def _replicate_draws(rng, T, M, p, n, n_eps, n_resid):
 
 def _assemble_replicates(fpca, var, seed, indices) -> SieveReplicates:
     """Build the pseudo score paths for the given replicate indices."""
-    _check_pair(fpca, var)
+    ts1, _ = _one_step(fpca, var)
     if not var.is_stationary:
         raise NumericalError(
             f"companion spectral radius {var.spectral_radius:.4f} too close to 1; "
@@ -483,7 +501,6 @@ def _assemble_replicates(fpca, var, seed, indices) -> SieveReplicates:
             paths[t] += paths[t + xi] @ back[xi - 1]
     series_scores = np.ascontiguousarray(paths.transpose(1, 0, 2))
 
-    ts1 = forecast_scores(var, fpca.scores[:, :K], horizon=1)[0]
     future_scores = ts1 + eps_pool[fut_eps_idx]
     return SieveReplicates(
         series_scores=_freeze(series_scores),
@@ -588,7 +605,7 @@ def sieve_prediction(
     sigma_eff = np.where(sigma <= 0.0, SIGMA_FLOOR, sigma)
 
     if cfg.center == "ts":
-        center_curve = ts_point_forecast(fpca, var)
+        _, center_curve = _one_step(fpca, var)
     else:
         center_curve = far1_fit(fts.values, np.arange(fts.n)[None], w)[0]
 

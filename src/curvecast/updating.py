@@ -36,9 +36,10 @@ from .sieve import (
     derive_seed,
     draw_replicates,
     sorted_intervals,
-    _fit_models,
+    _Day,
+    _fit_day,
+    _one_step,
 )
-from .varmodel import forecast_scores
 
 #: default shrinkage grid: exact least squares plus decade steps
 DEFAULT_LAMBDA_GRID = (0.0,) + tuple(10.0**j for j in range(-2, 9))
@@ -92,6 +93,11 @@ class UpdateContext:
 
 def build_update_context(fpca, var, observed: Sequence[float]) -> UpdateContext:
     """Assemble an :class:`UpdateContext` from fitted models and observed values."""
+    return _context(fpca, _one_step(fpca, var)[0], observed)
+
+
+def _context(fpca: FpcaModel, ts_scores: np.ndarray, observed) -> UpdateContext:
+    """:func:`build_update_context` from the day's one-step score forecast."""
     observed = np.asarray(observed, dtype=float)
     d = fpca.grid_size
     if observed.ndim != 1 or not 1 <= observed.size <= d - 1:
@@ -99,13 +105,11 @@ def build_update_context(fpca, var, observed: Sequence[float]) -> UpdateContext:
             f"observed block must hold 1..{d - 1} values, got shape {observed.shape}"
         )
     m = observed.size + 1
-    K = fpca.num_components
-    ts1 = forecast_scores(var, fpca.scores[:, :K], horizon=1)[0]
     return UpdateContext(
         m=m,
         observed=observed,
-        eigenbasis_obs=_freeze(fpca.eigenfunctions[: m - 1, :K]),
-        ts_scores=_freeze(ts1),
+        eigenbasis_obs=_freeze(fpca.eigenfunctions[: m - 1, : fpca.num_components]),
+        ts_scores=ts_scores,
         updating_cols=np.arange(m - 1, d),
     )
 
@@ -379,6 +383,8 @@ def _early_projection(model: FlrModel, observed: np.ndarray) -> np.ndarray:
     ne = model.early_basis.shape[0]
     if observed.shape != (ne,):
         raise DataError(f"observed block has shape {observed.shape}, expected ({ne},)")
+    if not np.isfinite(observed).all():
+        raise DataError("observed block contains non-finite values")
     return model.early_weight * ((observed - model.early_mean) @ model.early_basis)
 
 
@@ -451,6 +457,33 @@ def flr_interval_update(
         a: (_freeze(lo), _freeze(hi))
         for a, (lo, hi) in sorted_intervals(curves, alpha_levels).items()
     }
+
+
+# ---------------------------------------------------------------------------
+# one intraday update of a fitted day
+# ---------------------------------------------------------------------------
+
+
+def _update_period(day: _Day, method: str, observed, lam, lam_by_alpha, reps, alpha_levels):
+    """The rest of a fitted day from its observed block: ``(point, intervals)``.
+
+    ``method`` is "PLS" (shrinkage ``lam`` for the point, ``lam_by_alpha``
+    per alpha for the intervals), "OLS" or "FLR".  PLS and FLR take
+    intervals at ``alpha_levels`` from ``reps`` unless it is None; OLS has
+    none.  Both are computed before either is returned, so a caller
+    records the whole period or, on an error, none of it.
+    """
+    if method == "FLR":
+        flr = flr_fit(day.train, len(observed) + 1)
+        point = flr_update(flr, observed)
+        return point, {} if reps is None else flr_interval_update(flr, observed, reps, alpha_levels)
+    ctx = _context(day.fpca, day.ts_scores, observed)
+    if method == "OLS":
+        return ols_update(ctx, day.fpca), {}
+    point = pls_update(ctx, lam, day.fpca)
+    if reps is None:
+        return point, {}
+    return point, pls_interval_update(ctx, lam_by_alpha, day.fpca, reps, alpha_levels)
 
 
 # ---------------------------------------------------------------------------
@@ -654,18 +687,18 @@ def tune_lambda(
     point_table = np.empty((P, L, validation_size)) if want_point else None
     interval_table = np.empty((P, len(alphas), L, validation_size)) if want_interval else None
     for j, v in enumerate(range(train_size, train_size + validation_size)):
-        prefix = fts.window(0, v)
         actual = fts.values[v]
-        model, var = _fit_models(prefix, num_components, max_order)
+        day = _fit_day(fts.window(0, v), num_components, max_order)
+        model = day.fpca
         if want_interval:
             day_cfg = replace(bootstrap, seed=derive_seed(bootstrap.seed, 1, v))
             # keep only what the scorer reads, so one day's replicates are live at a time
-            reps = draw_replicates(model, var, day_cfg)
+            reps = draw_replicates(model, day.var, day_cfg)
             future_scores = reps.future_scores
             future_resid_t = reps.resid_pool.T[:, reps.future_resid_idx]
             del reps
         for i, m in enumerate(periods):
-            ctx = build_update_context(model, var, actual[: m - 1])
+            ctx = _context(model, day.ts_scores, actual[: m - 1])
             actual_late = actual[m - 1 :]
             start = _feasible_from(ctx, grid)
             if want_point:

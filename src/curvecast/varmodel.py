@@ -29,9 +29,6 @@ STATIONARITY_LIMIT = 0.999
 #: moving-average expansion is truncated once a coefficient norm drops below this
 PSI_TOLERANCE = 1e-10
 
-#: hard cap on the number of moving-average terms
-PSI_MAX_TERMS = 200
-
 #: ridge added to the innovation covariance before taking its log-determinant
 LOGDET_RIDGE = 1e-12
 
@@ -96,17 +93,22 @@ def _solve_ls(design: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 
 def _ma_expansion(coeffs: np.ndarray) -> np.ndarray:
-    """Moving-average coefficients of the VAR, truncated once they vanish."""
+    """Moving-average coefficients of the VAR, truncated once a term's norm is below tolerance.
+
+    Callers expand only fits below ``STATIONARITY_LIMIT``, whose terms
+    decay geometrically, so the loop ends: a scalar AR(1) at 0.998 stops
+    after 11,502 terms.
+    """
     p, K, _ = coeffs.shape
     psi = [np.eye(K)]
-    for j in range(1, PSI_MAX_TERMS + 1):
+    while True:
+        j = len(psi)
         acc = np.zeros((K, K))
         for xi in range(1, min(j, p) + 1):
             acc += coeffs[xi - 1] @ psi[j - xi]
         psi.append(acc)
         if np.linalg.norm(acc, "fro") < PSI_TOLERANCE:
             return np.array(psi)
-    return np.array([])  # sentinel: did not converge
 
 
 def fit_var(scores: np.ndarray, order: int, compute_psi: bool = True) -> VarModel:
@@ -147,17 +149,9 @@ def fit_var(scores: np.ndarray, order: int, compute_psi: bool = True) -> VarMode
     backward = bwd_coef.reshape(p, K, K).transpose(0, 2, 1)
     radius = companion_spectral_radius(coeffs)
     psi = None
-    if not compute_psi:
-        pass
-    elif radius < STATIONARITY_LIMIT:
-        expansion = _ma_expansion(coeffs)
-        if expansion.size:
-            psi = _freeze(expansion)
-        else:
-            warnings.warn(
-                f"moving-average expansion did not converge within {PSI_MAX_TERMS} terms"
-            )
-    else:
+    if compute_psi and radius < STATIONARITY_LIMIT:
+        psi = _freeze(_ma_expansion(coeffs))
+    elif compute_psi:
         warnings.warn(
             f"fitted VAR({p}) has companion spectral radius {radius:.4f}; "
             "unusable for bootstrap resampling"

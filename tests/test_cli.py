@@ -358,6 +358,25 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("price", ["0", "-3"])
+    @pytest.mark.parametrize("method", ["pls", "flr"])
+    def test_non_positive_partial_price_is_exit_two(self, workdir, tmp_path, capsys, method, price):
+        _, _, partial = workdir
+        *history, last = partial.read_text().strip().splitlines()
+        fields = last.split(",")
+        fields[4] = price  # grid index 4, inside the observed prefix
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(history + [",".join(fields)]) + "\n")
+        out = tmp_path / "up.json"
+        capsys.readouterr()
+        rc = main(["update", "--input", str(bad), "--method", method, "--lam", "1.0",
+                   "--output-json", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "grid index 4" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
     def test_forecast_checks_outputs_before_fitting(self, workdir, monkeypatch, capsys):
         _, prices, _ = workdir
 

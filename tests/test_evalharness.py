@@ -14,7 +14,10 @@ from curvecast import (
     BacktestPlan,
     BootstrapConfig,
     ConfigError,
+    FunctionalTimeSeries,
+    IntradayGrid,
     LambdaSchedule,
+    NumericalError,
     SynthSpec,
     ecp,
     generate,
@@ -27,7 +30,7 @@ from curvecast import (
     validate_plan,
     write_report_csvs,
 )
-from curvecast import evalharness
+from curvecast import evalharness, sieve, updating
 
 _finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 _alpha = st.floats(min_value=1e-3, max_value=1.0 - 1e-3)
@@ -201,15 +204,15 @@ class TestFailedDays:
         fts, plan, _ = small_backtest
         plan = replace(plan, methods=("TS", "FLR"), n_test=3)
         bad_day = plan.initial_train + 1
-        fit = evalharness._fit_models
+        fit = evalharness._fit_day
 
         def explosive_on_bad_day(train, num_components, max_order):
-            model, var = fit(train, num_components, max_order)
+            day = fit(train, num_components, max_order)
             if train.n == bad_day:
-                var = replace(var, spectral_radius=1.2)
-            return model, var
+                day = replace(day, var=replace(day.var, spectral_radius=1.2))
+            return day
 
-        with mock.patch.object(evalharness, "_fit_models", explosive_on_bad_day):
+        with mock.patch.object(evalharness, "_fit_day", explosive_on_bad_day):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 report = run_backtest(fts, plan)
@@ -218,6 +221,75 @@ class TestFailedDays:
         assert report.days_used == plan.n_test - 1
         for mth in ("TS", "FLR"):
             assert report.updating[mth]["msfe"] > 0.0
+
+
+class TestCellsAndDays:
+    def test_a_cell_is_recorded_whole_or_not_at_all(self):
+        # exact least squares cannot price m=2's interval with two components
+        fts, _ = generate(SynthSpec(n=80, tau=10, seed=3))
+        alphas = (0.2, 0.05)
+        plan = BacktestPlan(
+            initial_train=70, n_test=4, methods=("PLS",), periods=(2, 5),
+            bootstrap=BootstrapConfig(num_replicates=40, seed=1),
+            lambda_schedule=LambdaSchedule(
+                point={2: 1.0, 5: 1.0}, interval={a: {2: 0.0, 5: 1.0} for a in alphas}
+            ),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            report = run_backtest(fts, plan)
+        assert report.skipped_cells == {("PLS", 2): 4}
+        assert set(report.per_period["PLS"]) == {5}
+        assert report.updating["PLS"]["periods_covered"] == [5]
+        assert report.updating["PLS"]["msfe"] == report.per_period["PLS"][5]["msfe"]
+
+    def test_one_step_forecast_runs_per_day_not_per_period(self, small_backtest, monkeypatch):
+        fts, plan, _ = small_backtest
+        calls = []
+        forecast_scores = sieve.forecast_scores
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return forecast_scores(*args, **kwargs)
+
+        for module in (sieve, updating):  # count the forecast wherever the library imports it
+            if hasattr(module, "forecast_scores"):
+                monkeypatch.setattr(module, "forecast_scores", counted)
+        counts = []
+        for periods in ((3,), (3, 6, 9)):
+            del calls[:]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                run_backtest(fts, replace(plan, periods=periods, n_test=2, tune_validation=3))
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
+
+    def test_tau_three_with_slowly_decaying_scores(self):
+        # AICc picks order 5 here; some tuning days have a spectral radius above 0.9
+        spec = SynthSpec(n=60, tau=3, num_factors=1, score_ar=(0.5,), innovation_sd=(1.0,), seed=1)
+        fts, _ = generate(spec)
+        plan = BacktestPlan(
+            initial_train=40, n_test=4, tune_train=30, tune_validation=10,
+            lambda_grid=(0.0, 1.0, 1e6), bootstrap=BootstrapConfig(num_replicates=100, seed=0),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run_backtest(fts, plan)
+        assert report.periods == (2,)
+        assert report.days_used == 4 and not report.failures and not report.skipped_cells
+        assert set(report.updating) == {"TS", "PLS", "OLS", "FLR"}
+        for stats in report.updating.values():
+            assert np.isfinite(stats["msfe"]) and stats["periods_covered"] == [2]
+
+    @pytest.mark.parametrize("methods", [("TS",), ("TS", "PLS", "OLS", "FLR")])
+    def test_constant_curves_are_a_numerical_error(self, methods):
+        fts = FunctionalTimeSeries(np.full((40, 7), 0.5), IntradayGrid.regular(8))
+        plan = BacktestPlan(initial_train=30, n_test=3, methods=methods, periods=(3,),
+                            tune_train=20, tune_validation=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the decomposition warns that it is degenerate
+            with pytest.raises(NumericalError):
+                run_backtest(fts, plan)
 
 
 class TestReportSerialization:

@@ -1,7 +1,12 @@
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from curvecast import (
     DataError,
@@ -20,6 +25,13 @@ from curvecast import (
 def make_prices(seed, n, tau):
     r = np.random.default_rng(seed)
     return 100.0 * np.exp(np.cumsum(r.normal(0.0, 0.01, size=(n, tau)), axis=1))
+
+
+@st.composite
+def _price_matrices(draw, max_days=6, max_tau=8):
+    """Positive prices, from a thousandth to a million, of one random (n, tau) shape."""
+    shape = (draw(st.integers(1, max_days)), draw(st.integers(3, max_tau)))
+    return draw(arrays(float, shape, elements=st.floats(1e-3, 1e6)))
 
 
 class TestGrid:
@@ -59,6 +71,13 @@ class TestCidr:
         pm = PriceMatrix(prices, IntradayGrid.regular(10))
         back = inverse_cidr(cidr_transform(pm), prices[:, 0])
         assert np.allclose(back.prices, prices, atol=1e-10)
+
+    @settings(max_examples=100, deadline=None)
+    @given(prices=_price_matrices())
+    def test_round_trip_property(self, prices):
+        pm = PriceMatrix(prices, IntradayGrid.regular(prices.shape[1]))
+        back = inverse_cidr(cidr_transform(pm), prices[:, 0])
+        assert np.all(np.abs(back.prices - prices) <= 1e-10 * prices)
 
     def test_inverse_needs_matching_opens(self):
         pm = PriceMatrix(make_prices(6, 3, 5), IntradayGrid.regular(5))
@@ -133,6 +152,32 @@ class TestCsv:
         assert got_dates == dates
         assert grid.tau == 6
         assert np.allclose(raw, prices, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(prices=_price_matrices(), data=st.data())
+    def test_written_prices_read_back_with_missing_tokens(self, prices, data):
+        # written prices read back bit for bit; an NA or empty field reads as missing
+        n, tau = prices.shape
+        tokens = data.draw(
+            st.lists(st.sampled_from([None, "NA", "", " NA "]), min_size=n * tau, max_size=n * tau)
+        )
+        missing = np.array([t is not None for t in tokens]).reshape(n, tau)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "px.csv")
+            write_wide_csv(path, PriceMatrix(prices, IntradayGrid.regular(tau)))
+            with open(path) as fh:
+                header, *rows = fh.read().splitlines()
+            cells = [row.split(",") for row in rows]
+            for (t, j), token in zip(np.ndindex(n, tau), tokens):
+                if token is not None:
+                    cells[t][1 + j] = token
+            with open(path, "w") as fh:
+                fh.write("\n".join([header] + [",".join(c) for c in cells]) + "\n")
+            raw, grid, dates = read_price_csv(path)
+        assert grid.times == IntradayGrid.regular(tau).times
+        assert dates == [f"day{t + 1:04d}" for t in range(n)]
+        assert np.array_equal(np.isnan(raw), missing)
+        assert np.array_equal(raw[~missing], prices[~missing])
 
     def test_missing_file_is_data_error(self, tmp_path):
         with pytest.raises(DataError):

@@ -11,6 +11,9 @@ from curvecast import (
     BootstrapConfig,
     ConfigError,
     DataError,
+    FunctionalTimeSeries,
+    IntradayGrid,
+    NumericalError,
     SynthSpec,
     derive_seed,
     draw_replicates,
@@ -25,7 +28,7 @@ from curvecast import (
 from curvecast import sieve
 from curvecast.sieve import (
     _assemble_replicates,
-    _fit_models,
+    _fit_day,
     _regularized_transfer,
     sorted_intervals,
     sorted_quantile,
@@ -187,7 +190,8 @@ def _replicate_stack(panel, num_replicates):
     """One day's replicates in ``far1_fit``'s factored form, and their materialised curves."""
     spec, days = _PANELS[panel]
     train = generate(spec)[0].head(days)
-    fpca, var = _fit_models(train, None, 10)
+    day = _fit_day(train, None, 10)
+    fpca, var = day.fpca, day.var
     reps = draw_replicates(fpca, var, BootstrapConfig(num_replicates=num_replicates, seed=days))
     curves = (
         reps.mean
@@ -310,6 +314,15 @@ def forecast(small_fit):
 
 
 class TestSievePrediction:
+    def test_constant_curves_are_a_numerical_error(self):
+        # the nightly forecast: fit the day, then bootstrap it
+        fts = FunctionalTimeSeries(np.full((40, 7), 0.5), IntradayGrid.regular(8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the decomposition warns that it is degenerate
+            with pytest.raises(NumericalError):
+                day = _fit_day(fts, None, 10)
+                sieve_prediction(fts, day.fpca, day.var, BootstrapConfig(num_replicates=50))
+
     def test_interval_geometry(self, forecast):
         for alpha in (0.2, 0.05):
             lo, hi = forecast.pointwise[alpha]

@@ -4,6 +4,8 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.random import default_rng
 
 from curvecast import (
@@ -157,6 +159,38 @@ class TestPls:
         )
         assert float(pls_coefficients(ctx, 2.0, fake)[0]) == 2.0
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        K=st.integers(1, 3), extra=st.integers(0, 4), late=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_limits_on_random_contexts(self, K, extra, late, seed):
+        # zero shrinkage is least squares; huge shrinkage is the day-ahead curve
+        r = default_rng(seed)
+        m = K + extra + 1
+        d = m - 1 + late
+        basis = r.normal(size=(d, K))
+        sv = np.linalg.svd(basis[: m - 1], compute_uv=False)
+        assume(sv[-1] > 1e-3 * sv[0])
+        fake = FpcaModel(
+            mean=r.normal(size=d), eigenfunctions=basis, eigenvalues=np.ones(K),
+            scores=np.zeros((5, K)), residuals=np.zeros((5, d)), num_components=K,
+            quad_weight=1.0, nobs=5, degenerate=False,
+        )
+        ctx = UpdateContext(
+            m=m, observed=r.normal(size=m - 1), eigenbasis_obs=basis[: m - 1],
+            ts_scores=r.normal(size=K), updating_cols=np.arange(m - 1, d),
+        )
+        late_basis = basis[m - 1 :]
+        beta_ls, *_ = np.linalg.lstsq(basis[: m - 1], ctx.observed - fake.mean[: m - 1], rcond=None)
+        ls_curve = fake.mean[m - 1 :] + late_basis @ beta_ls
+        scale = max(float(np.abs(ls_curve).max()), 1.0)
+        assert np.abs(ols_update(ctx, fake) - ls_curve).max() < 1e-8 * scale
+        assert np.abs(pls_update(ctx, 0.0, fake) - ls_curve).max() < 1e-8 * scale
+        ts_curve = fake.mean[m - 1 :] + late_basis @ ctx.ts_scores
+        scale = max(float(np.abs(ts_curve).max()), 1.0)
+        assert np.abs(pls_update(ctx, 1e12, fake) - ts_curve).max() < 1e-6 * scale
+
     def test_closed_form_minimizes_objective(self, pipeline, context):
         _, model, _ = pipeline
         lam = 5.0
@@ -221,6 +255,17 @@ class TestFlr:
         model = flr_fit(fts.head(150), 10)
         with pytest.raises(DataError):
             flr_update(model, fts.values[0, :10])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_observed_block_rejected(self, linked_data, reps, bad):
+        fts, _ = linked_data
+        model = flr_fit(fts.head(150), 10)
+        observed = fts.values[150, :9].copy()
+        observed[3] = bad
+        with pytest.raises(DataError, match="non-finite"):
+            flr_update(model, observed)
+        with pytest.raises(DataError, match="non-finite"):
+            flr_interval_update(model, observed, reps)
 
 
 class TestLinkScores:

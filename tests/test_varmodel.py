@@ -16,7 +16,7 @@ from curvecast import (
     forecast_scores,
     select_order,
 )
-from curvecast.varmodel import _transfer_padded
+from curvecast.varmodel import PSI_TOLERANCE, _ma_expansion, _transfer_padded
 
 
 def simulate_var(coeffs, n, seed, burn=300, scale=1.0):
@@ -66,6 +66,19 @@ class TestFit:
         assert np.array_equal(m.psi[0], np.eye(2))
         assert np.allclose(m.psi[1], m.coeffs[0], atol=1e-15)
         assert np.allclose(m.psi[2], m.coeffs[0] @ m.coeffs[0], atol=1e-15)
+
+    def test_slowly_decaying_expansion_runs_to_tolerance(self):
+        # 0.95 ** 449 is the first power below 1e-10
+        psi = _ma_expansion(np.array([[[0.95]]]))
+        assert psi.shape == (450, 1, 1)
+        assert np.allclose(psi[:, 0, 0], 0.95 ** np.arange(450), rtol=1e-12, atol=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = fit_var(simulate_var([[[0.95]]], 2000, seed=4), 1)
+        a = abs(m.coeffs[0, 0, 0])
+        assert 0.9 < a < 0.999
+        M = m.psi.shape[0] - 1
+        assert a**M < PSI_TOLERANCE <= a ** (M - 1)
 
     def test_order_validation(self):
         with pytest.raises(DataError):
