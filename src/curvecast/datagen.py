@@ -73,6 +73,10 @@ class SynthSpec:
             raise DataError(
                 f"link_split must lie strictly inside 2..tau, got {self.link_split}"
             )
+        if self.link_split is not None and self.num_late_factors < 1:
+            raise ConfigError(
+                f"num_late_factors must be >= 1 with link_split, got {self.num_late_factors}"
+            )
 
 
 @dataclass(frozen=True)

@@ -156,6 +156,8 @@ def validate_plan(plan: BacktestPlan, fts: FunctionalTimeSeries) -> tuple:
     for mth in plan.methods:
         if mth not in METHODS:
             raise ConfigError(f"unknown method {mth!r}; choose from {METHODS}")
+    if len(set(plan.methods)) < len(plan.methods):
+        raise ConfigError(f"plan repeats a method: {plan.methods}")
     periods = _resolve_periods(plan.periods, fts.grid.tau)
     if "PLS" in plan.methods:
         if plan.lambda_schedule is None:
@@ -216,7 +218,6 @@ class MetricReport:
     full_day: dict          # method -> metrics over the whole curve grid
     updating: dict          # method -> aggregate metrics over updating periods
     per_period: dict        # method -> {m -> metrics}
-    sign: dict              # method -> {m -> sign accuracy}
     lambda_schedule: Optional[LambdaSchedule]
     failures: list
     skipped_cells: dict     # (method, m) -> skip count
@@ -360,7 +361,6 @@ def run_backtest(fts: FunctionalTimeSeries, plan: BacktestPlan) -> MetricReport:
         }
 
     per_period = {}
-    sign = {}
     updating = {}
     for mth in plan.methods:
         table = {}
@@ -371,7 +371,6 @@ def run_backtest(fts: FunctionalTimeSeries, plan: BacktestPlan) -> MetricReport:
         if not table:
             continue
         per_period[mth] = table
-        sign[mth] = {m: v["sign_accuracy"] for m, v in table.items()}
         rows = table.values()
         updating[mth] = {
             "msfe": _mean_present(v["msfe"] for v in rows),
@@ -391,7 +390,6 @@ def run_backtest(fts: FunctionalTimeSeries, plan: BacktestPlan) -> MetricReport:
         full_day=full_day,
         updating=updating,
         per_period=per_period,
-        sign=sign,
         lambda_schedule=schedule if "PLS" in plan.methods else None,
         failures=failures,
         skipped_cells=skipped,
@@ -404,7 +402,7 @@ def run_backtest(fts: FunctionalTimeSeries, plan: BacktestPlan) -> MetricReport:
 # report export
 # ---------------------------------------------------------------------------
 
-#: report fields in their order in the JSON document; ``sign`` is derived
+#: report fields in their order in the JSON document
 _REPORT_FIELDS = (
     "config_hash", "seed", "alpha_levels", "methods", "periods", "n_test", "days_used",
     "plan", "full_day", "updating", "per_period", "failures", "skipped_cells",
@@ -435,10 +433,6 @@ def report_from_json(text: str) -> MetricReport:
             alpha_levels=tuple(float(a) for a in f["alpha_levels"]),
             methods=tuple(f["methods"]),
             periods=tuple(f["periods"]),
-            sign={
-                mth: {m: v["sign_accuracy"] for m, v in table.items()}
-                for mth, table in f["per_period"].items()
-            },
             skipped_cells={(e["method"], e["m"]): e["count"] for e in f["skipped_cells"]},
             lambda_schedule=None
             if doc["lambda_schedule"] is None

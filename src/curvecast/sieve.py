@@ -67,6 +67,7 @@ CENTER_CHOICES = ("far1", "ts")
 class BootstrapConfig:
     """Knobs of the bootstrap: replicate count, master seed, coverage levels.
 
+    A repeated coverage level is kept once, in first-seen order.
     ``center`` picks the curve the pointwise intervals are anchored to:
     the functional-autoregression forecast refit per replicate ("far1",
     matching the error proxies) or the component-score forecast ("ts").
@@ -82,7 +83,7 @@ class BootstrapConfig:
             raise ConfigError(f"num_replicates must be >= 1, got {self.num_replicates}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        alphas = tuple(float(a) for a in self.alpha_levels)
+        alphas = tuple(dict.fromkeys(float(a) for a in self.alpha_levels))
         if not alphas or any(not 0.0 < a < 1.0 for a in alphas):
             raise ConfigError(f"alpha levels must lie in (0, 1), got {self.alpha_levels}")
         object.__setattr__(self, "alpha_levels", alphas)

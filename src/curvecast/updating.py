@@ -127,25 +127,36 @@ def _require_full_rank(F: np.ndarray, m: int) -> None:
         raise NumericalError(f"least squares rank-deficient at m={m} with {K} components")
 
 
-def _pls_betas(ctx: UpdateContext, fpca: FpcaModel, lams: Sequence[float]) -> np.ndarray:
-    """(L, K) score estimates, one per shrinkage value, the L systems solved as one batch.
+def _pls_betas(
+    ctx: UpdateContext, fpca: FpcaModel, lams: Sequence[float], targets: np.ndarray
+) -> np.ndarray:
+    """(L, K, T) score estimates: each of the T shrinkage targets (K, T) under each of L values.
 
-    Callers check the values and the feasibility of zero shrinkage.
+    The penalized system ``(F'F + lam I) beta = F' x_centered + lam target``
+    is solved as the unshrunk solve plus ``lam`` times the solve of the
+    target, each batched over the L values.  The day-ahead scores are the
+    one target of the point update; bootstrap score draws are the targets
+    of the intervals.  Callers check the values and the feasibility of
+    zero shrinkage.
     """
     F = ctx.eigenbasis_obs
     K = F.shape[1]
-    lams = np.asarray(lams, dtype=float)
+    lams = np.asarray(lams, dtype=float)[:, None, None]
     xc = ctx.observed - fpca.mean[: ctx.m - 1]
-    gram = F.T @ F + lams[:, None, None] * np.eye(K)
-    rhs = F.T @ xc + lams[:, None] * ctx.ts_scores
-    return np.linalg.solve(gram, rhs[..., None])[..., 0]
+    gram = F.T @ F + lams * np.eye(K)  # (L, K, K)
+    # right-hand sides stacked to 3-D: a 2-D one is read as a stack of
+    # vectors by NumPy < 2 when its ndim is gram.ndim - 1
+    L = gram.shape[0]
+    base = np.linalg.solve(gram, np.broadcast_to((F.T @ xc)[:, None], (L, K, 1)))
+    return base + lams * np.linalg.solve(gram, np.broadcast_to(targets, (L,) + targets.shape))
 
 
 def _rebuild_late(ctx: UpdateContext, fpca: FpcaModel, betas: np.ndarray) -> np.ndarray:
-    """Curves on the updating columns from (..., K) score estimates."""
+    """Curves on the updating columns, (..., c, T), from (..., K, T) score estimates."""
     cols = ctx.updating_cols
-    K = betas.shape[-1]
-    return fpca.mean[cols] + (fpca.eigenfunctions[cols, :K] @ betas[..., None])[..., 0]
+    curves = fpca.eigenfunctions[cols, : betas.shape[-2]] @ betas
+    curves += fpca.mean[cols][:, None]
+    return curves
 
 
 def _check_lambda(lam) -> float:
@@ -169,12 +180,12 @@ def pls_coefficients(ctx: UpdateContext, lam: float, fpca: FpcaModel) -> np.ndar
     lam = _check_lambda(lam)
     if lam == 0.0:
         _require_full_rank(ctx.eigenbasis_obs, ctx.m)
-    return _pls_betas(ctx, fpca, (lam,))[0]
+    return _pls_betas(ctx, fpca, (lam,), ctx.ts_scores[:, None])[0, :, 0]
 
 
 def pls_update(ctx: UpdateContext, lam: float, fpca: FpcaModel) -> np.ndarray:
     """Updated forecast of the not-yet-observed part of the day."""
-    return _rebuild_late(ctx, fpca, pls_coefficients(ctx, lam, fpca))
+    return _rebuild_late(ctx, fpca, pls_coefficients(ctx, lam, fpca)[:, None])[:, 0]
 
 
 def ols_update(ctx: UpdateContext, fpca: FpcaModel) -> np.ndarray:
@@ -202,40 +213,28 @@ def _lam_for_alpha(lam, alpha: float) -> float:
     return _check_lambda(lam)
 
 
-def _pls_curve_stack(
+def _pls_bounds(
     ctx: UpdateContext,
     fpca: FpcaModel,
     future_scores: np.ndarray,
     late_resid_t: np.ndarray,
     lams: Sequence[float],
-) -> np.ndarray:
-    """Replicate curves of the rest of the day for every shrinkage value at once.
+    alpha_levels: Sequence[float],
+) -> dict:
+    """Bounds of the rest of the day per shrinkage value: alpha -> (lo, hi), each (L, c).
 
-    Returns an (L, c, B) stack, replicates last so that sorting across
-    them runs along contiguous memory: each of the B score draws is shrunk
-    against the observed block with each of the L values, rebuilt on the
-    c updating columns, and perturbed by its residual row in
-    ``late_resid_t`` (c, B).  The L systems are solved as one batch;
-    callers check that zero shrinkage, if present, is feasible.
+    Each of the B score draws in ``future_scores`` (B, K) is shrunk
+    against the observed block with each of the L values, rebuilt on the c
+    updating columns and perturbed by its residual row in ``late_resid_t``
+    (c, B).  The (L, c, B) stack keeps the replicates last, so the one
+    sort runs along contiguous memory.
     """
-    F = ctx.eigenbasis_obs
-    K = F.shape[1]
-    if future_scores.shape[1] != K:
+    if future_scores.shape[1] != ctx.eigenbasis_obs.shape[1]:
         raise DataError("replicates were drawn from a different component model")
-    lams = np.asarray(lams, dtype=float)[:, None, None]
-    cols = ctx.updating_cols
-    xc = ctx.observed - fpca.mean[: ctx.m - 1]
-    gram = F.T @ F + lams * np.eye(K)  # (L, K, K)
-    # right-hand sides stacked to 3-D: a 2-D one is read as a stack of
-    # vectors by NumPy < 2 when its ndim is gram.ndim - 1
-    L = gram.shape[0]
-    base = np.linalg.solve(gram, np.broadcast_to((F.T @ xc)[:, None], (L, K, 1)))
-    draws = np.broadcast_to(future_scores.T, (L,) + future_scores.T.shape)
-    shrink = lams * np.linalg.solve(gram, draws)  # (L, K, B)
-    curves = fpca.eigenfunctions[cols, :K] @ (base + shrink)
-    curves += fpca.mean[cols][:, None]
+    curves = _rebuild_late(ctx, fpca, _pls_betas(ctx, fpca, lams, future_scores.T))
     curves += late_resid_t
-    return curves
+    curves.sort(axis=-1)
+    return sorted_intervals(curves, alpha_levels, axis=-1)
 
 
 def pls_interval_update(
@@ -258,9 +257,7 @@ def pls_interval_update(
     if 0.0 in lams:
         _require_full_rank(ctx.eigenbasis_obs, ctx.m)
     late_resid_t = reps.resid_pool[reps.future_resid_idx, ctx.updating_cols[:, None]]
-    curves = _pls_curve_stack(ctx, fpca, reps.future_scores, late_resid_t, lams)
-    curves.sort(axis=-1)
-    bounds = sorted_intervals(curves, alpha_levels, axis=-1)
+    bounds = _pls_bounds(ctx, fpca, reps.future_scores, late_resid_t, lams, alpha_levels)
     return {
         a: tuple(_freeze(b[lams.index(lam_of[a])]) for b in bounds[a])
         for a in alpha_levels
@@ -277,29 +274,18 @@ def block_weight(npoints: int) -> float:
     return 1.0 / (npoints - 1) if npoints >= 2 else 1.0
 
 
-def link_scores(theta: np.ndarray, vartheta: np.ndarray):
+def _solve_link(gram: np.ndarray, cross: np.ndarray):
     """Least-squares linkage of late scores on early scores, for one series or a stack.
 
-    ``theta`` (..., n, R) and ``vartheta`` (..., n, S) may stack series
-    along their leading axes.  Returns ``(link, ridged)``: the (..., R, S)
-    links and a boolean array over the leading axes (0-d for one series).
-    A numerically singular Gram matrix gets a ridge floor proportional to
-    its trace and is flagged; where the trace is 0 (early scores
-    identically zero) the link is zero.  A call that ridges any fit warns
-    once.
+    ``gram`` (..., R, R) holds the Gram matrices ``theta' theta`` of the
+    early scores and ``cross`` (..., R, S) their products ``theta'
+    vartheta`` with the late scores.  Returns ``(link, ridged)``: the
+    (..., R, S) links and a boolean array over the leading axes (0-d for
+    one series).  A numerically singular Gram matrix gets a ridge floor
+    proportional to its trace and is flagged; where the trace is 0 (early
+    scores identically zero) the link is zero.  A call that ridges any fit
+    warns once.
     """
-    theta = np.asarray(theta, dtype=float)
-    vartheta = np.asarray(vartheta, dtype=float)
-    if theta.ndim < 2 or theta.shape[:-1] != vartheta.shape[:-1]:
-        raise DataError(
-            f"score arrays must share leading axes and rows, got {theta.shape} and {vartheta.shape}"
-        )
-    theta_t = np.swapaxes(theta, -1, -2)
-    return _solve_link(theta_t @ theta, theta_t @ vartheta)
-
-
-def _solve_link(gram: np.ndarray, cross: np.ndarray):
-    """:func:`link_scores` from the early-score Gram matrices and early-late cross products."""
     evals = np.linalg.eigvalsh(gram)
     ridged = (evals[..., -1] <= 0.0) | (evals[..., 0] <= 1e-12 * evals[..., -1])
     if ridged.any():
@@ -364,7 +350,8 @@ def flr_fit(
             f"block ranks ({num_early}, {num_late}) outside the available "
             f"({e_vals.size}, {l_vals.size})"
         )
-    link, ridged = link_scores(e_scores[:, :num_early], l_scores[:, :num_late])
+    theta = e_scores[:, :num_early]
+    link, ridged = _solve_link(theta.T @ theta, theta.T @ l_scores[:, :num_late])
     return FlrModel(
         split=m,
         early_mean=_freeze(e_mean),
@@ -397,7 +384,7 @@ def flr_update(model: FlrModel, observed: Sequence[float]) -> np.ndarray:
 def _bootstrap_links(model: FlrModel, reps: SieveReplicates):
     """Every replicate's early-to-late linkage on the fitted block bases: ``(links, ridged)``.
 
-    Equals :func:`link_scores` on the replicates' projected early and late
+    Equals :func:`_solve_link` on the replicates' projected early and late
     blocks, without building them.  Projected on both bases side by side
     (R + S columns), day t of pseudo-series b is ``z_t = L^T (1, s_t) +
     P[idx_t]``: L stacks the projected mean offset over the projected
@@ -590,8 +577,8 @@ def _msfe_case_scores(
     out = np.full(len(grid), np.inf)
     if start == len(grid):
         return out
-    preds = _rebuild_late(ctx, fpca, _pls_betas(ctx, fpca, grid[start:]))
-    out[start:] = np.mean((preds - actual_late) ** 2, axis=-1)
+    preds = _rebuild_late(ctx, fpca, _pls_betas(ctx, fpca, grid[start:], ctx.ts_scores[:, None]))
+    out[start:] = np.mean((preds[..., 0] - actual_late) ** 2, axis=-1)
     return out
 
 
@@ -618,11 +605,9 @@ def _interval_case_scores(
     out = np.full((len(alphas), len(grid)), np.inf)
     if start == len(grid):
         return out
-    curves = _pls_curve_stack(
-        ctx, fpca, future_scores, future_resid_t[ctx.updating_cols], grid[start:]
+    bounds = _pls_bounds(
+        ctx, fpca, future_scores, future_resid_t[ctx.updating_cols], grid[start:], alphas
     )
-    curves.sort(axis=-1)
-    bounds = sorted_intervals(curves, alphas, axis=-1)
     for i, a in enumerate(alphas):
         lo, hi = bounds[a]
         out[i, start:] = interval_score(lo, hi, actual_late, a).mean(axis=-1)

@@ -236,7 +236,6 @@ def backward_innovation_transfer(
     model: VarModel,
     innovations: np.ndarray,
     rng: np.random.Generator,
-    pool: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Convert resampled forward innovations into backward-model innovations.
 
@@ -248,9 +247,9 @@ def backward_innovation_transfer(
     terms past M, where the expansion has already decayed below
     ``PSI_TOLERANCE``; the result therefore drifts from the truncated
     filter by that tail (measured at 2e-10 to 4e-10 on unit-scale
-    scores).  The padding is drawn from ``pool`` (default: the model's
-    centered forward residuals); padding with zeros would shrink the
-    variance of the first and last few outputs.
+    scores).  The padding is drawn from the model's centered forward
+    residuals; padding with zeros would shrink the variance of the first
+    and last few outputs.
     """
     if not model.is_stationary:
         raise NumericalError(
@@ -264,9 +263,7 @@ def backward_innovation_transfer(
         raise DataError(
             f"innovations must be (T, {model.dim}), got shape {innovations.shape}"
         )
-    if pool is None:
-        pool = model.centered_residuals
-    pool = np.asarray(pool, dtype=float)
+    pool = model.centered_residuals
     M = model.psi.shape[0] - 1
     p = model.order
     pre = pool[rng.integers(0, pool.shape[0], size=M)] if M else np.zeros((0, model.dim))

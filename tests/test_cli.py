@@ -273,6 +273,10 @@ class TestErrorPaths:
             ["simulate", "--innovation-sd=-1,-1", "--days", "20", "--tau", "8"],
             ["simulate", "--link-split", "4", "--link-noise-sd=-0.5,0.3", "--days", "20",
              "--tau", "8"],
+            ["simulate", "--link-split", "5", "--late-factors", "0", "--days", "20",
+             "--tau", "8"],
+            ["backtest", "--methods", "flr,FLR", "--initial-train", "60", "--n-test", "1",
+             "--replicates", "50"],
         ]
         + [
             [command, "--max-missing-frac", bad, *options]
@@ -282,7 +286,8 @@ class TestErrorPaths:
         ids=["forecast-negative-seed", "simulate-negative-seed", "max-order-zero",
              "num-components-zero", "tune-empty-lambda-grid", "simulate-negative-noise",
              "simulate-nan-noise", "simulate-negative-innovation-sd",
-             "simulate-negative-link-noise-sd"]
+             "simulate-negative-link-noise-sd", "simulate-zero-late-factors",
+             "backtest-repeated-method"]
         + [f"{command}-{bad}-missing-frac" for command in _MISSING_FRAC_RUNS
            for bad in ("nan", "inf")],
     )
@@ -304,6 +309,25 @@ class TestErrorPaths:
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
+
+    def test_var_identifiability_limit_is_exit_three(self, tmp_path, capsys):
+        # two components need six days: five leave no identifiable lag order
+        prices = tmp_path / "px.csv"
+        assert main(["simulate", "--days", "12", "--tau", "10", "--seed", "4",
+                     "--noise-sd", "0.2", "--output", str(prices)]) == 0
+        lines = prices.read_text().splitlines()
+        for days, rc in ((5, 3), (6, 0)):
+            short = tmp_path / f"px{days}.csv"
+            short.write_text("\n".join(lines[: days + 1]) + "\n")
+            capsys.readouterr()
+            assert main(["forecast", "--input", str(short), "--num-components", "2",
+                         "--replicates", "50",
+                         "--output-json", str(tmp_path / f"f{days}.json")]) == rc
+            err = capsys.readouterr().err
+            if rc:
+                assert err.startswith("numerical error: ") and len(err.strip().splitlines()) == 1
+            else:
+                assert "Traceback" not in err
 
     @pytest.mark.parametrize("lam", ["inf", "nan", "schedule"])
     def test_non_finite_lambda_is_exit_one(self, workdir, tmp_path, capsys, lam):

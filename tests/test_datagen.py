@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from curvecast import DataError, SynthSpec, generate
+from curvecast import ConfigError, DataError, SynthSpec, generate
 
 
 class TestGenerate:
@@ -59,6 +59,13 @@ class TestLinkedMode:
     def test_split_bounds(self):
         with pytest.raises(DataError):
             generate(SynthSpec(n=10, tau=8, link_split=1, link_matrix=((1.0,),)))
+
+    def test_zero_late_factors_is_config_error(self):
+        with pytest.raises(ConfigError, match="num_late_factors"):
+            SynthSpec(n=20, tau=8, link_split=5, num_late_factors=0,
+                      link_matrix=((), ()), link_noise_sd=())
+        # without a split the late factor count is unused
+        SynthSpec(n=20, tau=8, num_late_factors=0)
 
 
 class TestValidation:

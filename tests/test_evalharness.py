@@ -130,6 +130,29 @@ class TestPlanValidation:
         with pytest.raises(ConfigError):
             validate_plan(plan, fts)
 
+    def test_repeated_method_is_config_error(self, small_backtest):
+        fts, _, _ = small_backtest
+        plan = BacktestPlan(initial_train=60, n_test=6, methods=("FLR", "TS", "FLR"))
+        with pytest.raises(ConfigError, match="repeats"):
+            validate_plan(plan, fts)
+
+    def test_repeated_alpha_level_counts_once(self, tmp_path):
+        fts, _ = generate(SynthSpec(n=60, tau=10, seed=3))
+        written = []
+        for alphas in ((0.2,), (0.2, 0.2)):
+            plan = BacktestPlan(
+                initial_train=50, n_test=2, methods=("TS", "PLS", "FLR"), periods=(5,),
+                tune_train=40, tune_validation=5, lambda_grid=(0.0, 1.0),
+                bootstrap=BootstrapConfig(num_replicates=50, seed=1, alpha_levels=alphas),
+            )
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                report = run_backtest(fts, plan)
+            paths = write_report_csvs(report, str(tmp_path / str(len(alphas))))
+            csvs = {key: open(path).read() for key, path in paths.items()}
+            written.append((report_to_json(report), csvs))
+        assert written[0] == written[1]
+
     def test_provided_schedule_must_cover_periods(self, small_backtest):
         fts, _, _ = small_backtest
         sched = LambdaSchedule(

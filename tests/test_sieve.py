@@ -112,6 +112,10 @@ class TestBootstrapConfig:
         with pytest.raises(ConfigError):
             BootstrapConfig(num_replicates=50, seed=1, center="mid")
 
+    def test_repeated_alpha_level_kept_once_in_first_seen_order(self):
+        cfg = BootstrapConfig(num_replicates=50, alpha_levels=(0.05, 0.2, 0.05, 0.2))
+        assert cfg.alpha_levels == (0.05, 0.2)
+
     def test_small_b_warns(self, small_fit):
         _, model, var = small_fit
         with pytest.warns(UserWarning):
@@ -322,6 +326,21 @@ class TestSievePrediction:
             with pytest.raises(NumericalError):
                 day = _fit_day(fts, None, 10)
                 sieve_prediction(fts, day.fpca, day.var, BootstrapConfig(num_replicates=50))
+
+    def test_shortest_identifiable_history(self):
+        # two components need n - 1 > 2 days of scores for a VAR(1)
+        fts, _ = generate(SynthSpec(n=12, tau=10, num_factors=2, noise_sd=0.2, seed=4))
+        with pytest.raises(NumericalError, match="no identifiable lag order"):
+            _fit_day(fts.head(5), 2, 10)
+        train = fts.head(6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            day = _fit_day(train, 2, 10)
+            out = sieve_prediction(train, day.fpca, day.var, BootstrapConfig(num_replicates=50))
+        assert day.var.order == 1
+        for alpha in (0.2, 0.05):
+            lo, hi = out.pointwise[alpha]
+            assert np.isfinite(lo).all() and np.isfinite(hi).all() and np.all(lo <= hi)
 
     def test_interval_geometry(self, forecast):
         for alpha in (0.2, 0.05):

@@ -86,6 +86,17 @@ class TestFit:
         with pytest.raises(DataError):
             fit_var(default_rng(0).normal(size=(3, 2)), 3)
 
+    def test_identifiability_limit(self):
+        # the no-intercept design needs n - p > K p rows: with K = 2 and n = 7,
+        # p = 2 leaves 5 rows for 4 columns and p = 3 leaves 4 rows for 6
+        y = default_rng(1).normal(size=(7, 2))
+        assert fit_var(y, 2, compute_psi=False).order == 2
+        with pytest.raises(DataError, match="not enough observations"):
+            fit_var(y, 3, compute_psi=False)
+        # n - p = K p exactly is one row short
+        with pytest.raises(DataError, match="not enough observations"):
+            fit_var(y[:6], 2, compute_psi=False)
+
     def test_nonstationary_fit_warns_and_skips_psi(self):
         y = np.zeros((300, 1))
         eps = default_rng(5).normal(size=300) * 0.01
