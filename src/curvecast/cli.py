@@ -51,8 +51,8 @@ from .updating import (
     DEFAULT_LAMBDA_GRID,
     schedule_from_json,
     schedule_to_json,
-    tune_lambda,
     updating_columns,
+    _tune,
     _update_period,
 )
 
@@ -178,6 +178,15 @@ def _load_curves(path: str, max_missing_frac: float = 0.5):
     raw, grid, dates = read_price_csv(path)
     pm, kept, summary = ingest_price_matrix(raw, grid, dates, max_missing_frac)
     return cidr_transform(pm), pm, kept, summary
+
+
+def _report_dropped(failures: list, total: int) -> None:
+    """One stderr line on the validation days tuning dropped, if any."""
+    dropped = [f for f in failures if f["stage"] == "tune"]
+    if dropped:
+        first = f"day {dropped[0]['day']}: {dropped[0]['error']}"
+        print(f"dropped {len(dropped)} of {total} validation days (first: {first})",
+              file=sys.stderr)
 
 
 def _read_text(path: str) -> str:
@@ -340,7 +349,7 @@ FORECAST_OPTS = [
     _Opt("output_csv", str, None, "forecast table CSV to write"),
     _Opt("output_json", str, None, "forecast JSON to write"),
     _Opt("center", str, "far1", "interval center: far1 or ts"),
-    _Opt("workers", int, 1, "worker threads for the bootstrap"),
+    _Opt("workers", int, 1, "worker threads for the bootstrap (capped at the usable CPUs)"),
     _Opt("max_missing_frac", float, 0.5, "ingestion drop threshold"),
 ] + _COMMON_FIT + _COMMON_BOOT
 
@@ -473,17 +482,13 @@ def cmd_tune(opts: dict) -> int:
     if objective not in ("msfe", "interval_score", "both"):
         raise ConfigError(f"unknown tuning objective {objective!r}")
     fts, _, _, _ = _load_curves(_require(opts, "input"), opts["max_missing_frac"])
-    schedule = tune_lambda(
-        fts,
-        train_size=opts["train_size"],
-        validation_size=opts["validation_size"],
-        objective=objective,
-        lambda_grid=opts["lambda_grid"],
-        periods=opts["periods"],
-        num_components=opts["num_components"],
-        max_order=opts["max_order"],
-        bootstrap=BootstrapConfig(opts["replicates"], opts["seed"], opts["alphas"]),
+    failures = []
+    schedule = _tune(
+        fts, opts["train_size"], opts["validation_size"], objective, opts["lambda_grid"],
+        opts["periods"], opts["num_components"], opts["max_order"],
+        BootstrapConfig(opts["replicates"], opts["seed"], opts["alphas"]), failures,
     )
+    _report_dropped(failures, opts["validation_size"])
     out = _require(opts, "output")
     _write_text(out, _with_manifest(schedule_to_json(schedule), opts))
     print(f"tuned shrinkage schedule ({objective}) -> {out}")
@@ -502,7 +507,7 @@ BACKTEST_OPTS = [
     _Opt("tune_validation", int, 50, "tuning: validation days"),
     _Opt("lambda_grid", _floats, DEFAULT_LAMBDA_GRID, "candidate shrinkage weights"),
     _Opt("schedule", str, None, "precomputed shrinkage schedule JSON"),
-    _Opt("workers", int, 1, "worker threads for the bootstrap"),
+    _Opt("workers", int, 1, "worker threads for the bootstrap (capped at the usable CPUs)"),
     _Opt("outdir", str, None, "directory for the report and CSV tables"),
     _Opt("max_missing_frac", float, 0.5, "ingestion drop threshold"),
 ] + _COMMON_FIT + _COMMON_BOOT
@@ -538,9 +543,10 @@ def cmd_backtest(opts: dict) -> int:
     os.makedirs(outdir, exist_ok=True)
     _write_text(os.path.join(outdir, "report.json"), report_to_json(report))
     write_report_csvs(report, outdir)
+    _report_dropped(report.failures, plan.tune_validation)
     print(
         f"backtest used {report.days_used} of {report.n_test} days "
-        f"({len(report.failures)} failed) -> {outdir}"
+        f"({report.n_test - report.days_used} failed) -> {outdir}"
     )
     for mth in report.methods:
         if mth in report.updating:

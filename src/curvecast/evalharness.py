@@ -1,12 +1,12 @@
 """Out-of-sample evaluation: forecast-accuracy metrics and a backtest driver.
 
-The backtest walks an expanding window over the curve series, refits the
-full pipeline each day, and scores day-ahead forecasts on the whole
-curve as well as intraday-updated forecasts on every configured
-updating period.  Per-day model failures are recorded and the day
-skipped; nothing is imputed.  All randomness is derived from the plan's
-master seed per (stage, day), so a rerun with the same plan reproduces
-every artifact byte for byte.
+The backtest walks an expanding or rolling window over the curve series,
+refits the full pipeline each day, and scores day-ahead forecasts on the
+whole curve as well as intraday-updated forecasts on every configured
+updating period.  Per-day model failures, in tuning and on test days,
+are recorded and the day skipped; nothing is imputed.  All randomness
+is derived from the plan's master seed per (stage, day), so a rerun
+with the same plan reproduces every artifact byte for byte.
 """
 
 from __future__ import annotations
@@ -31,16 +31,16 @@ from ._docs import (
 )
 from .errors import ConfigError, DataError, NumericalError
 from .gridcurves import FunctionalTimeSeries
-from .sieve import BootstrapConfig, derive_seed, sieve_prediction, _fit_day
+from .sieve import BootstrapConfig, derive_seed, sieve_prediction, _walk_days
 from .updating import (
     DEFAULT_LAMBDA_GRID,
     LambdaSchedule,
     normalize_lambda_grid,
-    tune_lambda,
     updating_columns,
     _resolve_periods,
     _schedule_doc,
     _schedule_from_doc,
+    _tune,
     _update_period,
 )
 
@@ -268,49 +268,38 @@ def _cell_metrics(cell: _Cell) -> Optional[dict]:
 
 
 def run_backtest(fts: FunctionalTimeSeries, plan: BacktestPlan) -> MetricReport:
-    """Expanding-window evaluation of the requested methods."""
+    """Walk-forward evaluation of the requested methods, on an expanding or rolling window.
+
+    A day that cannot be fitted is recorded in ``failures`` with stage "tune" (a shrinkage
+    validation day) or "fit" (a test day) and left out; :class:`NumericalError` if all are.
+    """
     periods = validate_plan(plan, fts)
     alphas = plan.bootstrap.alpha_levels
     tau = fts.grid.tau
     updating_methods = tuple(m for m in plan.methods if m != "TS")
+    failures = []
 
     schedule = plan.lambda_schedule
     if "PLS" in plan.methods and schedule is None:
-        head = fts.head(plan.initial_train)
-        schedule = tune_lambda(
-            head,
-            train_size=plan.tune_train,
-            validation_size=plan.tune_validation,
-            objective="both",
-            lambda_grid=plan.lambda_grid,
-            periods=periods,
-            num_components=plan.num_components,
-            max_order=plan.max_order,
-            bootstrap=replace(plan.bootstrap, seed=derive_seed(plan.bootstrap.seed, 1)),
+        schedule = _tune(
+            fts.head(plan.initial_train), plan.tune_train, plan.tune_validation, "both",
+            plan.lambda_grid, periods, plan.num_components, plan.max_order,
+            replace(plan.bootstrap, seed=derive_seed(plan.bootstrap.seed, 1)), failures,
         )
 
     ts_full, ts_band_cover = _Cell(alphas), {a: [] for a in alphas}
     cells = {mth: {m: _Cell(alphas) for m in periods} for mth in plan.methods}
-    failures = []
     skipped = {}
-    days_used = 0
 
-    for j in range(plan.n_test):
-        t_end = plan.initial_train + j
-        start = j if plan.rolling else 0
-        actual = fts.values[t_end]
-        # the previous day's replicates and their cached pool statistics go first
-        forecast = None
-        try:
-            day = _fit_day(fts.window(start, t_end), plan.num_components, plan.max_order)
-            day_cfg = replace(plan.bootstrap, seed=derive_seed(plan.bootstrap.seed, 2, t_end))
-            forecast = sieve_prediction(
-                day.train, day.fpca, day.var, day_cfg, n_workers=plan.n_workers
-            )
-        except (DataError, NumericalError, ConfigError) as exc:
-            failures.append({"day": t_end, "stage": "fit", "error": str(exc)})
-            continue
-        days_used += 1
+    def draw(day, t):
+        cfg = replace(plan.bootstrap, seed=derive_seed(plan.bootstrap.seed, 2, t))
+        return sieve_prediction(day.train, day.fpca, day.var, cfg, n_workers=plan.n_workers)
+
+    days = range(plan.initial_train, plan.initial_train + plan.n_test)
+    roll = plan.initial_train if plan.rolling else 0
+    walk = _walk_days(fts, days, plan.num_components, plan.max_order, draw, failures, "fit", roll)
+    for t, day, forecast in walk:
+        actual = fts.values[t]
 
         if "TS" in plan.methods:
             ts_full.add_point(actual, day.ts_curve)
@@ -343,9 +332,13 @@ def run_backtest(fts: FunctionalTimeSeries, plan: BacktestPlan) -> MetricReport:
                 cells[mth][m].add_point(actual_late, point)
                 for a, (lo, hi) in ivs.items():
                     cells[mth][m].add_interval(a, actual_late, lo, hi)
+        # the day's replicates and their cached pool statistics go before the next day's draw
+        forecast = None
 
+    days_used = plan.n_test - sum(f["stage"] == "fit" for f in failures)
     if days_used == 0:
-        raise NumericalError(f"every test day failed; first error: {failures[0]['error']}")
+        first = next(f for f in failures if f["stage"] == "fit")
+        raise NumericalError(f"every test day failed; first error: {first['error']}")
 
     full_day = {}
     if ts_full.sq:

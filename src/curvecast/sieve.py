@@ -30,12 +30,15 @@ The private ``_fit_day`` is the one per-day fit shared by the CLI,
 tuning and the backtest: it fits the decomposition, selects the order
 and fits the score autoregression, and keeps them in a frozen ``_Day``
 with the one-step score forecast (computed once per day) and the curve
-it implies, which every intraday update of that day reads.
+it implies, which every intraday update of that day reads.  The private
+``_walk_days`` walks tuning's and the backtest's days through it,
+recording a day that cannot be fitted instead of stopping.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -393,6 +396,24 @@ def _fit_day(train: FunctionalTimeSeries, num_components, max_order: int) -> _Da
     return _Day(train, fpca, var, *_one_step(fpca, var))
 
 
+def _walk_days(fts, days, num_components, max_order, draw, failures, stage, rolling=0):
+    """Fit each day t of ``days`` and call ``draw(day, t)``: yields ``(t, day, drawn)``.
+
+    Day t is fitted on ``fts.window(t - rolling, t)``, or on every earlier
+    day when ``rolling`` is 0.  A day whose fit or draw raises a library
+    error is appended to ``failures`` as ``{"day", "stage", "error"}``.
+    """
+    for t in days:
+        try:
+            day = _fit_day(fts.window(t - rolling if rolling else 0, t), num_components, max_order)
+            drawn = draw(day, t)
+        except (DataError, NumericalError, ConfigError) as exc:
+            failures.append({"day": t, "stage": stage, "error": str(exc)})
+            continue
+        yield t, day, drawn
+        del day, drawn  # so a consumer that drops its own keeps one day's draw live
+
+
 def _check_pair(fpca: FpcaModel, var: VarModel) -> None:
     if var.dim != fpca.num_components:
         raise DataError(
@@ -567,7 +588,8 @@ def sieve_prediction(
     pool counts and scattered scores, never built as curves; its chunks
     keep memory bounded for any B.  ``n_workers`` splits the replicates
     into that many contiguous blocks, refit on as many threads, each with
-    its own buffer.  Each replicate's stream is fixed by its index and
+    its own buffer; the block count is capped at B and at the CPUs this
+    process may run on.  Each replicate's stream is fixed by its index and
     each refit depends on its own draws alone, so the result is
     identical for any worker count.
     """
@@ -590,11 +612,13 @@ def sieve_prediction(
             reps.eigenfunctions,
         )
 
-    cuts = np.linspace(0, B, min(n_workers, B) + 1).astype(int)
-    if len(cuts) == 2:
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    blocks = min(n_workers, B, cpus or 1)
+    cuts = np.linspace(0, B, blocks + 1).astype(int)
+    if blocks == 1:
         preds = refit(0, B)
     else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+        with ThreadPoolExecutor(max_workers=blocks) as pool:
             preds = np.vstack(list(pool.map(refit, cuts[:-1], cuts[1:])))
     preds += reps.mean
 

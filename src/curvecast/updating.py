@@ -37,8 +37,8 @@ from .sieve import (
     draw_replicates,
     sorted_intervals,
     _Day,
-    _fit_day,
     _one_step,
+    _walk_days,
 )
 
 #: default shrinkage grid: exact least squares plus decade steps
@@ -554,66 +554,6 @@ def _resolve_periods(periods: Optional[Sequence[int]], tau: int) -> tuple:
     return tuple(periods)
 
 
-def _feasible_from(ctx: UpdateContext, grid: tuple) -> int:
-    """Index of the first grid value the case can use (exact least squares may be rank-deficient)."""
-    if grid[0] == 0.0:
-        try:
-            _require_full_rank(ctx.eigenbasis_obs, ctx.m)
-        except NumericalError:
-            return 1
-    return 0
-
-
-def _msfe_case_scores(
-    ctx: UpdateContext, fpca: FpcaModel, actual_late: np.ndarray, grid: tuple, start: int
-) -> np.ndarray:
-    """Squared forecast error of one case for every grid value (inf where infeasible).
-
-    A case is one validation day at one updating period; ``start`` is its
-    :func:`_feasible_from`.  Equals ``mean((pls_update(ctx, lam, fpca) -
-    actual_late) ** 2)`` per value: the same solve and rebuild, batched
-    over the grid.
-    """
-    out = np.full(len(grid), np.inf)
-    if start == len(grid):
-        return out
-    preds = _rebuild_late(ctx, fpca, _pls_betas(ctx, fpca, grid[start:], ctx.ts_scores[:, None]))
-    out[start:] = np.mean((preds[..., 0] - actual_late) ** 2, axis=-1)
-    return out
-
-
-def _interval_case_scores(
-    ctx: UpdateContext,
-    fpca: FpcaModel,
-    actual_late: np.ndarray,
-    future_scores: np.ndarray,
-    future_resid_t: np.ndarray,
-    grid: tuple,
-    alphas: Sequence[float],
-    start: int,
-) -> np.ndarray:
-    """Mean interval score of one case for every (alpha, grid value) pair.
-
-    ``future_scores`` (B, K) and ``future_resid_t`` (d, B) are the
-    replicates' next-day score draws and residual curves, and ``start``
-    is the case's :func:`_feasible_from`.  The curve stack for the whole
-    grid is sorted once and every bound read from that sort; infeasible
-    values score inf.
-    """
-    from .evalharness import interval_score
-
-    out = np.full((len(alphas), len(grid)), np.inf)
-    if start == len(grid):
-        return out
-    bounds = _pls_bounds(
-        ctx, fpca, future_scores, future_resid_t[ctx.updating_cols], grid[start:], alphas
-    )
-    for i, a in enumerate(alphas):
-        lo, hi = bounds[a]
-        out[i, start:] = interval_score(lo, hi, actual_late, a).mean(axis=-1)
-    return out
-
-
 def _argmin_grid(totals: np.ndarray, grid: tuple) -> float:
     """Grid value with the lowest case-averaged score (smallest on ties)."""
     means = totals.mean(axis=-1)
@@ -641,15 +581,28 @@ def tune_lambda(
     kept per updating period.  ``objective`` is ``"msfe"`` (point
     schedule), ``"interval_score"`` (per-alpha interval schedule, needs
     ``bootstrap``, default :class:`BootstrapConfig`) or ``"both"``, which
-    fills both schedules from one pass and equals the two single calls.
+    fills both schedules from one pass and equals the two single calls,
+    except that a day whose replicate draw fails is dropped from both
+    schedules (``"msfe"`` alone never draws).  A validation day that
+    cannot be fitted is left out of every average; if every day is,
+    :class:`NumericalError` is raised.
 
     The pass streams: each validation day is fitted once, its replicates
     (seed ``derive_seed(bootstrap.seed, 1, day)``) are drawn once and
     reduced to the future score draws and residual rows, every period is
     scored for the whole grid, and the day is dropped.  Memory is bounded
-    by one day's replicates plus a (periods, alphas, grid, days) score
-    table.
+    by one day's replicates plus a (periods, 1 + alphas, grid, days)
+    score table.
     """
+    return _tune(fts, train_size, validation_size, objective, lambda_grid, periods,
+                 num_components, max_order, bootstrap, [])
+
+
+def _tune(fts, train_size, validation_size, objective, lambda_grid, periods,
+          num_components, max_order, bootstrap, failures) -> LambdaSchedule:
+    """:func:`tune_lambda`, appending each dropped validation day to ``failures``."""
+    from .evalharness import interval_score
+
     if objective not in ("msfe", "interval_score", "both"):
         raise ConfigError(f"unknown tuning objective {objective!r}")
     if train_size < 3 or validation_size < 1:
@@ -668,37 +621,57 @@ def tune_lambda(
         bootstrap = BootstrapConfig()
     alphas = bootstrap.alpha_levels if want_interval else ()
 
-    P, L = len(periods), len(grid)
-    point_table = np.empty((P, L, validation_size)) if want_point else None
-    interval_table = np.empty((P, len(alphas), L, validation_size)) if want_interval else None
-    for j, v in enumerate(range(train_size, train_size + validation_size)):
-        actual = fts.values[v]
-        day = _fit_day(fts.window(0, v), num_components, max_order)
-        model = day.fpca
-        if want_interval:
-            day_cfg = replace(bootstrap, seed=derive_seed(bootstrap.seed, 1, v))
-            # keep only what the scorer reads, so one day's replicates are live at a time
-            reps = draw_replicates(model, day.var, day_cfg)
-            future_scores = reps.future_scores
-            future_resid_t = reps.resid_pool.T[:, reps.future_resid_idx]
-            del reps
-        for i, m in enumerate(periods):
-            ctx = _context(model, day.ts_scores, actual[: m - 1])
-            actual_late = actual[m - 1 :]
-            start = _feasible_from(ctx, grid)
-            if want_point:
-                point_table[i, :, j] = _msfe_case_scores(ctx, model, actual_late, grid, start)
-            if want_interval:
-                interval_table[i, :, :, j] = _interval_case_scores(
-                    ctx, model, actual_late, future_scores, future_resid_t, grid, alphas, start
-                )
+    def draw(day, v):
+        if want_interval:  # only what the scores read, so one day's replicates are live at a time
+            reps = draw_replicates(
+                day.fpca, day.var, replace(bootstrap, seed=derive_seed(bootstrap.seed, 1, v))
+            )
+            return reps.future_scores, reps.resid_pool.T[:, reps.future_resid_idx]
 
+    P, L = len(periods), len(grid)
+    by_day = []
+    first = len(failures)
+    days = range(train_size, train_size + validation_size)
+    for v, day, drawn in _walk_days(fts, days, num_components, max_order, draw, failures, "tune"):
+        actual = fts.values[v]
+        # the point score, then one interval score per alpha, for each grid value
+        scores = np.full((P, 1 + len(alphas), L), np.inf)
+        for i, m in enumerate(periods):
+            ctx = _context(day.fpca, day.ts_scores, actual[: m - 1])
+            actual_late = actual[m - 1 :]
+            # every grid value the case can use, batched; exact least squares
+            # needs a full-rank observed basis, and a value left out scores inf
+            start = 0
+            if grid[0] == 0.0:
+                try:
+                    _require_full_rank(ctx.eigenbasis_obs, m)
+                except NumericalError:
+                    start = 1
+            if start == L:
+                continue
+            if want_point:
+                betas = _pls_betas(ctx, day.fpca, grid[start:], ctx.ts_scores[:, None])
+                preds = _rebuild_late(ctx, day.fpca, betas)[..., 0]
+                scores[i, 0, start:] = np.mean((preds - actual_late) ** 2, axis=-1)
+            if want_interval:
+                future_scores, resid_t = drawn
+                late_t = resid_t[ctx.updating_cols]
+                bounds = _pls_bounds(ctx, day.fpca, future_scores, late_t, grid[start:], alphas)
+                for k, a in enumerate(alphas):
+                    scores[i, 1 + k, start:] = interval_score(*bounds[a], actual_late, a).mean(-1)
+        by_day.append(scores)
+    if not by_day:
+        raise NumericalError(
+            f"every validation day failed; first error: {failures[first]['error']}"
+        )
+
+    table = np.stack(by_day, axis=-1)  # (periods, 1 + alphas, grid, days)
     point = interval = None
     if want_point:
-        point = {m: _argmin_grid(point_table[i], grid) for i, m in enumerate(periods)}
+        point = {m: _argmin_grid(table[i, 0], grid) for i, m in enumerate(periods)}
     if want_interval:
         interval = {
-            a: {m: _argmin_grid(interval_table[i, k], grid) for i, m in enumerate(periods)}
+            a: {m: _argmin_grid(table[i, 1 + k], grid) for i, m in enumerate(periods)}
             for k, a in enumerate(alphas)
         }
     return LambdaSchedule(point=point, interval=interval, lambda_grid=grid)

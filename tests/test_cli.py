@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -205,6 +206,33 @@ class TestBacktest:
         assert rc == 0
         for name in sorted(os.listdir(replot)):
             assert (replot / name).read_bytes() == (out1 / name).read_bytes()
+
+
+class TestDroppedValidationDays:
+    def test_tune_and_backtest_report_dropped_days(self, tmp_path, capsys):
+        # two of the five validation days have too few days before them to fit
+        prices = tmp_path / "px.csv"
+        assert main(["simulate", "--days", "40", "--tau", "10", "--seed", "4",
+                     "--noise-sd", "0.2", "--output", str(prices)]) == 0
+        runs = [
+            ["tune", "--objective", "both", "--train-size", "3", "--validation-size", "5",
+             "--output", str(tmp_path / "sched.json")],
+            ["backtest", "--initial-train", "30", "--n-test", "2", "--methods", "TS,PLS",
+             "--periods", "5", "--tune-train", "3", "--tune-validation", "5",
+             "--outdir", str(tmp_path / "bt")],
+        ]
+        for argv in runs:
+            capsys.readouterr()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # some fits are explosive
+                assert main(argv[:1] + ["--input", str(prices)] + argv[1:]) == 0
+            out, err = capsys.readouterr()
+            assert err.startswith("dropped 2 of 5 validation days (first: day 3: ")
+            assert len(err.strip().splitlines()) == 1
+        assert out.startswith("backtest used 1 of 2 days (1 failed)")
+        stages = [f["stage"] for f in json.loads((tmp_path / "bt" / "report.json").read_text())
+                  ["failures"]]
+        assert stages == ["tune", "tune", "fit"]
 
 
 class TestErrorPaths:

@@ -1,5 +1,6 @@
 import json
 import warnings
+import weakref
 from dataclasses import replace
 from unittest import mock
 
@@ -227,7 +228,7 @@ class TestFailedDays:
         fts, plan, _ = small_backtest
         plan = replace(plan, methods=("TS", "FLR"), n_test=3)
         bad_day = plan.initial_train + 1
-        fit = evalharness._fit_day
+        fit = sieve._fit_day
 
         def explosive_on_bad_day(train, num_components, max_order):
             day = fit(train, num_components, max_order)
@@ -235,7 +236,7 @@ class TestFailedDays:
                 day = replace(day, var=replace(day.var, spectral_radius=1.2))
             return day
 
-        with mock.patch.object(evalharness, "_fit_day", explosive_on_bad_day):
+        with mock.patch.object(sieve, "_fit_day", explosive_on_bad_day):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 report = run_backtest(fts, plan)
@@ -244,6 +245,53 @@ class TestFailedDays:
         assert report.days_used == plan.n_test - 1
         for mth in ("TS", "FLR"):
             assert report.updating[mth]["msfe"] > 0.0
+
+    # two components cannot be fitted on 5 days; validation day 13 fits an explosive VAR
+    unfittable = dict(
+        initial_train=30, n_test=2, methods=("TS", "PLS"), periods=(5,), tune_train=5,
+        tune_validation=10, num_components=2, bootstrap=BootstrapConfig(num_replicates=50, seed=1),
+    )
+
+    @pytest.fixture(scope="class")
+    def short_panel(self):
+        return generate(SynthSpec(n=40, tau=10, num_factors=2, noise_sd=0.2, seed=4))[0]
+
+    def test_unfittable_validation_days_are_tune_failures(self, short_panel):
+        plan = BacktestPlan(**self.unfittable)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            report = run_backtest(short_panel, plan)
+        got = [(f["day"], f["stage"]) for f in report.failures]
+        assert got == [(5, "tune"), (13, "tune"), (31, "fit")]
+        assert "lag order" in report.failures[0]["error"]
+        assert "spectral radius" in report.failures[1]["error"]
+        assert report.days_used == 1
+        sched = report.lambda_schedule
+        for lam in [sched.point[5]] + [sched.interval[a][5] for a in plan.bootstrap.alpha_levels]:
+            assert lam in plan.lambda_grid
+
+    def test_every_validation_day_failing_is_a_numerical_error(self, short_panel):
+        plan = BacktestPlan(**{**self.unfittable, "tune_train": 3, "tune_validation": 2})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(NumericalError, match="every validation day failed.*lag order"):
+                run_backtest(short_panel, plan)
+
+    def test_every_test_day_failing_quotes_a_test_day(self, short_panel):
+        plan = BacktestPlan(**self.unfittable)
+        fit = sieve._fit_day
+
+        def explosive_on_test_days(train, num_components, max_order):
+            day = fit(train, num_components, max_order)
+            if train.n >= plan.initial_train:
+                day = replace(day, var=replace(day.var, spectral_radius=1.25))
+            return day
+
+        with mock.patch.object(sieve, "_fit_day", explosive_on_test_days):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                with pytest.raises(NumericalError, match="every test day failed.*1.2500"):
+                    run_backtest(short_panel, plan)
 
 
 class TestCellsAndDays:
@@ -286,6 +334,34 @@ class TestCellsAndDays:
                 run_backtest(fts, replace(plan, periods=periods, n_test=2, tune_validation=3))
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0
+
+    def test_one_days_replicates_live_at_a_time(self, monkeypatch):
+        fts, _ = generate(SynthSpec(n=60, tau=10, num_factors=2, noise_sd=0.2, seed=3))
+        plan = BacktestPlan(
+            initial_train=50, n_test=4, methods=("TS", "PLS", "FLR"), periods=(3, 6),
+            tune_train=40, tune_validation=5, lambda_grid=(0.0, 1.0),
+            bootstrap=BootstrapConfig(num_replicates=40, seed=2),
+        )
+        drawn, live = [], []
+
+        def watched(fn, replicates_of):
+            def call(*args, **kwargs):
+                live.append(sum(ref() is not None for ref in drawn))
+                out = fn(*args, **kwargs)
+                drawn.append(weakref.ref(replicates_of(out)))
+                return out
+
+            return call
+
+        monkeypatch.setattr(evalharness, "sieve_prediction",
+                            watched(evalharness.sieve_prediction, lambda fc: fc.replicates))
+        monkeypatch.setattr(updating, "draw_replicates",
+                            watched(updating.draw_replicates, lambda reps: reps))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            report = run_backtest(fts, plan)
+        assert report.days_used == 4 and not report.failures
+        assert live == [0] * 9
 
     def test_tau_three_with_slowly_decaying_scores(self):
         # AICc picks order 5 here; some tuning days have a spectral radius above 0.9

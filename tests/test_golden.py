@@ -12,6 +12,8 @@ import json
 import math
 import os
 import shutil
+import subprocess
+import sys
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -110,6 +112,36 @@ def test_cli_outputs_match_golden(tmp_path):
                 assert_json_close(json.loads(got), json.loads(want), TOL, name)
             else:
                 assert_csv_close(got, want, TOL)
+
+
+def _golden_outputs(workdir, blas_threads: int) -> dict:
+    """The golden backtest's report and CSVs, run in a fresh process on ``blas_threads`` threads."""
+    tests = os.path.dirname(os.path.abspath(__file__))
+    script = (
+        "import sys\n"
+        "from curvecast import report_to_json, write_report_csvs\n"
+        "from golden.make_golden import golden_report\n"
+        "report = golden_report()\n"
+        "with open(sys.argv[1] + '/report.json', 'w') as fh:\n"
+        "    fh.write(report_to_json(report))\n"
+        "write_report_csvs(report, sys.argv[1])\n"
+    )
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads),
+               OMP_NUM_THREADS=str(blas_threads),
+               PYTHONPATH=os.pathsep.join(filter(None, [
+                   os.path.join(os.path.dirname(tests), "src"), tests, os.environ.get("PYTHONPATH"),
+               ])))
+    subprocess.run([sys.executable, "-c", script, str(workdir)], env=env, check=True, timeout=300)
+    return {name: (workdir / name).read_bytes() for name in sorted(os.listdir(workdir))}
+
+
+def test_golden_backtest_does_not_depend_on_blas_threads(tmp_path):
+    runs = []
+    for threads in (1, 2):
+        (tmp_path / str(threads)).mkdir()
+        runs.append(_golden_outputs(tmp_path / str(threads), threads))
+    assert "report.json" in runs[0] and any(name.endswith(".csv") for name in runs[0])
+    assert runs[0] == runs[1]
 
 
 def test_golden_report_records_a_skipped_cell():

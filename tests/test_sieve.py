@@ -384,6 +384,40 @@ class TestSievePrediction:
                 )
             assert par.band_radius[alpha] == forecast.band_radius[alpha]
 
+    def test_worker_threads_capped_at_usable_cpus(self, small_fit, forecast, monkeypatch):
+        pools = []
+
+        class SerialPool:
+            """Records what a thread pool is asked for and runs its blocks here, in order."""
+
+            def __init__(self, max_workers):
+                self.max_workers, self.blocks = max_workers, 0
+                pools.append(self)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *args):
+                out = list(map(fn, *args))
+                self.blocks += len(out)
+                return out
+
+        monkeypatch.setattr(sieve, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(sieve.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        fts, model, var = small_fit
+        capped = sieve_prediction(
+            fts, model, var, BootstrapConfig(num_replicates=60, seed=5), n_workers=10_000
+        )
+        assert [(p.max_workers, p.blocks) for p in pools] == [(3, 3)]
+        for alpha in (0.2, 0.05):
+            for got, want in zip(capped.pointwise[alpha], forecast.pointwise[alpha]):
+                assert np.array_equal(got, want)
+            for got, want in zip(capped.band[alpha], forecast.band[alpha]):
+                assert np.array_equal(got, want)
+
     def test_serialization(self, forecast, tmp_path):
         import json
 

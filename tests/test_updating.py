@@ -582,6 +582,31 @@ class TestTuning:
         assert set(sched.interval.keys()) == {0.2, 0.05}
         assert set(sched.interval[0.2].keys()) == {10}
 
+    def test_unfittable_validation_days_are_left_out(self, monkeypatch):
+        # two components cannot be fitted on 5 days; validation day 13 fits an explosive VAR
+        fts, _ = generate(SynthSpec(n=40, tau=10, num_factors=2, noise_sd=0.2, seed=4))
+        averaged = []
+        argmin = updating._argmin_grid
+
+        def counted(totals, grid):
+            averaged.append(totals.shape[-1])
+            return argmin(totals, grid)
+
+        monkeypatch.setattr(updating, "_argmin_grid", counted)
+        cfg = BootstrapConfig(num_replicates=50, seed=1)
+        dropped = {}
+        for objective in ("msfe", "both"):
+            failures = []
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # the explosive fit warns
+                updating._tune(fts, 5, 10, objective, (0.0, 1.0), (5,), 2, 10, cfg, failures)
+            dropped[objective] = [(f["day"], f["stage"]) for f in failures]
+        # the draw fails only where replicates are drawn
+        assert dropped == {"msfe": [(5, "tune")], "both": [(5, "tune"), (13, "tune")]}
+        assert averaged == [9, 8, 8, 8]
+        with pytest.raises(NumericalError, match="every validation day failed.*lag order"):
+            tune_lambda(fts, train_size=3, validation_size=2, num_components=2)
+
 
 # ---------------------------------------------------------------------------
 # the streamed, lambda-batched tuning against the per-(case, lambda, alpha) loop
