@@ -17,6 +17,7 @@ import json
 import os
 import re
 import sys
+import warnings
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
@@ -585,17 +586,20 @@ _COMMANDS = [
 ]
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The ``curvecast`` parser; when ``argv[0]`` names a command, only that command is built."""
     parser = argparse.ArgumentParser(
         prog="curvecast",
         description="Forecasting intraday return curves with dynamic updating.",
         allow_abbrev=False,
     )
+    only = argv[0] if argv and argv[0] in {name for name, *_ in _COMMANDS} else None
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
     for name, func, opts, help_text in _COMMANDS:
-        p = sub.add_parser(name, help=help_text, description=help_text, allow_abbrev=False)
-        _add_options(p, opts)
-        p.set_defaults(func=func, opts_spec=opts)
+        if only in (None, name):
+            p = sub.add_parser(name, help=help_text, description=help_text, allow_abbrev=False)
+            _add_options(p, opts)
+            p.set_defaults(func=func, opts_spec=opts)
     return parser
 
 
@@ -605,12 +609,8 @@ def _join_negative_lists(argv) -> list:
     argparse takes a separate token that starts with '-' for a flag unless
     it is a single plain negative number, so a list value would fail.
     """
-    flags = {
-        "--" + o.name.replace("_", "-")
-        for _, _, opts, _ in _COMMANDS
-        for o in opts
-        if o.conv in _LIST_CONVS
-    }
+    flags = {"--" + o.name.replace("_", "-")
+             for _, _, opts, _ in _COMMANDS for o in opts if o.conv in _LIST_CONVS}
     joined = []
     for token in argv:
         if joined and joined[-1] in flags and _NEGATIVE_VALUE.match(token):
@@ -621,15 +621,19 @@ def _join_negative_lists(argv) -> list:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = _join_negative_lists(sys.argv[1:] if argv is None else argv)
+    parser = build_parser(argv)
     try:
-        args = parser.parse_args(_join_negative_lists(sys.argv[1:] if argv is None else argv))
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 1
         return 0 if code == 0 else 1
     if getattr(args, "func", None) is None:
         parser.print_help()
         return 1
+    # warnings still reach filters and recorders; printed, each is one line with no source path
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
         merged = _resolve(args, args.opts_spec)
         return args.func(merged)
@@ -642,6 +646,8 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

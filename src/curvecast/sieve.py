@@ -473,19 +473,28 @@ class SieveReplicates:
         return _pool_tally(self.series_resid_idx, scores, self.resid_pool.shape[0]), gram
 
 
-def _replicate_draws(rng, T, M, p, n, n_eps, n_resid):
-    """Index draws for one replicate, in the order the contract fixes."""
-    core = rng.integers(0, n_eps, size=T)
-    pre = rng.integers(0, n_eps, size=M)
-    post = rng.integers(0, n_eps, size=p)
-    fut_eps = int(rng.integers(0, n_eps))
-    series_resid = rng.integers(0, n_resid, size=n)
-    fut_resid = int(rng.integers(0, n_resid))
-    return np.concatenate([pre, core, post]), fut_eps, series_resid, fut_resid
+def _index_draws(seed, indices, T, M, p, n_eps, n_resid):
+    """Each listed replicate's indices, from two bulk reads of its own stream ``(seed, b)``.
+
+    Stream order: T core, M pre- and p post-sample innovations, the future one; then n = T + p
+    series residual rows, the future row.  Bounded draws read the stream value by value, so
+    the two reads equal these six draws bit for bit.  Returns (B, M+T+p) innovations in time
+    order (pre, core, post), (B,) future ones, (B, n) series rows and (B,) future rows."""
+    ext = np.empty((len(indices), M + T + p), dtype=np.int64)
+    rows = np.empty((len(indices), T + p), dtype=np.int64)
+    fut, fut_rows = np.empty((2, len(indices)), dtype=np.int64)
+    in_time_order = np.r_[T : T + M, :T, T + M : T + M + p]
+    for r, b in enumerate(indices):
+        rng = _replicate_rng(seed, b)
+        draw = rng.integers(0, n_eps, size=T + M + p + 1)
+        ext[r], fut[r] = draw[in_time_order], draw[-1]
+        draw = rng.integers(0, n_resid, size=T + p + 1)
+        rows[r], fut_rows[r] = draw[:-1], draw[-1]
+    return ext, fut, rows, fut_rows
 
 
-def _assemble_replicates(fpca, var, seed, indices) -> SieveReplicates:
-    """Build the pseudo score paths for the given replicate indices."""
+def _draws(fpca, var, seed, indices):
+    """Check that the day can be resampled, then :func:`_index_draws` with (B, K) future scores."""
     ts1, _ = _one_step(fpca, var)
     if not var.is_stationary:
         raise NumericalError(
@@ -494,28 +503,23 @@ def _assemble_replicates(fpca, var, seed, indices) -> SieveReplicates:
         )
     if var.psi is None:
         raise NumericalError("moving-average expansion unavailable")
-    eps_pool = var.centered_residuals
-    resid_pool = fpca.residuals - fpca.residuals.mean(axis=0)
-    K = fpca.num_components
-    n = fpca.scores.shape[0]
-    p = var.order
-    T = n - p
-    M = var.psi.shape[0] - 1
-    B = len(indices)
+    eps_pool, p = var.centered_residuals, var.order
+    T = fpca.scores.shape[0] - p
+    padded, fut_eps, series_rows, fut_rows = _index_draws(
+        seed, indices, T, var.psi.shape[0] - 1, p, eps_pool.shape[0], fpca.residuals.shape[0]
+    )
+    return padded, ts1 + eps_pool[fut_eps], series_rows, fut_rows
 
-    ext_idx = np.empty((B, M + T + p), dtype=np.int64)
-    fut_eps_idx = np.empty(B, dtype=np.int64)
-    series_resid_idx = np.empty((B, n), dtype=np.int64)
-    fut_resid_idx = np.empty(B, dtype=np.int64)
-    for row, b in enumerate(indices):
-        rng = _replicate_rng(seed, b)
-        ext_idx[row], fut_eps_idx[row], series_resid_idx[row], fut_resid_idx[row] = (
-            _replicate_draws(rng, T, M, p, n, eps_pool.shape[0], resid_pool.shape[0])
-        )
+
+def _assemble_replicates(fpca, var, seed, indices) -> SieveReplicates:
+    """Build the pseudo score paths for the given replicate indices."""
+    padded, future_scores, series_resid_idx, fut_resid_idx = _draws(fpca, var, seed, indices)
+    (B, n), K, p = series_resid_idx.shape, fpca.num_components, var.order
+    T = n - p
 
     # time-major (n, B, K) while recursing, so each step's block is contiguous
     paths = np.empty((n, B, K))
-    paths[:T] = _transfer_padded(var, np.take(eps_pool, ext_idx.T, axis=0))
+    paths[:T] = _transfer_padded(var, np.take(var.centered_residuals, padded.T, axis=0))
     paths[T:] = fpca.scores[T:, None, :K]
     back = [a.T for a in var.backward_coeffs]
     for t in range(T - 1, -1, -1):
@@ -523,7 +527,6 @@ def _assemble_replicates(fpca, var, seed, indices) -> SieveReplicates:
             paths[t] += paths[t + xi] @ back[xi - 1]
     series_scores = np.ascontiguousarray(paths.transpose(1, 0, 2))
 
-    future_scores = ts1 + eps_pool[fut_eps_idx]
     return SieveReplicates(
         series_scores=_freeze(series_scores),
         series_resid_idx=series_resid_idx,
@@ -531,17 +534,20 @@ def _assemble_replicates(fpca, var, seed, indices) -> SieveReplicates:
         future_resid_idx=fut_resid_idx,
         mean=fpca.mean,
         eigenfunctions=_freeze(fpca.eigenfunctions[:, :K]),
-        resid_pool=_freeze(resid_pool),
+        resid_pool=_freeze(fpca.residuals - fpca.residuals.mean(axis=0)),
     )
+
+
+def _replicate_range(cfg: BootstrapConfig) -> range:
+    """``range(B)``, with a warning when B is too small for stable quantiles."""
+    if cfg.num_replicates < 50:
+        warnings.warn(f"only {cfg.num_replicates} replicates; quantiles will be unstable")
+    return range(cfg.num_replicates)
 
 
 def draw_replicates(fpca: FpcaModel, var: VarModel, cfg: BootstrapConfig) -> SieveReplicates:
     """Draw every replicate's pseudo score path and residual assignments."""
-    if cfg.num_replicates < 50:
-        warnings.warn(
-            f"only {cfg.num_replicates} replicates; quantiles will be unstable"
-        )
-    return _assemble_replicates(fpca, var, cfg.seed, range(cfg.num_replicates))
+    return _assemble_replicates(fpca, var, cfg.seed, _replicate_range(cfg))
 
 
 def future_curves(reps: SieveReplicates) -> np.ndarray:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -34,10 +34,12 @@ from .sieve import (
     BootstrapConfig,
     SieveReplicates,
     derive_seed,
-    draw_replicates,
+    draw_replicates,  # noqa: F401  (re-exported beside the interval updates that read its output)
     sorted_intervals,
     _Day,
+    _draws,
     _one_step,
+    _replicate_range,
     _walk_days,
 )
 
@@ -587,12 +589,12 @@ def tune_lambda(
     cannot be fitted is left out of every average; if every day is,
     :class:`NumericalError` is raised.
 
-    The pass streams: each validation day is fitted once, its replicates
-    (seed ``derive_seed(bootstrap.seed, 1, day)``) are drawn once and
-    reduced to the future score draws and residual rows, every period is
-    scored for the whole grid, and the day is dropped.  Memory is bounded
-    by one day's replicates plus a (periods, 1 + alphas, grid, days)
-    score table.
+    The pass streams: each validation day is fitted once, its replicates'
+    index draws (seed ``derive_seed(bootstrap.seed, 1, day)``) are made
+    once and only the future score draws and residual rows are kept (no
+    pseudo-series is built), every period is scored for the whole grid,
+    and the day is dropped.  Memory is bounded by one day's index draws
+    plus a (periods, 1 + alphas, grid, days) score table.
     """
     return _tune(fts, train_size, validation_size, objective, lambda_grid, periods,
                  num_components, max_order, bootstrap, [])
@@ -622,11 +624,10 @@ def _tune(fts, train_size, validation_size, objective, lambda_grid, periods,
     alphas = bootstrap.alpha_levels if want_interval else ()
 
     def draw(day, v):
-        if want_interval:  # only what the scores read, so one day's replicates are live at a time
-            reps = draw_replicates(
-                day.fpca, day.var, replace(bootstrap, seed=derive_seed(bootstrap.seed, 1, v))
-            )
-            return reps.future_scores, reps.resid_pool.T[:, reps.future_resid_idx]
+        if want_interval:  # the future draws alone: no pseudo-series is built
+            seed = derive_seed(bootstrap.seed, 1, v)
+            _, future_scores, _, rows = _draws(day.fpca, day.var, seed, _replicate_range(bootstrap))
+            return future_scores, (day.fpca.residuals - day.fpca.residuals.mean(axis=0)).T[:, rows]
 
     P, L = len(periods), len(grid)
     by_day = []

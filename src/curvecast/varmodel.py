@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -111,6 +111,20 @@ def _ma_expansion(coeffs: np.ndarray) -> np.ndarray:
             return np.array(psi)
 
 
+def _regress(scores: np.ndarray, p: int, backward: bool = False):
+    """Least squares of y_t on (y_{t-1}, ..., y_{t-p}), or (y_{t+1}, ..., y_{t+p}) backward:
+    the (K*p, K) coefficients, the residuals and their covariance (divisor n - p)."""
+    n = scores.shape[0]
+    lags = range(1, p + 1)
+    if backward:
+        design, target = np.hstack([scores[xi : n - p + xi] for xi in lags]), scores[: n - p]
+    else:
+        design, target = np.hstack([scores[p - xi : n - xi] for xi in lags]), scores[p:]
+    coef = _solve_ls(design, target)
+    resid = target - design @ coef
+    return coef, resid, (resid.T @ resid) / (n - p)
+
+
 def fit_var(scores: np.ndarray, order: int, compute_psi: bool = True) -> VarModel:
     """Fit a VAR(``order``) to the score matrix by multivariate least squares.
 
@@ -131,19 +145,8 @@ def fit_var(scores: np.ndarray, order: int, compute_psi: bool = True) -> VarMode
             f"not enough observations to identify VAR({p}) in {K} dims: n={n}"
         )
 
-    # forward: y_t on (y_{t-1}, ..., y_{t-p})
-    rows = n - p
-    fwd_design = np.hstack([scores[p - xi : n - xi] for xi in range(1, p + 1)])
-    fwd_target = scores[p:]
-    fwd_coef = _solve_ls(fwd_design, fwd_target)  # (K*p, K)
-    fwd_resid = fwd_target - fwd_design @ fwd_coef
-    sigma = (fwd_resid.T @ fwd_resid) / rows
-
-    # backward: y_t on (y_{t+1}, ..., y_{t+p})
-    bwd_design = np.hstack([scores[xi : n - p + xi] for xi in range(1, p + 1)])
-    bwd_target = scores[: n - p]
-    bwd_coef = _solve_ls(bwd_design, bwd_target)
-    bwd_resid = bwd_target - bwd_design @ bwd_coef
+    fwd_coef, fwd_resid, sigma = _regress(scores, p)
+    bwd_coef, bwd_resid, _ = _regress(scores, p, backward=True)
 
     coeffs = fwd_coef.reshape(p, K, K).transpose(0, 2, 1)
     backward = bwd_coef.reshape(p, K, K).transpose(0, 2, 1)
@@ -171,37 +174,41 @@ def fit_var(scores: np.ndarray, order: int, compute_psi: bool = True) -> VarMode
 
 def aicc(model: VarModel, n: Optional[int] = None) -> float:
     """Small-sample corrected information criterion of a fitted VAR."""
-    if n is None:
-        n = model.nobs
-    K = model.dim
-    p = model.order
+    return _aicc(model.sigma, model.nobs if n is None else n, model.order)
+
+
+def _aicc(sigma: np.ndarray, n: int, p: int) -> float:
+    K = sigma.shape[0]
     denom = n - K * (p + 1) - 1
     if denom <= 0:
         raise NumericalError(f"criterion undefined: n={n}, K={K}, p={p}")
-    sign, logdet = np.linalg.slogdet(model.sigma + LOGDET_RIDGE * np.eye(K))
+    sign, logdet = np.linalg.slogdet(sigma + LOGDET_RIDGE * np.eye(K))
     if sign <= 0:
         raise NumericalError("innovation covariance is not positive definite")
     return float(n * logdet + n * (n * K + p * K * K) / denom)
 
 
 def select_order(scores: np.ndarray, max_order: int = DEFAULT_MAX_ORDER) -> int:
-    """Lag order minimizing :func:`aicc` over 1..max_order (ties to the smallest)."""
+    """Lag order minimizing :func:`aicc` over 1..max_order (ties to the smallest).
+
+    Each order is scored from :func:`fit_var`'s forward regression alone; an order
+    whose backward regression is singular cannot be fitted and is skipped.
+    """
     if max_order < 1:
         raise ConfigError(f"max_order must be >= 1, got {max_order}")
     scores = np.asarray(scores, dtype=float)
     n, K = scores.shape
-    best_order = None
-    best_value = math.inf
+    best_order, best_value = None, math.inf
     for p in range(1, max_order + 1):
         if n - p <= K * p or n - K * (p + 1) - 1 <= 0:
             continue
         try:
-            value = aicc(fit_var(scores, p, compute_psi=False), n)
+            value = _aicc(_regress(scores, p)[2], n, p)
+            if value < best_value - 1e-12:  # only a new best needs its backward check
+                _regress(scores, p, backward=True)
+                best_value, best_order = value, p
         except NumericalError:
             continue
-        if value < best_value - 1e-12:
-            best_value = value
-            best_order = p
     if best_order is None:
         raise NumericalError(
             f"no identifiable lag order in 1..{max_order} for n={n}, K={K}"

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -233,6 +235,62 @@ class TestDroppedValidationDays:
         stages = [f["stage"] for f in json.loads((tmp_path / "bt" / "report.json").read_text())
                   ["failures"]]
         assert stages == ["tune", "tune", "fit"]
+
+
+class TestParser:
+    def test_top_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(["--help"])
+        full = capsys.readouterr().out
+        assert main(["--help"]) == 0
+        out = capsys.readouterr().out
+        assert out == full
+        assert all(name in out for name, *_ in cli._COMMANDS)
+
+    @pytest.mark.parametrize("command", [name for name, *_ in cli._COMMANDS])
+    def test_command_help_matches_full_parser(self, capsys, command):
+        # the parser for one command builds that command's options only
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args([command, "--help"])
+        full = capsys.readouterr().out
+        assert main([command, "--help"]) == 0
+        assert capsys.readouterr().out == full
+
+
+class TestWarnings:
+    # one validation day's VAR(10) is explosive, and fit_var warns about it
+    BACKTEST = ["backtest", "--initial-train", "30", "--n-test", "2", "--methods", "TS,PLS",
+                "--periods", "5", "--tune-train", "3", "--tune-validation", "5"]
+
+    @pytest.fixture(scope="class")
+    def prices(self, tmp_path_factory):
+        prices = tmp_path_factory.mktemp("warn") / "px.csv"
+        assert main(["simulate", "--days", "40", "--tau", "10", "--seed", "4",
+                     "--noise-sd", "0.2", "--output", str(prices)]) == 0
+        return prices
+
+    def test_printed_as_one_line_without_a_source_path(self, prices, tmp_path):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-m", "curvecast.cli", self.BACKTEST[0], "--input", str(prices)]
+            + self.BACKTEST[1:] + ["--outdir", str(tmp_path / "bt")],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert run.returncode == 0, run.stderr
+        assert ".py:" not in run.stderr and "Traceback" not in run.stderr
+        shown = [line for line in run.stderr.splitlines() if line.startswith("warning: ")]
+        assert len(shown) == 1 and shown[0].startswith("warning: fitted VAR(10) has companion")
+
+    def test_recorders_still_see_it(self, prices, tmp_path):
+        formatwarning = warnings.formatwarning
+        with warnings.catch_warnings(record=True) as log:
+            warnings.simplefilter("always")
+            assert main(self.BACKTEST[:1] + ["--input", str(prices)] + self.BACKTEST[1:]
+                        + ["--outdir", str(tmp_path / "bt")]) == 0
+        assert any("unusable for bootstrap" in str(w.message) for w in log)
+        assert warnings.formatwarning is formatwarning
 
 
 class TestErrorPaths:

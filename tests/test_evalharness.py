@@ -355,8 +355,8 @@ class TestCellsAndDays:
 
         monkeypatch.setattr(evalharness, "sieve_prediction",
                             watched(evalharness.sieve_prediction, lambda fc: fc.replicates))
-        monkeypatch.setattr(updating, "draw_replicates",
-                            watched(updating.draw_replicates, lambda reps: reps))
+        # tuning keeps only its future draws; its padded innovation indices must go
+        monkeypatch.setattr(updating, "_draws", watched(updating._draws, lambda out: out[0]))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             report = run_backtest(fts, plan)

@@ -165,6 +165,31 @@ class TestReplicates:
         assert np.allclose(future_curves(one)[0], future_curves(small_reps)[3], atol=1e-12)
 
 
+class TestStreamContract:
+    """Each replicate's index draws, two bulk reads, equal the contract's six draws."""
+
+    @pytest.mark.parametrize("seed", [0, 2**63 + 7])
+    @pytest.mark.parametrize("M", [0, 5])
+    @pytest.mark.parametrize(
+        "n_eps,n_resid", [(1, 7), (7, 1), (2**31 + 5, 7), (2**32, 2**32 + 3), (2**32 + 3, 2**32)]
+    )
+    def test_two_bulk_reads_equal_six_draws(self, seed, M, n_eps, n_resid):
+        T, p, indices = 9, 2, [0, 3, 11]
+        padded, fut_eps, rows, fut_rows = sieve._index_draws(seed, indices, T, M, p, n_eps, n_resid)
+        for r, b in enumerate(indices):
+            rng = default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
+            core = rng.integers(0, n_eps, size=T)
+            pre = rng.integers(0, n_eps, size=M)
+            post = rng.integers(0, n_eps, size=p)
+            fut = rng.integers(0, n_eps)
+            series = rng.integers(0, n_resid, size=T + p)
+            fut_row = rng.integers(0, n_resid)
+            assert np.array_equal(padded[r], np.concatenate([pre, core, post]))
+            assert fut_eps[r] == fut
+            assert np.array_equal(rows[r], series)
+            assert fut_rows[r] == fut_row
+
+
 def far1_oracle(curves, weight):
     """The per-series refit: full covariances and one ``eigh`` per series."""
     B, n, d = curves.shape

@@ -1,7 +1,10 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.random import default_rng
 
 from curvecast import (
@@ -196,6 +199,53 @@ class TestOrderSelection:
     def test_rejects_empty_candidate_range(self):
         with pytest.raises(ConfigError):
             select_order(default_rng(0).normal(size=(100, 2)), 0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        K=st.integers(1, 3),
+        max_order=st.integers(1, 6),
+        n=st.integers(4, 60),
+        lag_two=st.floats(-0.8, 0.8),
+        sparse=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_scan_over_full_fits(self, K, max_order, n, lag_two, sparse, seed):
+        r = default_rng(seed)
+        y = r.normal(size=(n, K))
+        for t in range(2, n):
+            y[t] += lag_two * y[t - 2]
+        if sparse:  # mostly zero days, so some forward or backward designs are singular
+            y *= r.random((n, 1)) < 0.2
+        expected = order_scan_oracle(y, max_order)
+        if expected is None:
+            with pytest.raises(NumericalError, match="no identifiable lag order"):
+                select_order(y, max_order)
+        else:
+            assert select_order(y, max_order) == expected
+
+    def test_singular_backward_design_rules_the_order_out(self):
+        # order 1 has a full-rank forward design (one nonzero lag) and an all-zero
+        # backward one; every higher order has a singular forward design
+        y = np.zeros((40, 1))
+        y[0] = 1.0
+        with pytest.raises(NumericalError, match="no identifiable lag order in 1..4"):
+            select_order(y, 4)
+
+
+def order_scan_oracle(scores, max_order):
+    """The order search as a scan over full ``fit_var`` fits; None when no order fits."""
+    n, K = scores.shape
+    best, best_value = None, math.inf
+    for p in range(1, max_order + 1):
+        if n - p <= K * p or n - K * (p + 1) - 1 <= 0:
+            continue
+        try:
+            value = aicc(fit_var(scores, p, compute_psi=False), n)
+        except NumericalError:
+            continue
+        if value < best_value - 1e-12:
+            best, best_value = p, value
+    return best
 
 
 class TestBackwardTransfer:
