@@ -1,9 +1,10 @@
 """The saved-document format shared by every writer and reader.
 
-JSON documents open with ``schema_version`` and ``kind``.  Mappings keyed
-by a number keep the number in the key text: a float key (a miscoverage
-level alpha) is written with ``repr``, an int key (an updating period m)
-with ``str``, and decoding turns such texts back into the same number.
+JSON documents open with ``schema_version`` and ``kind`` and hold arrays
+as nested lists.  Mappings keyed by a number keep the number in the key
+text: a float key (a miscoverage level alpha) is written with ``repr``,
+an int key (an updating period m) with ``str``, and decoding turns such
+texts back into the same number.
 CSV cells hold floats as ``repr`` and missing values as empty fields.
 """
 
@@ -12,6 +13,8 @@ from __future__ import annotations
 import csv
 import json
 from contextlib import contextmanager
+
+import numpy as np
 
 from .errors import DataError
 
@@ -30,7 +33,9 @@ def _key_value(text: str):
 
 
 def encode_keys(value):
-    """``value`` with every mapping key written by the numeric-key rule."""
+    """``value`` with every mapping key written by the numeric-key rule, arrays as nested lists."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
     if isinstance(value, dict):
         return {_key_text(k): encode_keys(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -90,7 +95,7 @@ def reading(kind: str):
 
 def bounds_doc(bounds: dict) -> dict:
     """``{alpha: (lower, upper)}`` as ``{alpha: {"lower": [...], "upper": [...]}}``."""
-    return {a: {"lower": lo.tolist(), "upper": hi.tolist()} for a, (lo, hi) in bounds.items()}
+    return {a: {"lower": lo, "upper": hi} for a, (lo, hi) in bounds.items()}
 
 
 def coverage_pct(alpha: float) -> int:

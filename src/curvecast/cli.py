@@ -52,8 +52,8 @@ from .updating import (
     DEFAULT_LAMBDA_GRID,
     schedule_from_json,
     schedule_to_json,
+    tune_lambda,
     updating_columns,
-    _tune,
     _update_period,
 )
 
@@ -173,6 +173,12 @@ def _manifest(opts: dict) -> dict:
 def _with_manifest(text: str, opts: dict) -> str:
     """A saved document's text with the run's manifest appended."""
     return json.dumps({**json.loads(text), "manifest": _manifest(opts)}, indent=2)
+
+
+def _bootstrap(opts: dict) -> BootstrapConfig:
+    """The command's bootstrap settings; a command without ``--center`` centres on far1."""
+    center = opts.get("center", "far1")
+    return BootstrapConfig(opts["replicates"], opts["seed"], opts["alphas"], center)
 
 
 def _load_curves(path: str, max_missing_frac: float = 0.5):
@@ -295,17 +301,12 @@ def cmd_simulate(opts: dict) -> int:
     write_wide_csv(out, inverse_cidr(fts, opens))
     print(f"simulated {fts.n} days on {opts['tau']} grid points -> {out}")
     if opts["truth"]:
+        names = ("mean", "factors", "scores", "var_matrices", "innovation_cov", "noise_sd",
+                 "link_split", "link_matrix")
         doc = envelope("synthetic_truth", 1, {
             "manifest": _manifest(opts),
             "seed": opts["seed"],
-            "mean": truth.mean.tolist(),
-            "factors": truth.factors.tolist(),
-            "scores": truth.scores.tolist(),
-            "var_matrices": truth.var_matrices.tolist(),
-            "innovation_cov": truth.innovation_cov.tolist(),
-            "noise_sd": truth.noise_sd,
-            "link_split": truth.link_split,
-            "link_matrix": None if truth.link_matrix is None else truth.link_matrix.tolist(),
+            **{name: getattr(truth, name) for name in names},
         })
         _write_text(opts["truth"], dump_doc(doc))
     return 0
@@ -322,19 +323,14 @@ def cmd_fit(opts: dict) -> int:
     fts, _, _, _ = _load_curves(_require(opts, "input"), opts["max_missing_frac"])
     day = _fit_day(fts, opts["num_components"], opts["max_order"])
     model, var = day.fpca, day.var
+    # the document names ``is_stationary`` "stationary"
+    var_names = ("order", "coeffs", "sigma", "spectral_radius", "is_stationary", "nobs")
     doc = envelope("fitted_models", 1, {
         "manifest": _manifest(opts),
         "days": fts.n,
         "grid": {"tau": fts.grid.tau, "times": list(fts.grid.times)},
         "fpca": json.loads(model_to_json(model)),
-        "var": {
-            "order": var.order,
-            "coeffs": var.coeffs.tolist(),
-            "sigma": var.sigma.tolist(),
-            "spectral_radius": var.spectral_radius,
-            "stationary": var.is_stationary,
-            "nobs": var.nobs,
-        },
+        "var": {name.removeprefix("is_"): getattr(var, name) for name in var_names},
     })
     out = _require(opts, "output")
     _write_text(out, dump_doc(doc))
@@ -360,13 +356,9 @@ def cmd_forecast(opts: dict) -> int:
         raise ConfigError("forecast needs --output-csv and/or --output-json")
     fts, _, _, _ = _load_curves(_require(opts, "input"), opts["max_missing_frac"])
     day = _fit_day(fts, opts["num_components"], opts["max_order"])
-    cfg = BootstrapConfig(
-        num_replicates=opts["replicates"],
-        seed=opts["seed"],
-        alpha_levels=opts["alphas"],
-        center=opts["center"],
+    forecast = sieve_prediction(
+        fts, day.fpca, day.var, _bootstrap(opts), n_workers=opts["workers"]
     )
-    forecast = sieve_prediction(fts, day.fpca, day.var, cfg, n_workers=opts["workers"])
     if opts["output_csv"]:
         write_forecast_csv(opts["output_csv"], forecast)
         print(f"forecast table -> {opts['output_csv']}")
@@ -439,8 +431,7 @@ def cmd_update(opts: dict) -> int:
             }
     reps = None
     if opts["intervals"]:
-        cfg = BootstrapConfig(opts["replicates"], opts["seed"], alphas)
-        reps = draw_replicates(day.fpca, day.var, cfg)
+        reps = draw_replicates(day.fpca, day.var, _bootstrap(opts))
     point, intervals = _update_period(
         day, method.upper(), observed, lam_point, lam_by_alpha, reps, alphas
     )
@@ -455,7 +446,7 @@ def cmd_update(opts: dict) -> int:
             "method": method,
             "m": m,
             "grid_indices": grid_indices,
-            "point": [float(v) for v in point],
+            "point": point,
             "lambda": lam_point,
             "lambda_by_alpha": lam_by_alpha,
             "seed": opts["seed"] if opts["intervals"] else None,
@@ -484,10 +475,9 @@ def cmd_tune(opts: dict) -> int:
         raise ConfigError(f"unknown tuning objective {objective!r}")
     fts, _, _, _ = _load_curves(_require(opts, "input"), opts["max_missing_frac"])
     failures = []
-    schedule = _tune(
+    schedule = tune_lambda(
         fts, opts["train_size"], opts["validation_size"], objective, opts["lambda_grid"],
-        opts["periods"], opts["num_components"], opts["max_order"],
-        BootstrapConfig(opts["replicates"], opts["seed"], opts["alphas"]), failures,
+        opts["periods"], opts["num_components"], opts["max_order"], _bootstrap(opts), failures,
     )
     _report_dropped(failures, opts["validation_size"])
     out = _require(opts, "output")
@@ -524,12 +514,7 @@ def cmd_backtest(opts: dict) -> int:
         n_test=opts["n_test"],
         methods=tuple(m.upper() for m in opts["methods"]),
         periods=opts["periods"],
-        bootstrap=BootstrapConfig(
-            num_replicates=opts["replicates"],
-            seed=opts["seed"],
-            alpha_levels=opts["alphas"],
-            center=opts["center"],
-        ),
+        bootstrap=_bootstrap(opts),
         lambda_schedule=schedule,
         tune_train=opts["tune_train"],
         tune_validation=opts["tune_validation"],

@@ -183,52 +183,38 @@ def generate(spec: SynthSpec):
     mean = _mean_curve(d, spec.mean_scale)
     scores = _simulate_var(mats, innov_sd, spec.n, rng)
 
+    linked = {}
     if spec.link_split is None:
         factors = orthonormal_basis(d, grid.quad_weight, K, spec.basis)
-        values = mean + scores @ factors.T
-        if spec.noise_sd > 0:
-            values = values + spec.noise_sd * rng.standard_normal((spec.n, d))
-        truth = SynthTruth(
-            mean=_freeze(mean),
-            factors=_freeze(factors),
-            scores=_freeze(scores),
-            var_matrices=_freeze(mats),
-            innovation_cov=_freeze(np.diag(innov_sd**2)),
-            noise_sd=spec.noise_sd,
-        )
-        return FunctionalTimeSeries(values, grid), truth
-
-    # linked early/late construction
-    m = spec.link_split
-    n_early = m - 1
-    n_late = spec.tau - m
-    S = spec.num_late_factors
-    if spec.link_matrix is None:
-        raise DataError("link_split requires link_matrix")
-    rho = np.asarray(spec.link_matrix, dtype=float)
-    if rho.shape != (K, S):
-        raise DataError(f"link_matrix must have shape ({K}, {S}), got {rho.shape}")
-    link_sd = np.asarray(spec.link_noise_sd, dtype=float)
-    if link_sd.shape != (S,):
-        raise DataError(f"link_noise_sd must have {S} entries, got {link_sd.shape}")
-    w_early = 1.0 / max(n_early - 1, 1)
-    w_late = 1.0 / max(n_late - 1, 1)
-    early_basis = orthonormal_basis(n_early, w_early, K, spec.basis)
-    late_basis = orthonormal_basis(n_late, w_late, S, spec.basis)
-    late_scores = scores @ rho + link_sd * rng.standard_normal((spec.n, S))
-    values = np.hstack([scores @ early_basis.T, late_scores @ late_basis.T]) + mean
+        values = scores @ factors.T
+    else:  # the early columns carry the factors, the late ones a noisy linkage of their scores
+        m = spec.link_split
+        S = spec.num_late_factors
+        if spec.link_matrix is None:
+            raise DataError("link_split requires link_matrix")
+        rho = np.asarray(spec.link_matrix, dtype=float)
+        if rho.shape != (K, S):
+            raise DataError(f"link_matrix must have shape ({K}, {S}), got {rho.shape}")
+        link_sd = np.asarray(spec.link_noise_sd, dtype=float)
+        if link_sd.shape != (S,):
+            raise DataError(f"link_noise_sd must have {S} entries, got {link_sd.shape}")
+        n_early, n_late = m - 1, spec.tau - m
+        factors = orthonormal_basis(n_early, 1.0 / max(n_early - 1, 1), K, spec.basis)
+        late_basis = orthonormal_basis(n_late, 1.0 / max(n_late - 1, 1), S, spec.basis)
+        late_scores = scores @ rho + link_sd * rng.standard_normal((spec.n, S))
+        values = np.hstack([scores @ factors.T, late_scores @ late_basis.T])
+        linked = dict(link_split=m, link_matrix=_freeze(rho), late_factors=_freeze(late_basis),
+                      late_scores=_freeze(late_scores))
+    values = values + mean
     if spec.noise_sd > 0:
         values = values + spec.noise_sd * rng.standard_normal((spec.n, d))
     truth = SynthTruth(
         mean=_freeze(mean),
-        factors=_freeze(early_basis),
+        factors=_freeze(factors),
         scores=_freeze(scores),
         var_matrices=_freeze(mats),
         innovation_cov=_freeze(np.diag(innov_sd**2)),
         noise_sd=spec.noise_sd,
-        link_split=m,
-        link_matrix=_freeze(rho),
-        late_factors=_freeze(late_basis),
-        late_scores=_freeze(late_scores),
+        **linked,
     )
     return FunctionalTimeSeries(values, grid), truth

@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -24,6 +24,7 @@ from ._docs import (
     coverage_pct,
     decode_keys,
     dump_doc,
+    encode_keys,
     envelope,
     load_doc,
     reading,
@@ -36,11 +37,11 @@ from .updating import (
     DEFAULT_LAMBDA_GRID,
     LambdaSchedule,
     normalize_lambda_grid,
+    tune_lambda,
     updating_columns,
     _resolve_periods,
     _schedule_doc,
     _schedule_from_doc,
-    _tune,
     _update_period,
 )
 
@@ -179,25 +180,16 @@ def validate_plan(plan: BacktestPlan, fts: FunctionalTimeSeries) -> tuple:
 
 
 def plan_to_dict(plan: BacktestPlan) -> dict:
-    return {
-        "initial_train": plan.initial_train,
-        "n_test": plan.n_test,
-        "methods": list(plan.methods),
-        "periods": None if plan.periods is None else list(plan.periods),
-        "bootstrap": {
-            "num_replicates": plan.bootstrap.num_replicates,
-            "seed": plan.bootstrap.seed,
-            "alpha_levels": list(plan.bootstrap.alpha_levels),
-            "center": plan.bootstrap.center,
-        },
-        "lambda_schedule_provided": plan.lambda_schedule is not None,
-        "tune_train": plan.tune_train,
-        "tune_validation": plan.tune_validation,
-        "lambda_grid": list(plan.lambda_grid),
-        "num_components": plan.num_components,
-        "max_order": plan.max_order,
-        "rolling": plan.rolling,
-    }
+    """The plan's fields as JSON values, less ``n_workers``, which cannot move a result;
+    the schedule is recorded as ``lambda_schedule_provided``."""
+    doc = {}
+    for f in fields(BacktestPlan):
+        value = getattr(plan, f.name)
+        if f.name == "lambda_schedule":
+            doc["lambda_schedule_provided"] = value is not None
+        elif f.name != "n_workers":
+            doc[f.name] = asdict(value) if f.name == "bootstrap" else value
+    return encode_keys(doc)
 
 
 def plan_hash(plan: BacktestPlan) -> str:
@@ -207,22 +199,22 @@ def plan_hash(plan: BacktestPlan) -> str:
 
 @dataclass
 class MetricReport:
-    """Everything the backtest measured, ready for export."""
+    """Everything the backtest measured, ready for export; fields in their JSON order."""
 
+    config_hash: str
+    seed: int
     alpha_levels: tuple
     methods: tuple
     periods: tuple
     n_test: int
     days_used: int
-    seed: int
+    plan: dict
     full_day: dict          # method -> metrics over the whole curve grid
     updating: dict          # method -> aggregate metrics over updating periods
     per_period: dict        # method -> {m -> metrics}
-    lambda_schedule: Optional[LambdaSchedule]
     failures: list
     skipped_cells: dict     # (method, m) -> skip count
-    plan: dict
-    config_hash: str
+    lambda_schedule: Optional[LambdaSchedule]
 
 
 class _Cell:
@@ -281,7 +273,7 @@ def run_backtest(fts: FunctionalTimeSeries, plan: BacktestPlan) -> MetricReport:
 
     schedule = plan.lambda_schedule
     if "PLS" in plan.methods and schedule is None:
-        schedule = _tune(
+        schedule = tune_lambda(
             fts.head(plan.initial_train), plan.tune_train, plan.tune_validation, "both",
             plan.lambda_grid, periods, plan.num_components, plan.max_order,
             replace(plan.bootstrap, seed=derive_seed(plan.bootstrap.seed, 1)), failures,
@@ -395,12 +387,7 @@ def run_backtest(fts: FunctionalTimeSeries, plan: BacktestPlan) -> MetricReport:
 # report export
 # ---------------------------------------------------------------------------
 
-#: report fields in their order in the JSON document
-_REPORT_FIELDS = (
-    "config_hash", "seed", "alpha_levels", "methods", "periods", "n_test", "days_used",
-    "plan", "full_day", "updating", "per_period", "failures", "skipped_cells",
-    "lambda_schedule",
-)
+_REPORT_FIELDS = tuple(f.name for f in fields(MetricReport))
 
 
 def report_to_json(report: MetricReport) -> str:

@@ -214,12 +214,7 @@ def reconstruct(model: FpcaModel, scores: np.ndarray) -> np.ndarray:
 
 def model_to_json(model: FpcaModel) -> str:
     """The fitted decomposition as JSON, for inspection (nothing reads it back)."""
-    return dump_doc(envelope("fpca_model", FPCA_SCHEMA_VERSION, {
-        "quad_weight": model.quad_weight,
-        "num_components": model.num_components,
-        "nobs": model.nobs,
-        "degenerate": model.degenerate,
-        "mean": model.mean.tolist(),
-        "eigenvalues": model.eigenvalues.tolist(),
-        "eigenfunctions": model.eigenfunctions.tolist(),
-    }))
+    names = ("quad_weight", "num_components", "nobs", "degenerate", "mean", "eigenvalues",
+             "eigenfunctions")
+    body = {name: getattr(model, name) for name in names}
+    return dump_doc(envelope("fpca_model", FPCA_SCHEMA_VERSION, body))

@@ -672,18 +672,11 @@ def sieve_prediction(
 
 
 def forecast_to_json(forecast: SieveForecast) -> str:
-    return dump_doc(envelope("sieve_forecast", FORECAST_SCHEMA_VERSION, {
-        "num_replicates": forecast.num_replicates,
-        "seed": forecast.seed,
-        "center": forecast.center,
-        "degenerate": forecast.degenerate,
-        "alpha_levels": list(forecast.alpha_levels),
-        "point": forecast.point.tolist(),
-        "error_sd": forecast.error_sd.tolist(),
-        "pointwise": bounds_doc(forecast.pointwise),
-        "band_radius": forecast.band_radius,
-        "band": bounds_doc(forecast.band),
-    }))
+    names = ("num_replicates", "seed", "center", "degenerate", "alpha_levels", "point",
+             "error_sd", "pointwise", "band_radius", "band")
+    body = {name: getattr(forecast, name) for name in names}
+    body.update(pointwise=bounds_doc(forecast.pointwise), band=bounds_doc(forecast.band))
+    return dump_doc(envelope("sieve_forecast", FORECAST_SCHEMA_VERSION, body))
 
 
 def write_forecast_csv(path: str, forecast: SieveForecast) -> None:

@@ -574,6 +574,7 @@ def tune_lambda(
     num_components: Optional[int] = None,
     max_order: int = 10,
     bootstrap: Optional[BootstrapConfig] = None,
+    failures: Optional[list] = None,
 ) -> LambdaSchedule:
     """Tune the shrinkage schedule on an expanding-window validation slice.
 
@@ -587,7 +588,8 @@ def tune_lambda(
     except that a day whose replicate draw fails is dropped from both
     schedules (``"msfe"`` alone never draws).  A validation day that
     cannot be fitted is left out of every average; if every day is,
-    :class:`NumericalError` is raised.
+    :class:`NumericalError` is raised.  Each dropped day is appended to
+    ``failures``, when given, as ``{"day", "stage": "tune", "error"}``.
 
     The pass streams: each validation day is fitted once, its replicates'
     index draws (seed ``derive_seed(bootstrap.seed, 1, day)``) are made
@@ -596,13 +598,6 @@ def tune_lambda(
     and the day is dropped.  Memory is bounded by one day's index draws
     plus a (periods, 1 + alphas, grid, days) score table.
     """
-    return _tune(fts, train_size, validation_size, objective, lambda_grid, periods,
-                 num_components, max_order, bootstrap, [])
-
-
-def _tune(fts, train_size, validation_size, objective, lambda_grid, periods,
-          num_components, max_order, bootstrap, failures) -> LambdaSchedule:
-    """:func:`tune_lambda`, appending each dropped validation day to ``failures``."""
     from .evalharness import interval_score
 
     if objective not in ("msfe", "interval_score", "both"):
@@ -631,6 +626,7 @@ def _tune(fts, train_size, validation_size, objective, lambda_grid, periods,
 
     P, L = len(periods), len(grid)
     by_day = []
+    failures = [] if failures is None else failures
     first = len(failures)
     days = range(train_size, train_size + validation_size)
     for v, day, drawn in _walk_days(fts, days, num_components, max_order, draw, failures, "tune"):

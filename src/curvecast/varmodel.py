@@ -125,13 +125,11 @@ def _regress(scores: np.ndarray, p: int, backward: bool = False):
     return coef, resid, (resid.T @ resid) / (n - p)
 
 
-def fit_var(scores: np.ndarray, order: int, compute_psi: bool = True) -> VarModel:
+def fit_var(scores: np.ndarray, order: int) -> VarModel:
     """Fit a VAR(``order``) to the score matrix by multivariate least squares.
 
     ``scores`` has one row per day.  Requires ``n - order > K * order``
     so the no-intercept design has more rows than columns.
-    ``compute_psi=False`` skips the moving-average expansion, which only
-    matters for bootstrap resampling.
     """
     scores = np.asarray(scores, dtype=float)
     if scores.ndim != 2:
@@ -152,9 +150,9 @@ def fit_var(scores: np.ndarray, order: int, compute_psi: bool = True) -> VarMode
     backward = bwd_coef.reshape(p, K, K).transpose(0, 2, 1)
     radius = companion_spectral_radius(coeffs)
     psi = None
-    if compute_psi and radius < STATIONARITY_LIMIT:
+    if radius < STATIONARITY_LIMIT:
         psi = _freeze(_ma_expansion(coeffs))
-    elif compute_psi:
+    else:
         warnings.warn(
             f"fitted VAR({p}) has companion spectral radius {radius:.4f}; "
             "unusable for bootstrap resampling"

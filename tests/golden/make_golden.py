@@ -6,8 +6,9 @@ Run from the repository root, with no options::
 
 It rewrites ``tests/golden/report/`` (a small backtest's ``report.json``,
 its CSV tables and ``manifest.json``) and ``tests/golden/cli/`` (a small
-price panel, the same panel with a partial last day, and what the
-``fit``, ``forecast``, ``tune`` and ``update`` commands write from them).
+price panel, the same panel with a partial last day, what the ``fit``,
+``forecast``, ``tune``, ``update`` and ``ingest`` commands write from them,
+and a linked ``simulate`` run with its ground-truth dump).
 The CLI runs in a scratch directory with relative paths, so the manifest
 hashes, which cover the input and output paths, do not depend on where
 the repository lives.
@@ -70,6 +71,11 @@ CLI_RUNS = [
     (["update", "--input", PARTIAL, "--method", "ols",
       "--output-csv", "update_ols.csv", "--output-json", "update_ols.json"],
      ["update_ols.csv", "update_ols.json"]),
+    (["simulate", "--days", "30", "--tau", "10", "--seed", "4", "--link-split", "5",
+      "--link-matrix", "0.9,0.3,0.2,0.8", "--output", "linked.csv", "--truth", "linked_truth.json"],
+     ["linked.csv", "linked_truth.json"]),
+    (["ingest", "--input", PARTIAL, "--output", "ingested.csv", "--summary", "ingest_summary.json"],
+     ["ingested.csv", "ingest_summary.json"]),
 ]
 
 

@@ -1,7 +1,7 @@
 import json
 import warnings
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -214,7 +214,7 @@ class TestBacktestReport:
 
     def test_rolling_window_differs(self, small_backtest):
         fts, plan, report = small_backtest
-        from dataclasses import replace
+        from dataclasses import fields, replace
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -389,6 +389,32 @@ class TestCellsAndDays:
             warnings.simplefilter("ignore")  # the decomposition warns that it is degenerate
             with pytest.raises(NumericalError):
                 run_backtest(fts, plan)
+
+
+class TestPlanHash:
+    #: a changed value for every plan field
+    CHANGED = dict(
+        initial_train=201, n_test=49, methods=("TS", "PLS"), periods=(2, 5),
+        bootstrap=BootstrapConfig(seed=1), lambda_schedule=LambdaSchedule(point={2: 1.0}),
+        tune_train=149, tune_validation=49, lambda_grid=(0.0, 1.0), num_components=2,
+        max_order=9, rolling=True, n_workers=2,
+    )
+
+    def test_every_field_but_n_workers_moves_the_hash(self):
+        # a plan field added without a changed value here fails the first check
+        assert set(self.CHANGED) == {f.name for f in fields(BacktestPlan)}
+        base = BacktestPlan()
+        for name, value in self.CHANGED.items():
+            moved = plan_hash(replace(base, **{name: value})) != plan_hash(base)
+            assert moved == (name != "n_workers"), name
+
+    def test_every_bootstrap_field_moves_the_hash(self):
+        changed = dict(num_replicates=300, seed=1, alpha_levels=(0.1,), center="ts")
+        assert set(changed) == {f.name for f in fields(BootstrapConfig)}
+        base = BacktestPlan()
+        for name, value in changed.items():
+            plan = replace(base, bootstrap=replace(base.bootstrap, **{name: value}))
+            assert plan_hash(plan) != plan_hash(base), name
 
 
 class TestReportSerialization:

@@ -599,7 +599,7 @@ class TestTuning:
             failures = []
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # the explosive fit warns
-                updating._tune(fts, 5, 10, objective, (0.0, 1.0), (5,), 2, 10, cfg, failures)
+                tune_lambda(fts, 5, 10, objective, (0.0, 1.0), (5,), 2, 10, cfg, failures)
             dropped[objective] = [(f["day"], f["stage"]) for f in failures]
         # the draw fails only where replicates are drawn
         assert dropped == {"msfe": [(5, "tune")], "both": [(5, "tune"), (13, "tune")]}
