@@ -8,6 +8,8 @@ bands, and refine the forecast during the trading day as new points
 arrive.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import ConfigError, CurvecastError, DataError, NumericalError
 from .gridcurves import (
     FunctionalTimeSeries,
@@ -88,76 +90,8 @@ from .datagen import SynthSpec, SynthTruth, generate, orthonormal_basis
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BacktestPlan",
-    "BootstrapConfig",
-    "ConfigError",
-    "CurvecastError",
-    "DataError",
-    "DEFAULT_LAMBDA_GRID",
-    "FlrModel",
-    "FpcaModel",
-    "FunctionalTimeSeries",
-    "IntradayGrid",
-    "LambdaSchedule",
-    "MetricReport",
-    "NumericalError",
-    "PriceMatrix",
-    "SieveForecast",
-    "SieveReplicates",
-    "SynthSpec",
-    "SynthTruth",
-    "UpdateContext",
-    "VarModel",
-    "aicc",
-    "backward_innovation_transfer",
-    "build_update_context",
-    "cidr_transform",
-    "companion_spectral_radius",
-    "derive_seed",
-    "draw_replicates",
-    "ecp",
-    "empirical_quantile",
-    "far1_fit",
-    "fit_fpca",
-    "fit_var",
-    "flr_fit",
-    "flr_interval_update",
-    "flr_update",
-    "forecast_scores",
-    "forecast_to_json",
-    "future_curves",
-    "generate",
-    "ingest_price_matrix",
-    "interpolate_missing",
-    "interval_score",
-    "inverse_cidr",
-    "model_to_json",
-    "msfe",
-    "observed_columns",
-    "ols_update",
-    "orthonormal_basis",
-    "plan_hash",
-    "plan_to_dict",
-    "pls_coefficients",
-    "pls_interval_update",
-    "pls_update",
-    "read_price_csv",
-    "reconstruct",
-    "report_from_json",
-    "report_to_json",
-    "run_backtest",
-    "schedule_from_json",
-    "schedule_to_json",
-    "select_num_components",
-    "select_order",
-    "shrinkage_objective",
-    "sieve_prediction",
-    "tune_lambda",
-    "updating_columns",
-    "validate_plan",
-    "weighted_pca",
-    "write_forecast_csv",
-    "write_report_csvs",
-    "write_wide_csv",
-]
+#: every name bound above that is not a submodule; declared once, by the imports
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -18,6 +18,7 @@ import os
 import re
 import sys
 import warnings
+from dataclasses import fields
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
@@ -183,8 +184,7 @@ def _bootstrap(opts: dict) -> BootstrapConfig:
 
 def _load_curves(path: str, max_missing_frac: float = 0.5):
     raw, grid, dates = read_price_csv(path)
-    pm, kept, summary = ingest_price_matrix(raw, grid, dates, max_missing_frac)
-    return cidr_transform(pm), pm, kept, summary
+    return cidr_transform(ingest_price_matrix(raw, grid, dates, max_missing_frac)[0])
 
 
 def _report_dropped(failures: list, total: int) -> None:
@@ -320,7 +320,7 @@ FIT_OPTS = [
 
 
 def cmd_fit(opts: dict) -> int:
-    fts, _, _, _ = _load_curves(_require(opts, "input"), opts["max_missing_frac"])
+    fts = _load_curves(_require(opts, "input"), opts["max_missing_frac"])
     day = _fit_day(fts, opts["num_components"], opts["max_order"])
     model, var = day.fpca, day.var
     # the document names ``is_stationary`` "stationary"
@@ -354,7 +354,7 @@ FORECAST_OPTS = [
 def cmd_forecast(opts: dict) -> int:
     if not opts["output_csv"] and not opts["output_json"]:
         raise ConfigError("forecast needs --output-csv and/or --output-json")
-    fts, _, _, _ = _load_curves(_require(opts, "input"), opts["max_missing_frac"])
+    fts = _load_curves(_require(opts, "input"), opts["max_missing_frac"])
     day = _fit_day(fts, opts["num_components"], opts["max_order"])
     forecast = sieve_prediction(
         fts, day.fpca, day.var, _bootstrap(opts), n_workers=opts["workers"]
@@ -473,7 +473,7 @@ def cmd_tune(opts: dict) -> int:
     objective = opts["objective"]
     if objective not in ("msfe", "interval_score", "both"):
         raise ConfigError(f"unknown tuning objective {objective!r}")
-    fts, _, _, _ = _load_curves(_require(opts, "input"), opts["max_missing_frac"])
+    fts = _load_curves(_require(opts, "input"), opts["max_missing_frac"])
     failures = []
     schedule = tune_lambda(
         fts, opts["train_size"], opts["validation_size"], objective, opts["lambda_grid"],
@@ -505,25 +505,17 @@ BACKTEST_OPTS = [
 
 
 def cmd_backtest(opts: dict) -> int:
-    fts, _, _, _ = _load_curves(_require(opts, "input"), opts["max_missing_frac"])
+    fts = _load_curves(_require(opts, "input"), opts["max_missing_frac"])
     schedule = None
     if opts["schedule"] is not None:
         schedule = schedule_from_json(_read_text(opts["schedule"]))
-    plan = BacktestPlan(
-        initial_train=opts["initial_train"],
-        n_test=opts["n_test"],
-        methods=tuple(m.upper() for m in opts["methods"]),
-        periods=opts["periods"],
-        bootstrap=_bootstrap(opts),
-        lambda_schedule=schedule,
-        tune_train=opts["tune_train"],
-        tune_validation=opts["tune_validation"],
-        lambda_grid=opts["lambda_grid"],
-        num_components=opts["num_components"],
-        max_order=opts["max_order"],
-        rolling=opts["rolling"],
-        n_workers=opts["workers"],
-    )
+    plan = BacktestPlan(**{
+        **{f.name: opts[f.name] for f in fields(BacktestPlan) if f.name in opts},
+        "methods": tuple(m.upper() for m in opts["methods"]),
+        "bootstrap": _bootstrap(opts),
+        "lambda_schedule": schedule,
+        "n_workers": opts["workers"],
+    })
     report = run_backtest(fts, plan)
     outdir = _require(opts, "outdir")
     os.makedirs(outdir, exist_ok=True)

@@ -12,8 +12,8 @@ ground truth alongside the curves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -28,10 +28,9 @@ BURN_IN = 500
 class SynthSpec:
     """Recipe for a synthetic curve process.
 
-    Scores follow a VAR given either as per-factor AR(1) coefficients
-    (``score_ar``, diagonal dynamics) or as explicit lag matrices
-    (``var_matrices``).  ``innovation_sd`` scales independent Gaussian
-    score innovations.  When ``link_split`` is set, the factors live on
+    Scores follow a diagonal VAR(1) with per-factor AR(1) coefficients
+    ``score_ar``.  ``innovation_sd`` scales independent Gaussian score
+    innovations.  When ``link_split`` is set, the factors live on
     the early columns only and the late columns are generated as
     ``late = early_scores @ link_matrix + link noise`` on their own basis.
     """
@@ -41,7 +40,6 @@ class SynthSpec:
     num_factors: int = 2
     basis: str = "fourier"
     score_ar: tuple = (0.5, 0.3)
-    var_matrices: Optional[tuple] = None
     innovation_sd: tuple = (1.0, 1.0)
     noise_sd: float = 0.1
     mean_scale: float = 0.0
@@ -131,20 +129,6 @@ def orthonormal_basis(npoints: int, weight: float, count: int, kind: str = "four
     return basis
 
 
-def _var_matrices(spec: SynthSpec, K: int) -> np.ndarray:
-    if spec.var_matrices is not None:
-        mats = np.asarray(spec.var_matrices, dtype=float)
-        if mats.ndim != 3 or mats.shape[1:] != (K, K):
-            raise DataError(
-                f"var_matrices must have shape (p, {K}, {K}), got {mats.shape}"
-            )
-        return mats
-    ar = np.asarray(spec.score_ar, dtype=float)
-    if ar.shape != (K,):
-        raise DataError(f"score_ar must have {K} entries, got {ar.shape}")
-    return np.diag(ar)[None]
-
-
 def _simulate_var(mats: np.ndarray, innov_sd: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
     p, K, _ = mats.shape
     radius = companion_spectral_radius(mats)
@@ -176,7 +160,10 @@ def generate(spec: SynthSpec):
     grid = IntradayGrid.regular(spec.tau)
     d = grid.curve_size
     K = spec.num_factors
-    mats = _var_matrices(spec, K)
+    ar = np.asarray(spec.score_ar, dtype=float)
+    if ar.shape != (K,):
+        raise DataError(f"score_ar must have {K} entries, got {ar.shape}")
+    mats = np.diag(ar)[None]
     innov_sd = np.asarray(spec.innovation_sd, dtype=float)
     if innov_sd.shape != (K,):
         raise DataError(f"innovation_sd must have {K} entries, got {innov_sd.shape}")

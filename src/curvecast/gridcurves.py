@@ -63,8 +63,9 @@ class IntradayGrid:
         object.__setattr__(self, "times", times)
 
     @classmethod
-    def regular(cls, tau: int, step: float = 5.0, start: float = 0.0) -> "IntradayGrid":
-        return cls(tau=tau, times=tuple(start + step * i for i in range(tau)))
+    def regular(cls, tau: int) -> "IntradayGrid":
+        """``tau`` points five minutes apart, from 0."""
+        return cls(tau=tau, times=tuple(5.0 * i for i in range(tau)))
 
     @property
     def quad_weight(self) -> float:

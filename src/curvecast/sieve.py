@@ -94,11 +94,6 @@ class BootstrapConfig:
             raise ConfigError(f"center must be one of {CENTER_CHOICES}, got {self.center!r}")
 
 
-def _replicate_rng(seed: int, index: int) -> np.random.Generator:
-    """Independent stream for one replicate, split off the master seed."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
-
-
 def derive_seed(master: int, *path: int) -> int:
     """Stable 64-bit child seed for a nested task (e.g. one backtest day)."""
     ss = np.random.SeedSequence(entropy=master, spawn_key=tuple(int(p) for p in path))
@@ -198,12 +193,10 @@ def far1_fit(pool, idx, weight, scores=None, basis=None) -> np.ndarray:
     """Fit the one-step functional autoregression to each series and forecast its next day.
 
     Series b is ``scores[b] @ basis.T + pool[idx[b]]``: n days of (K,)
-    component scores on a (d, K) basis plus n rows of a residual pool.
-    ``pool`` is one (m, d) pool every series draws from, or a (B, m, d)
-    stack with a pool per series; ``idx`` is (B, n).  Without ``scores``
-    and ``basis`` (K = 0), a plain (B, n, d) stack of curve series is
-    refit with each series as its own pool and every row of ``idx``
-    equal to ``arange(n)``.  Returns the (B, d) forecasts
+    component scores on a (d, K) basis plus n rows of the (m, d) residual
+    pool every series draws from; ``idx`` is (B, n).  Without ``scores``
+    and ``basis`` (K = 0), one plain (n, d) curve series is refit as its
+    own pool with ``idx = arange(n)[None]``.  Returns the (B, d) forecasts
     ``mean + transfer @ (last - mean)``.  Per series, the lag-one
     cross-covariance is composed with the inverse of the covariance
     restricted to its leading J eigenvectors, J chosen by the same
@@ -232,15 +225,15 @@ def far1_fit(pool, idx, weight, scores=None, basis=None) -> np.ndarray:
     a gather from ``R v``, and ``c[1:]^T`` applies as a ``bincount`` of
     it onto the pool rows times ``R``.  Every per-series sum is a
     stacked product or a per-series ``bincount``, so row b's forecast
-    depends on row b (and its pool) alone.
+    depends on row b alone.
     """
     idx = np.asarray(idx)
     B, n = idx.shape
     if n < 2:
         raise DataError(f"need at least 2 days, got {n}")
-    shift = pool.mean(axis=-2, keepdims=True)
+    shift = pool.mean(axis=0)
     resid = pool - shift
-    m, d = resid.shape[-2:]
+    m, d = resid.shape
     if scores is None:
         scores, basis = np.zeros((B, n, 0)), np.zeros((d, 0))
     rows = max(1, _STACK_BYTES // (8 * m * d))
@@ -250,17 +243,12 @@ def far1_fit(pool, idx, weight, scores=None, basis=None) -> np.ndarray:
     for lo in range(0, B, rows):
         hi = min(lo + rows, B)
         preds[lo:hi], flat = _far1_rows(
-            resid[lo:hi] if resid.ndim == 3 else resid,
-            idx[lo:hi],
-            scores[lo:hi],
-            basis,
-            weight,
-            scaled[: hi - lo],
+            resid, idx[lo:hi], scores[lo:hi], basis, weight, scaled[: hi - lo]
         )
         degenerate |= flat
     if degenerate:
         warnings.warn("curves carry no variance; autoregression transfer set to zero")
-    return preds + shift.reshape(-1, d)
+    return preds + shift
 
 
 def _pool_tally(idx, scores, m):
@@ -288,7 +276,7 @@ def _pool_tally(idx, scores, m):
 def _far1_rows(resid, idx, scores, basis, weight, scaled):
     """:func:`far1_fit` on one chunk of series, from the centred pool; also says if any was flat."""
     rows, n = idx.shape
-    m, d = resid.shape[-2:]
+    m, d = resid.shape
     K = basis.shape[1]
     at = np.arange(rows)[:, None]
     tally = _pool_tally(idx, scores, m)
@@ -300,7 +288,7 @@ def _far1_rows(resid, idx, scores, basis, weight, scaled):
     ) / n
 
     # sum_t resid[idx_t] resid[idx_t]^T, one symmetric rank-k update per series
-    resid_t = np.ascontiguousarray(np.swapaxes(resid, -1, -2))
+    resid_t = np.ascontiguousarray(resid.T)
     np.multiply(resid_t, np.sqrt(cnt)[:, None, :], out=scaled)
     cov = np.matmul(scaled, scaled.transpose(0, 2, 1))
     # sum_t x_t x_t^T - n xbar xbar^T = cov + A + A^T, A = [basis, xbar] @ half
@@ -335,8 +323,7 @@ def _far1_rows(resid, idx, scores, basis, weight, scaled):
     )
     certified = live & (rank <= p) & (sound | ~used).all(axis=1)
 
-    own = np.broadcast_to(resid, (rows, m, d))
-    last = np.matmul(basis, scores[:, -1, :, None])[:, :, 0] + own[at[:, 0], idx[:, -1]] - xbar
+    last = np.matmul(basis, scores[:, -1, :, None])[:, :, 0] + resid[idx[:, -1]] - xbar
     inv = np.zeros_like(lam)
     np.divide(1.0, lam, out=inv, where=used & certified[:, None])
     coef = np.matmul(last[:, None, :], vecs) * inv[:, None, :]
@@ -358,7 +345,7 @@ def _far1_rows(resid, idx, scores, basis, weight, scaled):
 
     flat = not live.all()
     for b in np.flatnonzero(live & ~certified):
-        cb = scores[b] @ basis.T + own[b, idx[b]] - xbar[b]
+        cb = scores[b] @ basis.T + resid[idx[b]] - xbar[b]
         transfer, zero = _regularized_transfer(cb.T @ cb / n, cb[1:].T @ cb[:-1] / n, weight, n)
         flat |= zero
         preds[b] = xbar[b] + transfer @ cb[-1]
@@ -384,7 +371,7 @@ def _one_step(fpca: FpcaModel, var: VarModel):
     """The one-step score forecast and the next-day curve it implies."""
     _check_pair(fpca, var)
     K = fpca.num_components
-    step = forecast_scores(var, fpca.scores[:, :K], horizon=1)[0]
+    step = forecast_scores(var, fpca.scores[:, :K])
     return _freeze(step), _freeze(fpca.mean + fpca.eigenfunctions[:, :K] @ step)
 
 
@@ -473,28 +460,32 @@ class SieveReplicates:
         return _pool_tally(self.series_resid_idx, scores, self.resid_pool.shape[0]), gram
 
 
-def _index_draws(seed, indices, T, M, p, n_eps, n_resid):
-    """Each listed replicate's indices, from two bulk reads of its own stream ``(seed, b)``.
+def _index_draws(seed, B, T, M, p, n_eps, n_resid):
+    """Replicate b's indices, b < B, from two bulk reads of its own stream ``(seed, b)``.
 
     Stream order: T core, M pre- and p post-sample innovations, the future one; then n = T + p
     series residual rows, the future row.  Bounded draws read the stream value by value, so
     the two reads equal these six draws bit for bit.  Returns (B, M+T+p) innovations in time
     order (pre, core, post), (B,) future ones, (B, n) series rows and (B,) future rows."""
-    ext = np.empty((len(indices), M + T + p), dtype=np.int64)
-    rows = np.empty((len(indices), T + p), dtype=np.int64)
-    fut, fut_rows = np.empty((2, len(indices)), dtype=np.int64)
+    ext = np.empty((B, M + T + p), dtype=np.int64)
+    rows = np.empty((B, T + p), dtype=np.int64)
+    fut, fut_rows = np.empty((2, B), dtype=np.int64)
     in_time_order = np.r_[T : T + M, :T, T + M : T + M + p]
-    for r, b in enumerate(indices):
-        rng = _replicate_rng(seed, b)
+    for b in range(B):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(b,)))
         draw = rng.integers(0, n_eps, size=T + M + p + 1)
-        ext[r], fut[r] = draw[in_time_order], draw[-1]
+        ext[b], fut[b] = draw[in_time_order], draw[-1]
         draw = rng.integers(0, n_resid, size=T + p + 1)
-        rows[r], fut_rows[r] = draw[:-1], draw[-1]
+        rows[b], fut_rows[b] = draw[:-1], draw[-1]
     return ext, fut, rows, fut_rows
 
 
-def _draws(fpca, var, seed, indices):
-    """Check that the day can be resampled, then :func:`_index_draws` with (B, K) future scores."""
+def _draws(fpca, var, seed, B):
+    """Check that the day can be resampled, then :func:`_index_draws` with (B, K) future scores.
+
+    Warns when B is too small for stable quantiles."""
+    if B < 50:
+        warnings.warn(f"only {B} replicates; quantiles will be unstable")
     ts1, _ = _one_step(fpca, var)
     if not var.is_stationary:
         raise NumericalError(
@@ -506,14 +497,16 @@ def _draws(fpca, var, seed, indices):
     eps_pool, p = var.centered_residuals, var.order
     T = fpca.scores.shape[0] - p
     padded, fut_eps, series_rows, fut_rows = _index_draws(
-        seed, indices, T, var.psi.shape[0] - 1, p, eps_pool.shape[0], fpca.residuals.shape[0]
+        seed, B, T, var.psi.shape[0] - 1, p, eps_pool.shape[0], fpca.residuals.shape[0]
     )
     return padded, ts1 + eps_pool[fut_eps], series_rows, fut_rows
 
 
-def _assemble_replicates(fpca, var, seed, indices) -> SieveReplicates:
-    """Build the pseudo score paths for the given replicate indices."""
-    padded, future_scores, series_resid_idx, fut_resid_idx = _draws(fpca, var, seed, indices)
+def draw_replicates(fpca: FpcaModel, var: VarModel, cfg: BootstrapConfig) -> SieveReplicates:
+    """Draw every replicate's pseudo score path and residual assignments."""
+    padded, future_scores, series_resid_idx, fut_resid_idx = _draws(
+        fpca, var, cfg.seed, cfg.num_replicates
+    )
     (B, n), K, p = series_resid_idx.shape, fpca.num_components, var.order
     T = n - p
 
@@ -536,18 +529,6 @@ def _assemble_replicates(fpca, var, seed, indices) -> SieveReplicates:
         eigenfunctions=_freeze(fpca.eigenfunctions[:, :K]),
         resid_pool=_freeze(fpca.residuals - fpca.residuals.mean(axis=0)),
     )
-
-
-def _replicate_range(cfg: BootstrapConfig) -> range:
-    """``range(B)``, with a warning when B is too small for stable quantiles."""
-    if cfg.num_replicates < 50:
-        warnings.warn(f"only {cfg.num_replicates} replicates; quantiles will be unstable")
-    return range(cfg.num_replicates)
-
-
-def draw_replicates(fpca: FpcaModel, var: VarModel, cfg: BootstrapConfig) -> SieveReplicates:
-    """Draw every replicate's pseudo score path and residual assignments."""
-    return _assemble_replicates(fpca, var, cfg.seed, _replicate_range(cfg))
 
 
 def future_curves(reps: SieveReplicates) -> np.ndarray:

@@ -39,7 +39,6 @@ from .sieve import (
     _Day,
     _draws,
     _one_step,
-    _replicate_range,
     _walk_days,
 )
 
@@ -621,7 +620,7 @@ def tune_lambda(
     def draw(day, v):
         if want_interval:  # the future draws alone: no pseudo-series is built
             seed = derive_seed(bootstrap.seed, 1, v)
-            _, future_scores, _, rows = _draws(day.fpca, day.var, seed, _replicate_range(bootstrap))
+            _, future_scores, _, rows = _draws(day.fpca, day.var, seed, bootstrap.num_replicates)
             return future_scores, (day.fpca.residuals - day.fpca.residuals.mean(axis=0)).T[:, rows]
 
     P, L = len(periods), len(grid)

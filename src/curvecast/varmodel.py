@@ -214,8 +214,8 @@ def select_order(scores: np.ndarray, max_order: int = DEFAULT_MAX_ORDER) -> int:
     return best_order
 
 
-def forecast_scores(model: VarModel, history: np.ndarray, horizon: int = 1) -> np.ndarray:
-    """Iterated conditional-mean forecasts, shape (horizon, K)."""
+def forecast_scores(model: VarModel, history: np.ndarray) -> np.ndarray:
+    """Conditional-mean forecast of the day after ``history``'s last row, shape (K,)."""
     history = np.asarray(history, dtype=float)
     if history.ndim != 2 or history.shape[1] != model.dim:
         raise DataError(
@@ -224,17 +224,10 @@ def forecast_scores(model: VarModel, history: np.ndarray, horizon: int = 1) -> n
     p = model.order
     if history.shape[0] < p:
         raise DataError(f"history has {history.shape[0]} rows, need at least p={p}")
-    if horizon < 1:
-        raise DataError(f"horizon must be >= 1, got {horizon}")
-    lags = list(history[-p:][::-1])  # lags[0] = most recent
-    out = np.empty((horizon, model.dim))
-    for h in range(horizon):
-        step = np.zeros(model.dim)
-        for xi in range(1, p + 1):
-            step += model.coeffs[xi - 1] @ lags[xi - 1]
-        out[h] = step
-        lags = [step] + lags[: p - 1]
-    return out
+    step = np.zeros(model.dim)
+    for xi in range(1, p + 1):
+        step += model.coeffs[xi - 1] @ history[-xi]
+    return step
 
 
 def backward_innovation_transfer(

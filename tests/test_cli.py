@@ -8,6 +8,14 @@ import numpy as np
 import pytest
 
 import curvecast.cli as cli
+from curvecast import (
+    BacktestPlan,
+    BootstrapConfig,
+    LambdaSchedule,
+    plan_to_dict,
+    run_backtest,
+    schedule_to_json,
+)
 from curvecast.cli import main
 
 
@@ -208,6 +216,40 @@ class TestBacktest:
         assert rc == 0
         for name in sorted(os.listdir(replot)):
             assert (replot / name).read_bytes() == (out1 / name).read_bytes()
+
+    def test_every_option_reaches_the_plan(self, workdir, tmp_path, monkeypatch):
+        # every plan option away from its default; the plan recorded in the report
+        # and the one the run received are the plan built by hand
+        _, prices, _ = workdir
+        schedule = LambdaSchedule(point={3: 1.0, 6: 0.0}, interval={0.1: {3: 1.0, 6: 0.0}},
+                                  lambda_grid=(0.0, 1.0))
+        sched = tmp_path / "sched.json"
+        sched.write_text(schedule_to_json(schedule))
+        expected = BacktestPlan(
+            initial_train=60, n_test=2, methods=("TS", "PLS"), periods=(3, 6),
+            bootstrap=BootstrapConfig(num_replicates=50, seed=9, alpha_levels=(0.1,), center="ts"),
+            lambda_schedule=schedule, tune_train=40, tune_validation=15, lambda_grid=(0.0, 1.0),
+            num_components=2, max_order=3, rolling=True, n_workers=2,
+        )
+        seen = []
+
+        def run(fts, plan):
+            seen.append(plan)
+            return run_backtest(fts, plan)
+
+        monkeypatch.setattr(cli, "run_backtest", run)
+        outdir = tmp_path / "bt"
+        assert main([
+            "backtest", "--input", str(prices), "--initial-train", "60", "--n-test", "2",
+            "--methods", "ts,pls", "--periods", "3,6", "--center", "ts", "--rolling",
+            "--tune-train", "40", "--tune-validation", "15", "--lambda-grid", "0,1",
+            "--schedule", str(sched), "--workers", "2", "--num-components", "2",
+            "--max-order", "3", "--replicates", "50", "--seed", "9", "--alphas", "0.1",
+            "--outdir", str(outdir),
+        ]) == 0
+        assert seen == [expected]
+        report = json.loads((outdir / "report.json").read_text())
+        assert report["plan"] == json.loads(json.dumps(plan_to_dict(expected)))
 
 
 class TestDroppedValidationDays:

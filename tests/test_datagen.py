@@ -30,15 +30,6 @@ class TestGenerate:
         _, truth = generate(SynthSpec(n=20, tau=10, num_factors=2, mean_scale=0.0, seed=1))
         assert np.all(truth.mean == 0.0)
 
-    def test_explicit_var_matrices(self):
-        spec = SynthSpec(
-            n=20, tau=10, num_factors=2,
-            var_matrices=(((0.5, 0.1), (0.0, 0.4)),), seed=2,
-        )
-        _, truth = generate(spec)
-        assert truth.var_matrices.shape == (1, 2, 2)
-        assert truth.var_matrices[0, 0, 1] == 0.1
-
 
 class TestLinkedMode:
     def test_late_block_truth(self):

@@ -27,7 +27,6 @@ from curvecast import (
 )
 from curvecast import sieve
 from curvecast.sieve import (
-    _assemble_replicates,
     _fit_day,
     _regularized_transfer,
     sorted_intervals,
@@ -156,14 +155,6 @@ class TestReplicates:
         for name in ("series_scores", "series_resid_idx", "future_scores", "future_resid_idx"):
             assert np.array_equal(getattr(small, name), getattr(big, name)[:few]), name
 
-    def test_single_replicate_matches_batch(self, small_fit, small_reps):
-        # replicate 3 drawn alone equals row 3 of the batch: draws depend on the index only
-        _, model, var = small_fit
-        one = _assemble_replicates(model, var, 5, [3])
-        assert np.allclose(one.series_scores[0], small_reps.series_scores[3], atol=1e-12)
-        assert np.array_equal(one.series_resid_idx[0], small_reps.series_resid_idx[3])
-        assert np.allclose(future_curves(one)[0], future_curves(small_reps)[3], atol=1e-12)
-
 
 class TestStreamContract:
     """Each replicate's index draws, two bulk reads, equal the contract's six draws."""
@@ -174,9 +165,9 @@ class TestStreamContract:
         "n_eps,n_resid", [(1, 7), (7, 1), (2**31 + 5, 7), (2**32, 2**32 + 3), (2**32 + 3, 2**32)]
     )
     def test_two_bulk_reads_equal_six_draws(self, seed, M, n_eps, n_resid):
-        T, p, indices = 9, 2, [0, 3, 11]
-        padded, fut_eps, rows, fut_rows = sieve._index_draws(seed, indices, T, M, p, n_eps, n_resid)
-        for r, b in enumerate(indices):
+        T, p = 9, 2
+        padded, fut_eps, rows, fut_rows = sieve._index_draws(seed, 12, T, M, p, n_eps, n_resid)
+        for b in (0, 3, 11):
             rng = default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
             core = rng.integers(0, n_eps, size=T)
             pre = rng.integers(0, n_eps, size=M)
@@ -184,10 +175,10 @@ class TestStreamContract:
             fut = rng.integers(0, n_eps)
             series = rng.integers(0, n_resid, size=T + p)
             fut_row = rng.integers(0, n_resid)
-            assert np.array_equal(padded[r], np.concatenate([pre, core, post]))
-            assert fut_eps[r] == fut
-            assert np.array_equal(rows[r], series)
-            assert fut_rows[r] == fut_row
+            assert np.array_equal(padded[b], np.concatenate([pre, core, post]))
+            assert fut_eps[b] == fut
+            assert np.array_equal(rows[b], series)
+            assert fut_rows[b] == fut_row
 
 
 def far1_oracle(curves, weight):
@@ -232,10 +223,10 @@ def _replicate_stack(panel, num_replicates):
     return reps.mean, factored, curves
 
 
-def own_pool(curves):
-    """A plain (B, n, d) stack in ``far1_fit``'s form: no scores, each series its own pool."""
-    B, n, _ = curves.shape
-    return curves, np.tile(np.arange(n), (B, 1))
+def refit_each(curves, weight):
+    """A plain (B, n, d) stack refit one series at a time, each series its own (n, d) pool."""
+    n = curves.shape[1]
+    return np.vstack([far1_fit(series, np.arange(n)[None], weight) for series in curves])
 
 
 def factored_series(seed, B, n, d, K, m):
@@ -267,14 +258,14 @@ class TestFar1:
         flat = np.full_like(fts.values, 0.25)
         stack = np.stack([fts.values, flat, fts.values[::-1]])
         with pytest.warns(UserWarning, match="carry no variance"):
-            preds = far1_fit(*own_pool(stack), w)
+            preds = refit_each(stack, w)
         assert np.array_equal(preds[1], flat[0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for b in (0, 2):
-                assert np.array_equal(preds[b], far1_fit(*own_pool(stack[b][None]), w)[0])
+                assert np.array_equal(preds[b], refit_each(stack[b][None], w)[0])
         with pytest.raises(DataError):
-            far1_fit(*own_pool(stack[:, :1]), w)
+            refit_each(stack[:, :1], w)
 
     @pytest.mark.parametrize("panel", sorted(_PANELS))
     def test_certified_eigenpairs_match_the_eigh_oracle(self, panel, fallbacks):
@@ -294,7 +285,7 @@ class TestFar1:
         smooth = default_rng(2).standard_normal((2, 64, 6)) * [3.0, 1.0, 0.5, 0.2, 0.1, 0.05]
         stack = np.concatenate([smooth[:1], tied[None], smooth[1:]]) + 1.0
         w = 0.2
-        got = far1_fit(*own_pool(stack), w)
+        got = refit_each(stack, w)
         assert len(fallbacks) == 1
         assert np.array_equal(fallbacks[0], tied.T @ tied / 64)
         np.testing.assert_allclose(got, far1_oracle(stack, w), rtol=0.0, atol=1e-12)
@@ -332,7 +323,7 @@ class TestFar1:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # a one-row pool is flat
             got = far1_fit(pool, idx, 0.1, scores, basis)
-            want = far1_fit(*own_pool(curves), 0.1)
+            want = refit_each(curves, 0.1)
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
 

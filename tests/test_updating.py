@@ -96,7 +96,7 @@ class TestContext:
         assert context.m == 10
         assert np.array_equal(context.observed, fts.values[150, :9])
         assert np.allclose(
-            context.ts_scores, forecast_scores(var, scores)[0], atol=1e-14
+            context.ts_scores, forecast_scores(var, scores), atol=1e-14
         )
         expected_basis = model.eigenfunctions[
             observed_columns(20, 10)

@@ -123,19 +123,18 @@ class TestCompanion:
 
 
 class TestForecast:
-    def test_one_and_two_step(self, ar1_fit):
+    def test_one_step(self, ar1_fit):
         _, x, m = ar1_fit
-        fc = forecast_scores(m, x, horizon=2)
-        assert np.allclose(fc[0], x[-1] @ m.coeffs[0].T, atol=1e-14)
-        assert np.allclose(fc[1], fc[0] @ m.coeffs[0].T, atol=1e-14)
+        fc = forecast_scores(m, x)
+        assert np.allclose(fc, x[-1] @ m.coeffs[0].T, atol=1e-14)
 
     def test_order_two_uses_both_lags(self):
         coeffs = np.array([[[0.3]], [[0.4]]])
         x = simulate_var(coeffs, 400, seed=11)
         m = fit_var(x, 2)
-        fc = forecast_scores(m, x, horizon=1)
+        fc = forecast_scores(m, x)
         manual = m.coeffs[0] @ x[-1] + m.coeffs[1] @ x[-2]
-        assert np.allclose(fc[0], manual, atol=1e-14)
+        assert np.allclose(fc, manual, atol=1e-14)
 
 
 class TestCriterion:
