@@ -17,7 +17,6 @@ from .gridcurves import (
     PriceMatrix,
     cidr_transform,
     ingest_price_matrix,
-    interpolate_missing,
     inverse_cidr,
     read_price_csv,
     write_wide_csv,
@@ -61,7 +60,6 @@ from .updating import (
     flr_fit,
     flr_interval_update,
     flr_update,
-    observed_columns,
     ols_update,
     pls_coefficients,
     pls_interval_update,

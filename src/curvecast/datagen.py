@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .gridcurves import FunctionalTimeSeries, IntradayGrid, _freeze
-from .varmodel import STATIONARITY_LIMIT, companion_spectral_radius
+from .varmodel import STATIONARITY_LIMIT
 
 BURN_IN = 500
 
@@ -129,21 +129,14 @@ def orthonormal_basis(npoints: int, weight: float, count: int, kind: str = "four
     return basis
 
 
-def _simulate_var(mats: np.ndarray, innov_sd: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    p, K, _ = mats.shape
-    radius = companion_spectral_radius(mats)
-    if radius >= STATIONARITY_LIMIT:
-        raise DataError(
-            f"score dynamics are not stationary (companion radius {radius:.4f})"
-        )
-    total = BURN_IN + n
-    eps = rng.standard_normal((total, K)) * innov_sd
-    out = np.zeros((total, K))
-    for t in range(total):
-        acc = eps[t].copy()
-        for xi in range(1, min(t, p) + 1):
-            acc += mats[xi - 1] @ out[t - xi]
-        out[t] = acc
+def _simulate_scores(ar: np.ndarray, innov_sd: np.ndarray, n: int, rng) -> np.ndarray:
+    """n days of per-factor AR(1) scores, ``out[t] = eps[t] + ar * out[t - 1]``, after a burn-in."""
+    radius = float(np.abs(ar).max())
+    if not radius < STATIONARITY_LIMIT:
+        raise DataError(f"score dynamics are not stationary (companion radius {radius:.4f})")
+    out = rng.standard_normal((BURN_IN + n, ar.size)) * innov_sd
+    for t in range(1, out.shape[0]):
+        out[t] += ar * out[t - 1]
     return out[BURN_IN:]
 
 
@@ -163,12 +156,11 @@ def generate(spec: SynthSpec):
     ar = np.asarray(spec.score_ar, dtype=float)
     if ar.shape != (K,):
         raise DataError(f"score_ar must have {K} entries, got {ar.shape}")
-    mats = np.diag(ar)[None]
     innov_sd = np.asarray(spec.innovation_sd, dtype=float)
     if innov_sd.shape != (K,):
         raise DataError(f"innovation_sd must have {K} entries, got {innov_sd.shape}")
     mean = _mean_curve(d, spec.mean_scale)
-    scores = _simulate_var(mats, innov_sd, spec.n, rng)
+    scores = _simulate_scores(ar, innov_sd, spec.n, rng)
 
     linked = {}
     if spec.link_split is None:
@@ -199,7 +191,7 @@ def generate(spec: SynthSpec):
         mean=_freeze(mean),
         factors=_freeze(factors),
         scores=_freeze(scores),
-        var_matrices=_freeze(mats),
+        var_matrices=_freeze(np.diag(ar)[None]),
         innovation_cov=_freeze(np.diag(innov_sd**2)),
         noise_sd=spec.noise_sd,
         **linked,

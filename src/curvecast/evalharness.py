@@ -71,6 +71,11 @@ def msfe(actuals: np.ndarray, forecasts: np.ndarray):
     return per_point, float(per_point.mean())
 
 
+def _covered(actual, lo, hi):
+    """Where the actual lies inside its interval; a boundary hit counts as covered."""
+    return ~(actual < lo) & ~(actual > hi)
+
+
 def ecp(actuals, lower, upper, mode: str = "pointwise") -> float:
     """Empirical coverage of interval forecasts.
 
@@ -86,7 +91,7 @@ def ecp(actuals, lower, upper, mode: str = "pointwise") -> float:
     hi = np.broadcast_to(hi, a.shape)
     if a.size == 0:
         raise DataError("empty actuals")
-    inside = ~(a < lo) & ~(a > hi)
+    inside = _covered(a, lo, hi)
     if mode == "pointwise":
         return float(inside.mean())
     if mode == "uniform":
@@ -233,8 +238,7 @@ class _Cell:
         self.sign_ok.append(np.sign(actual) == np.sign(forecast))
 
     def add_interval(self, alpha, actual, lo, hi):
-        inside = ~(actual < lo) & ~(actual > hi)
-        self.cover[alpha].append(inside)
+        self.cover[alpha].append(_covered(actual, lo, hi))
         self.iscore[alpha].append(interval_score(lo, hi, actual, alpha))
 
 
@@ -297,8 +301,7 @@ def run_backtest(fts: FunctionalTimeSeries, plan: BacktestPlan) -> MetricReport:
             ts_full.add_point(actual, day.ts_curve)
             for a in alphas:
                 ts_full.add_interval(a, actual, *forecast.pointwise[a])
-                blo, bhi = forecast.band[a]
-                ts_band_cover[a].append(bool((~(actual < blo) & ~(actual > bhi)).all()))
+                ts_band_cover[a].append(bool(_covered(actual, *forecast.band[a]).all()))
 
         for m in periods:
             cols = updating_columns(tau, m)
@@ -485,9 +488,11 @@ def write_report_csvs(report: MetricReport, outdir: str) -> dict:
     """Write the flat CSV views of a report; returns {name: path}."""
     from . import __version__
 
+    with reading("metric_report"):  # a malformed report fails before any file is written
+        tables = list(_report_tables(report))
     os.makedirs(outdir, exist_ok=True)
     paths = {}
-    for key, name, header, rows in _report_tables(report):
+    for key, name, header, rows in tables:
         paths[key] = os.path.join(outdir, name)
         write_csv(paths[key], header, rows)
 

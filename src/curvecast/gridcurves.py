@@ -55,6 +55,8 @@ class IntradayGrid:
         times = tuple(float(t) for t in self.times)
         if len(times) != self.tau:
             raise DataError(f"times has {len(times)} entries, expected tau={self.tau}")
+        if not np.isfinite(times).all():
+            raise DataError("grid times must be finite")
         steps = np.diff(times)
         if len(steps) and (steps <= 0).any():
             raise DataError("grid times must be strictly increasing")
@@ -156,35 +158,6 @@ def inverse_cidr(curves: FunctionalTimeSeries, open_prices: Sequence[float]) -> 
     return PriceMatrix(prices, curves.grid)
 
 
-def interpolate_missing(raw: np.ndarray, grid: Optional[IntradayGrid] = None) -> PriceMatrix:
-    """Fill interior gaps in a raw price matrix by linear interpolation.
-
-    ``raw`` is an (n, tau) float array with NaN marking missing prices.
-    Interpolation is linear in the grid index.  A missing first or last
-    entry on any row is rejected: extrapolating an opening or closing
-    price would silently fabricate the anchor of the return curve.
-    """
-    raw = np.asarray(raw, dtype=float)
-    if raw.ndim != 2:
-        raise DataError(f"raw price matrix must be 2-d, got shape {raw.shape}")
-    n, tau = raw.shape
-    if grid is None:
-        grid = IntradayGrid.regular(tau)
-    if grid.tau != tau:
-        raise DataError(f"grid tau={grid.tau} does not match matrix columns {tau}")
-    filled = raw.copy()
-    for t in range(n):
-        row = filled[t]
-        miss = np.isnan(row)
-        if not miss.any():
-            continue
-        if miss[0] or miss[-1]:
-            raise DataError(f"day {t} is missing a boundary price; cannot extrapolate")
-        idx = np.arange(tau)
-        filled[t, miss] = np.interp(idx[miss], idx[~miss], row[~miss])
-    return PriceMatrix(filled, grid)
-
-
 def ingest_price_matrix(
     raw: np.ndarray,
     grid: Optional[IntradayGrid] = None,
@@ -193,9 +166,11 @@ def ingest_price_matrix(
 ):
     """Screen raw daily prices, drop unusable days, interpolate the rest.
 
-    Days are dropped (with a warning) when more than ``max_missing_frac``
-    (a fraction in [0, 1]) of their prices are missing or when a boundary
-    price is missing.
+    ``raw`` is (n, tau) with NaN for a missing price.  Days are dropped (with
+    a warning) when more than ``max_missing_frac`` (a fraction in [0, 1]) of
+    their prices are missing or when a boundary price is missing, which
+    would be the anchor of the return curve.  Interior gaps of the kept
+    days are filled linearly in the grid index.
     Returns ``(PriceMatrix, kept_dates, summary_dict)``.
     """
     if not 0.0 <= max_missing_frac <= 1.0:
@@ -231,9 +206,14 @@ def ingest_price_matrix(
         )
     if not keep:
         raise DataError("no usable days after screening")
-    kept = raw[keep]
+    kept = raw[keep]  # a copy, filled in place
     interpolated = int(np.isnan(kept).sum())
-    pm = interpolate_missing(kept, grid)
+    idx = np.arange(tau)
+    for row in kept:
+        miss = np.isnan(row)
+        if miss.any():
+            row[miss] = np.interp(idx[miss], idx[~miss], row[~miss])
+    pm = PriceMatrix(kept, grid)
     summary = {
         "days_in": n,
         "days_kept": len(keep),
@@ -254,16 +234,16 @@ def _parse_clock(label: str) -> Optional[float]:
     label = label.strip()
     if not label:
         return None
-    if label[0] in ("t", "T") and label[1:].replace(".", "", 1).replace("-", "", 1).isdigit():
-        return float(label[1:])
-    if ":" in label:
-        parts = label.split(":")
-        if len(parts) == 2 and parts[0].isdigit() and parts[1].isdigit():
-            return 60.0 * int(parts[0]) + int(parts[1])
-        return None
     try:
+        if label[0] in ("t", "T") and label[1:].replace(".", "", 1).replace("-", "", 1).isdigit():
+            return float(label[1:])
+        if ":" in label:
+            parts = label.split(":")
+            if len(parts) == 2 and parts[0].isdigit() and parts[1].isdigit():
+                return 60.0 * int(parts[0]) + int(parts[1])
+            return None
         return float(label)
-    except ValueError:
+    except (ValueError, OverflowError):  # "t1-2", "²:30", an hour past float range
         return None
 
 

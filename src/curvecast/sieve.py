@@ -50,7 +50,7 @@ from ._docs import bounds_doc, dump_doc, envelope, write_curve_csv
 from .errors import ConfigError, DataError, NumericalError
 from .fpca import FpcaModel, fit_fpca, select_num_components
 from .gridcurves import FunctionalTimeSeries, _freeze
-from .varmodel import VarModel, fit_var, forecast_scores, select_order, _transfer_padded
+from .varmodel import VarModel, fit_var, forecast_scores, select_order, _presample, _transfer_padded
 
 SIGMA_FLOOR = 1e-12
 #: block size and step count of the subspace iteration in ``far1_fit``; fixed,
@@ -134,17 +134,18 @@ def empirical_quantile(values: np.ndarray, q, axis: int = 0):
     return out if v.ndim > 1 else float(out)
 
 
-def sorted_intervals(sorted_values: np.ndarray, alpha_levels, axis: int = 0) -> dict:
-    """Central (1 - alpha) intervals for every alpha from values sorted along ``axis``.
+def _intervals(values: np.ndarray, alpha_levels, axis: int = 0) -> dict:
+    """Central (1 - alpha) intervals for every alpha: alpha -> read-only ``(lower, upper)``.
 
-    Maps each alpha to ``(lower, upper)``, the alpha/2 and 1 - alpha/2
-    levels of :func:`empirical_quantile`, bit for bit; callers sort once
-    (in place when they own the array) and read every level from it.
+    Sorts ``values`` along ``axis`` in place (callers pass an array they
+    own) and reads the alpha/2 and 1 - alpha/2 levels with
+    :func:`sorted_quantile`, bit for bit those of :func:`empirical_quantile`.
     """
+    values.sort(axis=axis)
     return {
         a: (
-            sorted_quantile(sorted_values, a / 2.0, axis),
-            sorted_quantile(sorted_values, 1.0 - a / 2.0, axis),
+            _freeze(sorted_quantile(values, a / 2.0, axis)),
+            _freeze(sorted_quantile(values, 1.0 - a / 2.0, axis)),
         )
         for a in alpha_levels
     }
@@ -487,17 +488,11 @@ def _draws(fpca, var, seed, B):
     if B < 50:
         warnings.warn(f"only {B} replicates; quantiles will be unstable")
     ts1, _ = _one_step(fpca, var)
-    if not var.is_stationary:
-        raise NumericalError(
-            f"companion spectral radius {var.spectral_radius:.4f} too close to 1; "
-            "bootstrap resampling rejected"
-        )
-    if var.psi is None:
-        raise NumericalError("moving-average expansion unavailable")
+    M = _presample(var)
     eps_pool, p = var.centered_residuals, var.order
     T = fpca.scores.shape[0] - p
     padded, fut_eps, series_rows, fut_rows = _index_draws(
-        seed, B, T, var.psi.shape[0] - 1, p, eps_pool.shape[0], fpca.residuals.shape[0]
+        seed, B, T, M, p, eps_pool.shape[0], fpca.residuals.shape[0]
     )
     return padded, ts1 + eps_pool[fut_eps], series_rows, fut_rows
 
@@ -621,17 +616,13 @@ def sieve_prediction(
     else:
         center_curve = far1_fit(fts.values, np.arange(fts.n)[None], w)[0]
 
-    shifted = center_curve + errors
-    shifted.sort(axis=0)
+    pointwise = _intervals(center_curve + errors, cfg.alpha_levels)
     sup_sorted = np.sort((np.abs(errors) / sigma_eff).max(axis=1))
-    pointwise = {}
-    band = {}
-    band_radius = {}
-    for alpha, (lo, hi) in sorted_intervals(shifted, cfg.alpha_levels).items():
-        pointwise[alpha] = (_freeze(lo), _freeze(hi))
-        q = float(sorted_quantile(sup_sorted, 1.0 - alpha))
-        band_radius[alpha] = q
-        band[alpha] = (_freeze(center_curve - q * sigma), _freeze(center_curve + q * sigma))
+    band_radius = {a: float(sorted_quantile(sup_sorted, 1.0 - a)) for a in cfg.alpha_levels}
+    band = {
+        a: (_freeze(center_curve - q * sigma), _freeze(center_curve + q * sigma))
+        for a, q in band_radius.items()
+    }
     return SieveForecast(
         point=_freeze(center_curve),
         center=cfg.center,

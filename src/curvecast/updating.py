@@ -35,9 +35,9 @@ from .sieve import (
     SieveReplicates,
     derive_seed,
     draw_replicates,  # noqa: F401  (re-exported beside the interval updates that read its output)
-    sorted_intervals,
     _Day,
     _draws,
+    _intervals,
     _one_step,
     _walk_days,
 )
@@ -56,13 +56,6 @@ def updating_columns(tau: int, m: int) -> np.ndarray:
     if not 2 <= m < tau:
         raise ConfigError(f"updating period must satisfy 2 <= m < tau, got m={m}")
     return np.arange(m - 1, tau - 1)
-
-
-def observed_columns(tau: int, m: int) -> np.ndarray:
-    """Curve-array columns already observed at updating period ``m``."""
-    if not 2 <= m < tau:
-        raise ConfigError(f"updating period must satisfy 2 <= m < tau, got m={m}")
-    return np.arange(0, m - 1)
 
 
 @dataclass(frozen=True)
@@ -222,7 +215,7 @@ def _pls_bounds(
     lams: Sequence[float],
     alpha_levels: Sequence[float],
 ) -> dict:
-    """Bounds of the rest of the day per shrinkage value: alpha -> (lo, hi), each (L, c).
+    """Bounds of the rest of the day per shrinkage value: alpha -> read-only (lo, hi), each (L, c).
 
     Each of the B score draws in ``future_scores`` (B, K) is shrunk
     against the observed block with each of the L values, rebuilt on the c
@@ -234,8 +227,7 @@ def _pls_bounds(
         raise DataError("replicates were drawn from a different component model")
     curves = _rebuild_late(ctx, fpca, _pls_betas(ctx, fpca, lams, future_scores.T))
     curves += late_resid_t
-    curves.sort(axis=-1)
-    return sorted_intervals(curves, alpha_levels, axis=-1)
+    return _intervals(curves, alpha_levels, axis=-1)
 
 
 def pls_interval_update(
@@ -259,10 +251,7 @@ def pls_interval_update(
         _require_full_rank(ctx.eigenbasis_obs, ctx.m)
     late_resid_t = reps.resid_pool[reps.future_resid_idx, ctx.updating_cols[:, None]]
     bounds = _pls_bounds(ctx, fpca, reps.future_scores, late_resid_t, lams, alpha_levels)
-    return {
-        a: tuple(_freeze(b[lams.index(lam_of[a])]) for b in bounds[a])
-        for a in alpha_levels
-    }
+    return {a: tuple(b[lams.index(lam_of[a])] for b in bounds[a]) for a in alpha_levels}
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +324,9 @@ def flr_fit(
     """Fit block component analyses and the early-to-late score regression."""
     d = fts.grid.curve_size
     tau = fts.grid.tau
-    ecols = observed_columns(tau, m)
     lcols = updating_columns(tau, m)
+    # fancy-indexed, not sliced: the PCA's rounding follows this F-contiguous block
+    ecols = np.arange(m - 1)
     w_e = block_weight(ecols.size)
     w_l = block_weight(lcols.size)
     e_mean, e_phi, e_vals, e_scores, e_degen = weighted_pca(fts.values[:, ecols], w_e)
@@ -440,11 +430,7 @@ def flr_interval_update(
     links, _ = _bootstrap_links(model, reps)  # (B, R, S)
     preds = np.matmul(np.matmul(theta_obs, links)[:, None], model.late_basis.T)[:, 0]
     curves = model.late_mean + preds + reps.resid_pool[reps.future_resid_idx[:, None], lcols]
-    curves.sort(axis=0)
-    return {
-        a: (_freeze(lo), _freeze(hi))
-        for a, (lo, hi) in sorted_intervals(curves, alpha_levels).items()
-    }
+    return _intervals(curves, alpha_levels)
 
 
 # ---------------------------------------------------------------------------

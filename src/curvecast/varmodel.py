@@ -230,6 +230,18 @@ def forecast_scores(model: VarModel, history: np.ndarray) -> np.ndarray:
     return step
 
 
+def _presample(model: VarModel) -> int:
+    """M >= 1, the pre-sample innovations of a replicate; raises if the fit cannot be resampled."""
+    if not model.is_stationary:
+        raise NumericalError(
+            f"companion spectral radius {model.spectral_radius:.4f} too close to 1; "
+            "bootstrap resampling rejected"
+        )
+    if model.psi is None:
+        raise NumericalError("moving-average expansion unavailable")
+    return model.psi.shape[0] - 1
+
+
 def backward_innovation_transfer(
     model: VarModel,
     innovations: np.ndarray,
@@ -249,23 +261,15 @@ def backward_innovation_transfer(
     residuals; padding with zeros would shrink the variance of the first
     and last few outputs.
     """
-    if not model.is_stationary:
-        raise NumericalError(
-            f"spectral radius {model.spectral_radius:.4f} >= {STATIONARITY_LIMIT}; "
-            "backward transfer undefined"
-        )
-    if model.psi is None:
-        raise NumericalError("moving-average expansion unavailable")
+    M = _presample(model)
     innovations = np.asarray(innovations, dtype=float)
     if innovations.ndim != 2 or innovations.shape[1] != model.dim:
         raise DataError(
             f"innovations must be (T, {model.dim}), got shape {innovations.shape}"
         )
     pool = model.centered_residuals
-    M = model.psi.shape[0] - 1
-    p = model.order
-    pre = pool[rng.integers(0, pool.shape[0], size=M)] if M else np.zeros((0, model.dim))
-    post = pool[rng.integers(0, pool.shape[0], size=p)]
+    pre = pool[rng.integers(0, pool.shape[0], size=M)]
+    post = pool[rng.integers(0, pool.shape[0], size=model.order)]
     extended = np.vstack([pre, innovations, post])
     return _transfer_padded(model, extended[:, None])[:, 0]
 
@@ -280,7 +284,7 @@ def _transfer_padded(model: VarModel, extended: np.ndarray) -> np.ndarray:
     ``zeta`` equals the moving-average filter of ``extended`` truncated
     after psi_M plus the psi tail past M, which is below ``PSI_TOLERANCE``.
     """
-    M = model.psi.shape[0] - 1
+    M = _presample(model)
     p = model.order
     T = extended.shape[0] - M - p
     lags = [a.T for a in model.coeffs]

@@ -335,6 +335,29 @@ class TestWarnings:
         assert warnings.formatwarning is formatwarning
 
 
+#: a well-formed TS-only report at alpha 0.2 and m = 3, which the malformed ones alter
+_TS_FULL_DAY = {
+    "msfe": 1.0, "msfe_curve": [1.0], "ecp_pointwise": {"0.2": 0.8}, "ecp_uniform": {"0.2": 0.5},
+    "interval_score": {"0.2": 2.0}, "interval_score_curve": {"0.2": [2.0]},
+}
+
+
+def _report_text(**changes):
+    cell = {"msfe": 1.0, "sign_accuracy": 0.5, "days": 1, "ecp_pointwise": {"0.2": 0.8},
+            "interval_score": {"0.2": 2.0}}
+    doc = {
+        "kind": "metric_report", "schema_version": 1, "config_hash": "x", "seed": 0,
+        "alpha_levels": [0.2], "methods": ["TS"], "periods": [3], "n_test": 1, "days_used": 1,
+        "plan": {}, "full_day": {"TS": _TS_FULL_DAY},
+        "updating": {"TS": {"msfe": 1.0, "sign_accuracy": 0.5, "periods_covered": [3],
+                            "ecp_pointwise": {"0.2": 0.8}, "interval_score": {"0.2": 2.0}}},
+        "per_period": {"TS": {"3": cell}}, "failures": [], "skipped_cells": [],
+        "lambda_schedule": None,
+    }
+    doc.update(changes)
+    return json.dumps(doc)
+
+
 class TestErrorPaths:
     def test_missing_input_is_exit_two(self, tmp_path):
         rc = main(
@@ -487,8 +510,13 @@ class TestErrorPaths:
          '{"kind": "metric_report", "schema_version": 1, "config_hash": "x", "seed": 0, '
          '"alpha_levels": [0.2], "methods": ["TS"], "periods": [3], "n_test": 1, '
          '"days_used": 1, "plan": {}, "full_day": [], "updating": {}, "per_period": {}, '
-         '"failures": [], "skipped_cells": [], "lambda_schedule": null}'],
-        ids=["not-json", "missing-keys", "not-an-object", "bad-field", "list-for-object"],
+         '"failures": [], "skipped_cells": [], "lambda_schedule": null}',
+         _report_text(full_day={"TS": {k: v for k, v in _TS_FULL_DAY.items()
+                                       if k != "interval_score_curve"}}),
+         _report_text(alpha_levels=[0.1]),
+         _report_text(per_period={"TS": {"3": 1.0}})],
+        ids=["not-json", "missing-keys", "not-an-object", "bad-field", "list-for-object",
+             "missing-ts-curve", "alpha-not-in-tables", "period-not-an-object"],
     )
     def test_malformed_report_is_exit_two(self, tmp_path, capsys, text):
         report = tmp_path / "report.json"
@@ -498,6 +526,17 @@ class TestErrorPaths:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and len(err.strip().splitlines()) == 1
+        assert not list(tmp_path.rglob("*.csv"))
+
+    def test_bad_time_label_is_exit_two(self, tmp_path, capsys):
+        prices = tmp_path / "px.csv"
+        prices.write_text("date,t0,t5,t10-\nd1,100,101,102\n")
+        capsys.readouterr()
+        rc = main(["ingest", "--input", str(prices), "--output", str(tmp_path / "c.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and len(err.strip().splitlines()) == 1
+        assert "'t10-'" in err
 
     def test_malformed_schedule_is_exit_two(self, workdir, tmp_path, capsys):
         _, _, partial = workdir

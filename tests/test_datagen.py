@@ -60,6 +60,11 @@ class TestLinkedMode:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("ar", [0.999, -0.999, 1.5])
+    def test_non_stationary_score_ar(self, ar):
+        with pytest.raises(DataError, match="not stationary"):
+            generate(SynthSpec(n=10, tau=8, num_factors=2, score_ar=(0.5, ar)))
+
     def test_score_ar_length(self):
         with pytest.raises(DataError):
             generate(SynthSpec(n=10, tau=8, num_factors=2, score_ar=(0.5,)))

@@ -1,10 +1,11 @@
+import csv
 import math
 import os
 import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -15,7 +16,6 @@ from curvecast import (
     PriceMatrix,
     cidr_transform,
     ingest_price_matrix,
-    interpolate_missing,
     inverse_cidr,
     read_price_csv,
     write_wide_csv,
@@ -103,8 +103,10 @@ class TestSeries:
 
 class TestIngestion:
     def test_interior_gap_interpolated(self):
-        pm = interpolate_missing(np.array([[100.0, np.nan, 104.0]]))
+        raw = np.array([[100.0, np.nan, 104.0]])
+        pm, _, summary = ingest_price_matrix(raw)
         assert pm.prices[0, 1] == pytest.approx(102.0)
+        assert summary["interpolated_cells"] == 1 and np.isnan(raw[0, 1])  # input untouched
 
     def test_drops_bad_days_and_reports(self):
         raw = np.array(
@@ -178,6 +180,22 @@ class TestCsv:
         assert dates == [f"day{t + 1:04d}" for t in range(n)]
         assert np.array_equal(np.isnan(raw), missing)
         assert np.array_equal(raw[~missing], prices[~missing])
+
+    @settings(max_examples=200, deadline=None)
+    @given(labels=st.lists(st.text(), min_size=3, max_size=3))
+    @example(labels=["t0", "t5", "t10-"])
+    @example(labels=["t0", "t1-2", "t5"])
+    @example(labels=["²:30", "t5", "t10"])
+    @example(labels=["-inf", "0", "inf"])
+    def test_any_header_reads_or_is_data_error(self, labels):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "px.csv")
+            with open(path, "w", newline="") as fh:
+                csv.writer(fh).writerows([labels, ["100", "101", "102"]])
+            try:
+                read_price_csv(path)
+            except DataError:
+                pass
 
     def test_missing_file_is_data_error(self, tmp_path):
         with pytest.raises(DataError):

@@ -1,4 +1,7 @@
-"""The public surface: ``__all__`` is exactly what ``from curvecast import *`` binds."""
+"""The public surface: ``__all__`` is exactly what ``from curvecast import *`` binds.
+
+The package also stays below its line ceiling.
+"""
 
 import ast
 import os
@@ -27,3 +30,14 @@ def test_every_name_the_acceptance_suite_imports_is_public():
         for alias in node.names
     }
     assert imported and imported <= set(curvecast.__all__)
+
+
+def test_package_stays_below_the_line_ceiling():
+    # every line of every .py in the package, counted as the benchmark's pkg.src_lines is
+    pkg = os.path.dirname(curvecast.__file__)
+    lines = 0
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name)) as fh:
+                lines += sum(1 for _ in fh)
+    assert lines < 3900, f"{lines} source lines; ROADMAP caps the package below 3,900"

@@ -28,8 +28,8 @@ from curvecast import (
 from curvecast import sieve
 from curvecast.sieve import (
     _fit_day,
+    _intervals,
     _regularized_transfer,
-    sorted_intervals,
     sorted_quantile,
 )
 from conftest import sort_quantile_oracle
@@ -84,14 +84,16 @@ class TestEmpiricalQuantile:
     def test_shared_helpers_match_sort_oracle(self, rows, alphas, q):
         B = min(len(r) for r in rows)
         stack = np.array([r[:B] for r in rows])  # (rows, B), quantiles along axis 1
-        ordered = np.sort(stack, axis=1)
-        bounds = sorted_intervals(ordered, alphas, axis=1)
+        ordered = stack.copy()
+        bounds = _intervals(ordered, alphas, axis=1)
+        assert np.array_equal(ordered, np.sort(stack, axis=1))  # sorted in place
         at_q = sorted_quantile(ordered, q, axis=1)
         for i, row in enumerate(stack):
             assert at_q[i] == sort_quantile_oracle(row, q)
             assert empirical_quantile(row, q) == sort_quantile_oracle(row, q)
             for a in alphas:
                 lo, hi = bounds[a]
+                assert not (lo.flags.writeable or hi.flags.writeable)
                 assert lo[i] == sort_quantile_oracle(row, a / 2.0)
                 assert hi[i] == sort_quantile_oracle(row, 1.0 - a / 2.0)
 

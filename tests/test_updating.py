@@ -28,7 +28,6 @@ from curvecast import (
     forecast_scores,
     generate,
     interval_score,
-    observed_columns,
     ols_update,
     pls_coefficients,
     pls_interval_update,
@@ -75,17 +74,14 @@ def context(linked_data, pipeline):
 
 class TestColumns:
     def test_partition(self):
-        assert list(observed_columns(12, 6)) == [0, 1, 2, 3, 4]
         assert list(updating_columns(12, 6)) == [5, 6, 7, 8, 9, 10]
-
-    def test_edges(self):
-        assert list(observed_columns(12, 2)) == [0]
+        assert list(updating_columns(12, 2)) == list(range(1, 11))
         assert list(updating_columns(12, 11)) == [10]
 
     def test_all_columns_covered(self):
-        obs = observed_columns(20, 7)
+        # the m - 1 observed columns come first, the updating ones after them
         upd = updating_columns(20, 7)
-        assert np.array_equal(np.concatenate([obs, upd]), np.arange(19))
+        assert np.array_equal(np.concatenate([np.arange(7 - 1), upd]), np.arange(19))
 
 
 class TestContext:
@@ -98,9 +94,7 @@ class TestContext:
         assert np.allclose(
             context.ts_scores, forecast_scores(var, scores), atol=1e-14
         )
-        expected_basis = model.eigenfunctions[
-            observed_columns(20, 10)
-        ][:, : model.num_components]
+        expected_basis = model.eigenfunctions[np.arange(10 - 1)][:, : model.num_components]
         assert np.array_equal(context.eigenbasis_obs, expected_basis)
 
     def test_rejects_degenerate_blocks(self, pipeline):
@@ -115,7 +109,7 @@ class TestPls:
     def test_zero_lambda_equals_ols(self, pipeline, context):
         _, model, _ = pipeline
         beta_pls = pls_coefficients(context, 0.0, model)
-        xc = context.observed - model.mean[observed_columns(20, 10)]
+        xc = context.observed - model.mean[np.arange(10 - 1)]
         beta_ls, *_ = np.linalg.lstsq(context.eigenbasis_obs, xc, rcond=None)
         assert np.max(np.abs(beta_pls - beta_ls)) < 1e-10
         assert np.allclose(
@@ -196,7 +190,7 @@ class TestPls:
         lam = 5.0
         beta = pls_coefficients(context, lam, model)
         best = shrinkage_objective(context, model, lam, beta)
-        xc = context.observed - model.mean[observed_columns(20, 10)]
+        xc = context.observed - model.mean[np.arange(10 - 1)]
         beta_ols, *_ = np.linalg.lstsq(context.eigenbasis_obs, xc, rcond=None)
         assert best <= shrinkage_objective(context, model, lam, beta_ols) + 1e-12
         assert best <= shrinkage_objective(context, model, lam, context.ts_scores) + 1e-12
@@ -360,7 +354,7 @@ def materialised_links(model, reps):
         + reps.series_scores @ reps.eigenfunctions.T
         + reps.resid_pool[reps.series_resid_idx]
     )
-    ecols = observed_columns(tau, model.split)
+    ecols = np.arange(model.split - 1)
     lcols = updating_columns(tau, model.split)
     theta = (curves[:, :, ecols] - model.early_mean) @ (model.early_weight * model.early_basis)
     vartheta = (curves[:, :, lcols] - model.late_mean) @ (model.late_weight * model.late_basis)

@@ -8,13 +8,18 @@ from hypothesis import strategies as st
 from numpy.random import default_rng
 
 from curvecast import (
+    BootstrapConfig,
     ConfigError,
     DataError,
+    FunctionalTimeSeries,
+    IntradayGrid,
     NumericalError,
     VarModel,
     aicc,
     backward_innovation_transfer,
     companion_spectral_radius,
+    draw_replicates,
+    fit_fpca,
     fit_var,
     forecast_scores,
     select_order,
@@ -262,8 +267,14 @@ class TestBackwardTransfer:
             y[t] = 1.2 * y[t - 1] + eps[t]
         with pytest.warns(UserWarning):
             m = fit_var(y, 1)
-        with pytest.raises(NumericalError):
+        with pytest.raises(NumericalError) as transfer:
             backward_innovation_transfer(m, np.zeros((10, 1)), default_rng(0))
+        # the replicate draw, on a one-component decomposition of the same length
+        curves = FunctionalTimeSeries(y * np.linspace(1.0, 2.0, 4), IntradayGrid.regular(5))
+        with pytest.raises(NumericalError) as draw:
+            draw_replicates(fit_fpca(curves, 1), m, BootstrapConfig(num_replicates=50))
+        assert str(draw.value) == str(transfer.value)
+        assert "bootstrap resampling rejected" in str(draw.value)
 
 
 def psi_filter_transfer(model, extended):
