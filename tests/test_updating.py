@@ -75,6 +75,8 @@ def context(linked_data, pipeline):
 class TestColumns:
     def test_partition(self):
         assert list(updating_columns(12, 6)) == [5, 6, 7, 8, 9, 10]
+
+    def test_edges(self):
         assert list(updating_columns(12, 2)) == list(range(1, 11))
         assert list(updating_columns(12, 11)) == [10]
 
