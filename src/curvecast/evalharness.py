@@ -164,7 +164,7 @@ def validate_plan(plan: BacktestPlan, fts: FunctionalTimeSeries) -> tuple:
             raise ConfigError(f"unknown method {mth!r}; choose from {METHODS}")
     if len(set(plan.methods)) < len(plan.methods):
         raise ConfigError(f"plan repeats a method: {plan.methods}")
-    periods = _resolve_periods(plan.periods, fts.grid.tau)
+    periods = _resolve_periods(plan.periods, fts.grid.tau, needed=set(plan.methods) != {"TS"})
     if "PLS" in plan.methods:
         if plan.lambda_schedule is None:
             normalize_lambda_grid(plan.lambda_grid)

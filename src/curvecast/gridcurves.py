@@ -22,6 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ._docs import write_csv
 from .errors import ConfigError, DataError
 
 MISSING_TOKENS = ("", "NA")
@@ -332,22 +333,20 @@ def _read_wide(rows, header, path):
     if any(b <= a for a, b in zip(minutes, minutes[1:])):
         raise DataError(f"{path}: wide-format time columns must be increasing")
     grid = IntradayGrid(tau=len(minutes), times=tuple(m - minutes[0] for m in minutes))
-    dates = []
+    dates = {}  # date -> line, in file order
     raw = np.full((len(rows) - 1, len(minutes)), np.nan)
     for i, row in enumerate(rows[1:]):
         ln = i + 2
         if len(row) != len(header):
             raise DataError(f"{path}:{ln}: expected {len(header)} fields, got {len(row)}")
-        dates.append(row[0].strip() if has_date else f"day{i + 1:04d}")
+        date = row[0].strip() if has_date else f"day{i + 1:04d}"
+        if dates.setdefault(date, ln) != ln:
+            raise DataError(f"{path}:{ln}: duplicate date {date!r}")
         try:
             raw[i] = [float(tok) for tok in row[offset:]]
         except ValueError:  # missing or bad tokens: parse field by field
             raw[i] = [_parse_price(tok, f"{path}:{ln}") for tok in row[offset:]]
-    return raw, grid, dates
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
+    return raw, grid, list(dates)
 
 
 def write_wide_csv(path: str, prices: PriceMatrix, dates: Optional[Sequence[str]] = None) -> None:
@@ -357,8 +356,4 @@ def write_wide_csv(path: str, prices: PriceMatrix, dates: Optional[Sequence[str]
     if len(dates) != prices.n:
         raise DataError(f"{len(dates)} date labels for {prices.n} rows")
     header = ["date"] + [f"t{g:g}" for g in prices.grid.times]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for t in range(prices.n):
-            writer.writerow([dates[t]] + [_fmt(v) for v in prices.prices[t]])
+    write_csv(path, header, ([date, *row] for date, row in zip(dates, prices.prices)))

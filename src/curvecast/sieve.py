@@ -17,10 +17,11 @@ count-weighted pool covariance plus a low-rank score term.  Each refit
 takes the exact spectrum of its covariance (one batched ``eigvalsh``
 for the whole stack) to pick its rank, and its leading eigenvectors
 from a fixed-size block subspace iteration whose Ritz pairs are
-certified against that spectrum by a Davis-Kahan residual bound; a
-series that fails the certificate is built and refit by a full
-``eigh``.  Pointwise quantiles of these errors give prediction
-intervals and studentized sup-norm quantiles give a uniform band.
+certified against that spectrum by a Davis-Kahan residual bound (the
+series that fail take theirs from one batched ``eigh``); all take one
+transfer, in one chunk loop over one or more threads.  Pointwise
+quantiles of these errors give prediction intervals and studentized
+sup-norm quantiles give a uniform band.
 
 Replicate ``b`` always draws from its own counter-split random stream,
 and its refit depends on its own draws alone (every per-replicate sum
@@ -50,7 +51,7 @@ from ._docs import bounds_doc, dump_doc, envelope, write_curve_csv
 from .errors import ConfigError, DataError, NumericalError
 from .fpca import FpcaModel, fit_fpca, select_num_components
 from .gridcurves import FunctionalTimeSeries, _freeze
-from .varmodel import VarModel, fit_var, forecast_scores, select_order, _presample, _transfer_padded
+from .varmodel import VarModel, fit_var, forecast_scores, select_order, _presample, _recurse, _transfer_padded
 
 SIGMA_FLOOR = 1e-12
 #: block size and step count of the subspace iteration in ``far1_fit``; fixed,
@@ -59,8 +60,8 @@ _FAR1_BLOCK = 4
 _FAR1_STEPS = 8
 #: largest certified Ritz residual in ``far1_fit``, as a share of the eigenvalue gap
 _FAR1_TOL = 1e-12
-#: bytes of count-scaled residual pool (d x m per series) one ``far1_fit`` call
-#: builds at once, in one buffer it reuses for every chunk of series
+#: bytes of count-scaled residual pool (d x m per series) one ``far1_fit`` thread
+#: builds at once, in one buffer it reuses for every chunk of series it refits
 _STACK_BYTES = 8 * 2**20
 FORECAST_SCHEMA_VERSION = 1
 CENTER_CHOICES = ("far1", "ts")
@@ -151,19 +152,18 @@ def _intervals(values: np.ndarray, alpha_levels, axis: int = 0) -> dict:
     }
 
 
-def _regularized_transfer(cov0: np.ndarray, cov1: np.ndarray, w: float, n: int):
-    """Lagged covariance composed with the rank-truncated covariance inverse."""
-    evals, evecs = np.linalg.eigh(w * cov0)
-    evals = evals[::-1].copy()
-    evecs = evecs[:, ::-1]
-    evals[evals < 0.0] = 0.0
-    if evals[0] <= 0.0:
-        return np.zeros_like(cov0), True
-    J = select_num_components(evals, n)
-    keep = evals[:J] > 1e-12 * evals[0]
-    vecs = evecs[:, :J][:, keep]
-    inv = (vecs / evals[:J][keep]) @ vecs.T
-    return (w * cov1) @ inv, False
+def _full_eigh(cov: np.ndarray):
+    """Eigenpairs of a (k, d, d) covariance stack, largest first, negative values set to 0."""
+    evals, evecs = np.linalg.eigh(cov)
+    return np.maximum(evals[:, ::-1], 0.0), evecs[:, :, ::-1]
+
+
+def _inverse_apply(vals, vecs, keep, last):
+    """``V diag(1 / vals) V^T last`` per series over the kept eigenpairs, shape (B, d, 1)."""
+    inv = np.zeros_like(vals)
+    np.divide(1.0, vals, out=inv, where=keep)
+    coef = np.matmul(last[:, None, :], vecs) * inv[:, None, :]
+    return np.matmul(vecs, coef.transpose(0, 2, 1))
 
 
 def _leading_ritz_pairs(cov: np.ndarray):
@@ -190,7 +190,7 @@ def _leading_ritz_pairs(cov: np.ndarray):
     return theta, vecs, resid
 
 
-def far1_fit(pool, idx, weight, scores=None, basis=None) -> np.ndarray:
+def far1_fit(pool, idx, weight, scores=None, basis=None, n_workers: int = 1) -> np.ndarray:
     """Fit the one-step functional autoregression to each series and forecast its next day.
 
     Series b is ``scores[b] @ basis.T + pool[idx[b]]``: n days of (K,)
@@ -203,7 +203,7 @@ def far1_fit(pool, idx, weight, scores=None, basis=None) -> np.ndarray:
     restricted to its leading J eigenvectors, J chosen by the same
     eigenvalue-ratio rule as the main decomposition; ``weight`` is the
     grid's quadrature weight.  A series whose curves carry no variance
-    gets a zero transfer (forecast = its mean) and a warning.
+    gets a zero transfer (forecast = its mean) and one warning per call.
 
     No series is built.  With the pool centred to R, ``cnt_b`` counting
     how often series b draws each row, ``D_b`` its scores summed onto
@@ -212,22 +212,27 @@ def far1_fit(pool, idx, weight, scores=None, basis=None) -> np.ndarray:
     rank-(2K+1) term ``Phi S_b Phi^T + Phi D_b^T R + R^T D_b Phi^T -
     n xbar_b xbar_b^T``, where ``S_b = scores[b]^T scores[b]``.  The
     first part is a symmetric rank-m update of the pool scaled by the
-    root counts, the one large array, built for at most ``_STACK_BYTES``
-    at a time into one buffer.  The exact spectrum of every covariance
-    comes from one batched ``eigvalsh``; the J eigenvectors come from
-    :func:`_leading_ritz_pairs`.  Each series' Ritz pairs must pass a
-    Davis-Kahan certificate against that spectrum: for every i < J, the
-    residual is at most ``_FAR1_TOL`` times the gap between the i-th
-    eigenvalue and its neighbours, and the Ritz value lies within half
-    that gap of it.  A series that fails (a near-repeated eigenvalue, J
-    above the block size) is built and refit by a full ``eigh`` of its
-    own covariance.  The transfer is applied as ``(w/n) c[1:]^T (c[:-1]
-    v)`` with ``v = V_J diag(1/lambda_J) V_J^T c_last``: ``c[:-1] v`` is
-    a gather from ``R v``, and ``c[1:]^T`` applies as a ``bincount`` of
-    it onto the pool rows times ``R``.  Every per-series sum is a
-    stacked product or a per-series ``bincount``, so row b's forecast
-    depends on row b alone.
+    root counts, the one large array.  The exact spectrum of every
+    covariance comes from one batched ``eigvalsh``, which fixes J; the J
+    eigenvectors come from :func:`_leading_ritz_pairs`.  Each series'
+    Ritz pairs must pass a Davis-Kahan certificate against that
+    spectrum: for every i < J, the residual is at most ``_FAR1_TOL``
+    times the gap between the i-th eigenvalue and its neighbours, and
+    the Ritz value lies within half that gap of it.  The series that
+    fail (a near-repeated eigenvalue, J above the block size) take their
+    eigenpairs from one batched ``eigh`` of their covariances instead,
+    dropping eigenvalues at most 1e-12 times the largest.  Either way
+    the transfer is applied as ``(w/n) c[1:]^T (c[:-1] v)`` with ``v =
+    V_J diag(1/lambda_J) V_J^T c_last``: ``c[:-1] v`` is a gather from
+    ``R v``, and ``c[1:]^T`` applies as a ``bincount`` of it onto the
+    pool rows times ``R``.  Every per-series sum is a stacked product or
+    a per-series ``bincount``, so row b's forecast depends on row b alone.
+    ``min(n_workers, B, usable CPUs)`` threads each refit every workers-th
+    chunk of at most ceil(B / workers) rows and ``_STACK_BYTES`` of scaled
+    pool, in one buffer of their own.
     """
+    if n_workers < 1:
+        raise ConfigError(f"n_workers must be >= 1, got {n_workers}")
     idx = np.asarray(idx)
     B, n = idx.shape
     if n < 2:
@@ -237,16 +242,23 @@ def far1_fit(pool, idx, weight, scores=None, basis=None) -> np.ndarray:
     m, d = resid.shape
     if scores is None:
         scores, basis = np.zeros((B, n, 0)), np.zeros((d, 0))
-    rows = max(1, _STACK_BYTES // (8 * m * d))
-    scaled = np.empty((min(rows, B), d, m))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(n_workers, B, cpus or 1)
+    rows = max(1, min(_STACK_BYTES // (8 * m * d), -(-B // workers)))
     preds = np.empty((B, d))
-    degenerate = False
-    for lo in range(0, B, rows):
-        hi = min(lo + rows, B)
-        preds[lo:hi], flat = _far1_rows(
-            resid, idx[lo:hi], scores[lo:hi], basis, weight, scaled[: hi - lo]
-        )
-        degenerate |= flat
+
+    def refit(first: int) -> bool:  # every workers-th chunk, in one buffer of its own
+        scaled, flat = np.empty((rows, d, m)), False
+        for at in (slice(lo, lo + rows) for lo in range(first * rows, B, workers * rows)):
+            preds[at], chunk_flat = _far1_rows(resid, idx[at], scores[at], basis, weight, scaled)
+            flat |= chunk_flat
+        return flat
+
+    if workers == 1:
+        degenerate = refit(0)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as threads:
+            degenerate = any(list(threads.map(refit, range(workers))))
     if degenerate:
         warnings.warn("curves carry no variance; autoregression transfer set to zero")
     return preds + shift
@@ -275,7 +287,8 @@ def _pool_tally(idx, scores, m):
 
 
 def _far1_rows(resid, idx, scores, basis, weight, scaled):
-    """:func:`far1_fit` on one chunk of series, from the centred pool; also says if any was flat."""
+    """:func:`far1_fit` on one chunk of series, from the centred pool, with a buffer of at
+    least its rows of scaled pool; also says if any series was flat."""
     rows, n = idx.shape
     m, d = resid.shape
     K = basis.shape[1]
@@ -290,7 +303,7 @@ def _far1_rows(resid, idx, scores, basis, weight, scaled):
 
     # sum_t resid[idx_t] resid[idx_t]^T, one symmetric rank-k update per series
     resid_t = np.ascontiguousarray(resid.T)
-    np.multiply(resid_t, np.sqrt(cnt)[:, None, :], out=scaled)
+    scaled = np.multiply(resid_t, np.sqrt(cnt)[:, None, :], out=scaled[:rows])
     cov = np.matmul(scaled, scaled.transpose(0, 2, 1))
     # sum_t x_t x_t^T - n xbar xbar^T = cov + A + A^T, A = [basis, xbar] @ half
     half = np.empty((rows, K + 1, d))
@@ -325,10 +338,12 @@ def _far1_rows(resid, idx, scores, basis, weight, scaled):
     certified = live & (rank <= p) & (sound | ~used).all(axis=1)
 
     last = np.matmul(basis, scores[:, -1, :, None])[:, :, 0] + resid[idx[:, -1]] - xbar
-    inv = np.zeros_like(lam)
-    np.divide(1.0, lam, out=inv, where=used & certified[:, None])
-    coef = np.matmul(last[:, None, :], vecs) * inv[:, None, :]
-    v = np.matmul(vecs, coef.transpose(0, 2, 1))
+    v = _inverse_apply(lam, vecs, used & certified[:, None], last)
+    redo = np.flatnonzero(live & ~certified)
+    if redo.size:
+        vals, full = _full_eigh(cov[redo])
+        keep = (np.arange(d) < rank[redo, None]) & (vals > 1e-12 * vals[:, :1])
+        v[redo] = _inverse_apply(vals, full, keep, last[redo])
     lagged = (
         np.matmul(scores[:, :-1], np.matmul(basis.T, v))[:, :, 0]
         + np.take_along_axis(np.matmul(resid, v)[:, :, 0], idx[:, :-1], axis=1)
@@ -343,14 +358,7 @@ def _far1_rows(resid, idx, scores, basis, weight, scaled):
         - xbar * lagged.sum(axis=1, keepdims=True)
     )
     preds = xbar + (weight / n) * step
-
-    flat = not live.all()
-    for b in np.flatnonzero(live & ~certified):
-        cb = scores[b] @ basis.T + resid[idx[b]] - xbar[b]
-        transfer, zero = _regularized_transfer(cb.T @ cb / n, cb[1:].T @ cb[:-1] / n, weight, n)
-        flat |= zero
-        preds[b] = xbar[b] + transfer @ cb[-1]
-    return preds, flat
+    return preds, not live.all()
 
 
 @dataclass(frozen=True)
@@ -509,10 +517,7 @@ def draw_replicates(fpca: FpcaModel, var: VarModel, cfg: BootstrapConfig) -> Sie
     paths = np.empty((n, B, K))
     paths[:T] = _transfer_padded(var, np.take(var.centered_residuals, padded.T, axis=0))
     paths[T:] = fpca.scores[T:, None, :K]
-    back = [a.T for a in var.backward_coeffs]
-    for t in range(T - 1, -1, -1):
-        for xi in range(1, p + 1):
-            paths[t] += paths[t + xi] @ back[xi - 1]
+    _recurse(paths[::-1], var.backward_coeffs, p)
     series_scores = np.ascontiguousarray(paths.transpose(1, 0, 2))
 
     return SieveReplicates(
@@ -566,45 +571,25 @@ def sieve_prediction(
 ) -> SieveForecast:
     """Bootstrap the next day's forecast distribution.
 
-    The pseudo-series are refit by :func:`far1_fit` from the replicates'
-    pool counts and scattered scores, never built as curves; its chunks
-    keep memory bounded for any B.  ``n_workers`` splits the replicates
-    into that many contiguous blocks, refit on as many threads, each with
-    its own buffer; the block count is capped at B and at the CPUs this
-    process may run on.  Each replicate's stream is fixed by its index and
-    each refit depends on its own draws alone, so the result is
-    identical for any worker count.
+    The pseudo-series are refit by one :func:`far1_fit` call from the
+    replicates' pool counts and scattered scores, never built as curves;
+    its chunks keep memory bounded for any B, and ``n_workers`` is its
+    thread count (capped at B and at the CPUs this process may run on).
+    Each replicate's stream is fixed by its index and each refit depends
+    on its own draws alone, so the result is identical for any worker
+    count.
     """
-    if n_workers < 1:
-        raise ConfigError(f"n_workers must be >= 1, got {n_workers}")
     if fts.n != fpca.scores.shape[0] or fts.values.shape[1] != fpca.grid_size:
         raise DataError("curve series does not match the fitted decomposition")
     w = fts.grid.quad_weight
     reps = draw_replicates(fpca, var, cfg)
     B = reps.num_replicates
 
-    futures = future_curves(reps)
-
-    def refit(lo: int, hi: int) -> np.ndarray:
-        return far1_fit(
-            reps.resid_pool,
-            reps.series_resid_idx[lo:hi],
-            w,
-            reps.series_scores[lo:hi],
-            reps.eigenfunctions,
-        )
-
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    blocks = min(n_workers, B, cpus or 1)
-    cuts = np.linspace(0, B, blocks + 1).astype(int)
-    if blocks == 1:
-        preds = refit(0, B)
-    else:
-        with ThreadPoolExecutor(max_workers=blocks) as pool:
-            preds = np.vstack(list(pool.map(refit, cuts[:-1], cuts[1:])))
+    preds = far1_fit(reps.resid_pool, reps.series_resid_idx, w, reps.series_scores,
+                     reps.eigenfunctions, n_workers)
     preds += reps.mean
 
-    errors = futures - preds
+    errors = future_curves(reps) - preds
     sigma = errors.std(axis=0)
     degenerate = bool((sigma <= 0.0).any())
     if degenerate:

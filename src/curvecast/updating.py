@@ -532,9 +532,12 @@ def normalize_lambda_grid(lambda_grid: Sequence[float]) -> tuple:
     return grid
 
 
-def _resolve_periods(periods: Optional[Sequence[int]], tau: int) -> tuple:
-    """Sorted distinct updating periods, checked; None means every one, 2..tau-1."""
+def _resolve_periods(periods: Optional[Sequence[int]], tau: int, needed: bool = True) -> tuple:
+    """Sorted distinct updating periods, checked (none is an error when ``needed``);
+    None means every one, 2..tau-1."""
     periods = range(2, tau) if periods is None else sorted(set(int(m) for m in periods))
+    if needed and not periods:
+        raise ConfigError("no updating period given")
     for m in periods:
         if not 2 <= m < tau:
             raise ConfigError(f"updating period m={m} outside 2..{tau - 1}")

@@ -274,6 +274,15 @@ def backward_innovation_transfer(
     return _transfer_padded(model, extended[:, None])[:, 0]
 
 
+def _recurse(z: np.ndarray, coeffs: np.ndarray, start: int) -> None:
+    """Run ``z[t] += sum_xi z[t - xi] @ coeffs[xi - 1].T`` in place for t >= ``start``, skipping
+    lags before step 0; ``z`` is time-major, (steps, B, K).  The forward transfer starts at step 1;
+    the backward rebuild runs the backward coefficients on the reversed view from step p."""
+    for t in range(start, z.shape[0]):
+        for xi in range(1, min(t, coeffs.shape[0]) + 1):
+            z[t] += z[t - xi] @ coeffs[xi - 1].T
+
+
 def _transfer_padded(model: VarModel, extended: np.ndarray) -> np.ndarray:
     """Vectorized transfer on pre-padded innovations, time-major.
 
@@ -287,11 +296,8 @@ def _transfer_padded(model: VarModel, extended: np.ndarray) -> np.ndarray:
     M = _presample(model)
     p = model.order
     T = extended.shape[0] - M - p
-    lags = [a.T for a in model.coeffs]
     z = np.array(extended, dtype=float)
-    for t in range(1, z.shape[0]):
-        for xi in range(1, min(t, p) + 1):
-            z[t] += z[t - xi] @ lags[xi - 1]
+    _recurse(z, model.coeffs, 1)
     zeta = z[M:]
     eta = zeta[:T].copy()
     for xi in range(1, p + 1):

@@ -428,6 +428,9 @@ class TestErrorPaths:
              "--tau", "8"],
             ["backtest", "--methods", "flr,FLR", "--initial-train", "60", "--n-test", "1",
              "--replicates", "50"],
+            ["tune", "--periods", "", "--train-size", "40", "--validation-size", "2"],
+            ["backtest", "--periods", "", "--initial-train", "60", "--n-test", "1",
+             "--methods", "TS,FLR", "--replicates", "50"],
         ]
         + [
             [command, "--max-missing-frac", bad, *options]
@@ -438,7 +441,7 @@ class TestErrorPaths:
              "num-components-zero", "tune-empty-lambda-grid", "simulate-negative-noise",
              "simulate-nan-noise", "simulate-negative-innovation-sd",
              "simulate-negative-link-noise-sd", "simulate-zero-late-factors",
-             "backtest-repeated-method"]
+             "backtest-repeated-method", "tune-empty-periods", "backtest-empty-periods"]
         + [f"{command}-{bad}-missing-frac" for command in _MISSING_FRAC_RUNS
            for bad in ("nan", "inf")],
     )
@@ -537,6 +540,17 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and len(err.strip().splitlines()) == 1
         assert "'t10-'" in err
+
+    def test_repeated_wide_date_is_exit_two(self, tmp_path, capsys):
+        prices = tmp_path / "px.csv"
+        prices.write_text("date,t0,t5,t10\nd1,1,2,3\nd1,1,2,3\n")
+        capsys.readouterr()
+        rc = main(["ingest", "--input", str(prices), "--output", str(tmp_path / "c.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and len(err.strip().splitlines()) == 1
+        assert f"{prices}:3: duplicate date 'd1'" in err
+        assert not (tmp_path / "c.csv").exists()
 
     def test_malformed_schedule_is_exit_two(self, workdir, tmp_path, capsys):
         _, _, partial = workdir

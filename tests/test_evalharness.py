@@ -154,6 +154,17 @@ class TestPlanValidation:
             written.append((report_to_json(report), csvs))
         assert written[0] == written[1]
 
+    def test_empty_period_list_is_config_error_where_a_period_is_needed(self, small_backtest):
+        fts, _, _ = small_backtest
+        with pytest.raises(ConfigError, match="no updating period"):
+            updating.tune_lambda(fts, train_size=40, validation_size=15, periods=())
+        for method in ("PLS", "OLS", "FLR"):
+            plan = BacktestPlan(initial_train=60, n_test=6, methods=("TS", method), periods=())
+            with pytest.raises(ConfigError, match="no updating period"):
+                validate_plan(plan, fts)
+        assert validate_plan(BacktestPlan(initial_train=60, n_test=6, methods=("TS",),
+                                          periods=()), fts) == ()
+
     def test_provided_schedule_must_cover_periods(self, small_backtest):
         fts, _, _ = small_backtest
         sched = LambdaSchedule(

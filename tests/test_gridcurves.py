@@ -197,6 +197,13 @@ class TestCsv:
             except DataError:
                 pass
 
+    def test_repeated_wide_date_is_data_error(self, tmp_path):
+        path = tmp_path / "px.csv"
+        path.write_text("date,t0,t5,t10\nd1,1,2,3\nd2,1,2,3\nd1,1,2,3\n")
+        with pytest.raises(DataError) as info:
+            read_price_csv(str(path))
+        assert str(info.value) == f"{path}:4: duplicate date 'd1'"
+
     def test_missing_file_is_data_error(self, tmp_path):
         with pytest.raises(DataError):
             read_price_csv(str(tmp_path / "nope.csv"))

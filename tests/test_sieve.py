@@ -26,10 +26,10 @@ from curvecast import (
     write_forecast_csv,
 )
 from curvecast import sieve
+from curvecast.fpca import select_num_components
 from curvecast.sieve import (
     _fit_day,
     _intervals,
-    _regularized_transfer,
     sorted_quantile,
 )
 from conftest import sort_quantile_oracle
@@ -183,6 +183,21 @@ class TestStreamContract:
             assert fut_rows[b] == fut_row
 
 
+def regularized_transfer(cov0, cov1, w, n):
+    """Lagged covariance composed with the rank-truncated covariance inverse, from one ``eigh``."""
+    evals, evecs = np.linalg.eigh(w * cov0)
+    evals = evals[::-1].copy()
+    evecs = evecs[:, ::-1]
+    evals[evals < 0.0] = 0.0
+    if evals[0] <= 0.0:
+        return np.zeros_like(cov0)
+    J = select_num_components(evals, n)
+    keep = evals[:J] > 1e-12 * evals[0]
+    vecs = evecs[:, :J][:, keep]
+    inv = (vecs / evals[:J][keep]) @ vecs.T
+    return (w * cov1) @ inv
+
+
 def far1_oracle(curves, weight):
     """The per-series refit: full covariances and one ``eigh`` per series."""
     B, n, d = curves.shape
@@ -192,8 +207,7 @@ def far1_oracle(curves, weight):
     cov1 = np.matmul(c[:, 1:].transpose(0, 2, 1), c[:, :-1]) / n
     preds = np.empty((B, d))
     for b in range(B):
-        transfer, _ = _regularized_transfer(cov0[b], cov1[b], weight, n)
-        preds[b] = means[b] + transfer @ c[b, -1]
+        preds[b] = means[b] + regularized_transfer(cov0[b], cov1[b], weight, n) @ c[b, -1]
     return preds
 
 
@@ -242,14 +256,15 @@ def factored_series(seed, B, n, d, K, m):
 
 @pytest.fixture()
 def fallbacks(monkeypatch):
-    """Records every series ``far1_fit`` sends to its full-``eigh`` refit."""
+    """Records the covariance of every series ``far1_fit`` sends to its batched ``eigh``."""
     calls = []
+    full_eigh = sieve._full_eigh
 
-    def counted(cov0, cov1, w, n):
-        calls.append(cov0)
-        return _regularized_transfer(cov0, cov1, w, n)
+    def counted(cov):
+        calls.extend(cov)
+        return full_eigh(cov)
 
-    monkeypatch.setattr(sieve, "_regularized_transfer", counted)
+    monkeypatch.setattr(sieve, "_full_eigh", counted)
     return calls
 
 
@@ -289,8 +304,19 @@ class TestFar1:
         w = 0.2
         got = refit_each(stack, w)
         assert len(fallbacks) == 1
-        assert np.array_equal(fallbacks[0], tied.T @ tied / 64)
+        np.testing.assert_allclose(fallbacks[0], w * tied.T @ tied / 64, rtol=0.0, atol=1e-14)
         np.testing.assert_allclose(got, far1_oracle(stack, w), rtol=0.0, atol=1e-12)
+
+    def test_rank_above_the_block_takes_the_batched_eigh(self, fallbacks):
+        # five near-equal leading variances then a drop: the ratio rule keeps
+        # five components, more than the subspace iteration's block holds
+        wide = default_rng(3).standard_normal((64, 6)) * [1.0, 0.97, 0.94, 0.91, 0.88, 0.1]
+        w = 0.2
+        got = far1_fit(wide, np.arange(64)[None], w)
+        assert len(fallbacks) == 1
+        spectrum = np.linalg.eigvalsh(fallbacks[0])[::-1]
+        assert select_num_components(spectrum, 64) > sieve._FAR1_BLOCK
+        np.testing.assert_allclose(got, far1_oracle(wide[None], w), rtol=0.0, atol=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -298,9 +324,10 @@ class TestFar1:
         shape=st.tuples(st.integers(1, 6), st.integers(2, 12), st.integers(1, 9)),
         K=st.integers(0, 3),
         m=st.integers(1, 15),
+        n_workers=st.integers(1, 4),
         data=st.data(),
     )
-    def test_rows_do_not_depend_on_the_stack(self, seed, shape, K, m, data):
+    def test_rows_do_not_depend_on_the_stack(self, seed, shape, K, m, n_workers, data):
         B, n, d = shape
         pool, idx, scores, basis = factored_series(seed, B, n, d, K, m)
         rows = data.draw(st.lists(st.integers(0, B - 1), min_size=1, max_size=2 * B))
@@ -308,7 +335,7 @@ class TestFar1:
             warnings.simplefilter("ignore")  # a one-row pool is flat
             assert np.array_equal(
                 far1_fit(pool, idx, 0.1, scores, basis)[rows],
-                far1_fit(pool, idx[rows], 0.1, scores[rows], basis),
+                far1_fit(pool, idx[rows], 0.1, scores[rows], basis, n_workers),
             )
 
     @settings(max_examples=60, deadline=None)
