@@ -269,13 +269,13 @@ def read_price_csv(path: str):
     """
     try:
         with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
+            reader = csv.reader(fh)  # each kept row with its file line, blank rows dropped
+            rows = [(reader.line_num, r) for r in reader if r and any(f.strip() for f in r)]
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}")
-    rows = [r for r in rows if r and any(f.strip() for f in r)]
     if len(rows) < 2:
         raise DataError(f"{path}: no data rows")
-    header = [f.strip() for f in rows[0]]
+    header = [f.strip() for f in rows[0][1]]
     lowered = [h.lower() for h in header]
     if sorted(lowered) == ["date", "price", "time"]:
         return _read_long(rows, header, path)
@@ -290,7 +290,7 @@ def _read_long(rows, header, path):
     obs = {}
     times = {}
     dates = []
-    for ln, row in enumerate(rows[1:], start=2):
+    for ln, row in rows[1:]:
         if len(row) != len(header):
             raise DataError(f"{path}:{ln}: expected {len(header)} fields, got {len(row)}")
         date = row[c_date].strip()
@@ -335,8 +335,7 @@ def _read_wide(rows, header, path):
     grid = IntradayGrid(tau=len(minutes), times=tuple(m - minutes[0] for m in minutes))
     dates = {}  # date -> line, in file order
     raw = np.full((len(rows) - 1, len(minutes)), np.nan)
-    for i, row in enumerate(rows[1:]):
-        ln = i + 2
+    for i, (ln, row) in enumerate(rows[1:]):
         if len(row) != len(header):
             raise DataError(f"{path}:{ln}: expected {len(header)} fields, got {len(row)}")
         date = row[0].strip() if has_date else f"day{i + 1:04d}"

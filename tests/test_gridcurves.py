@@ -204,6 +204,20 @@ class TestCsv:
             read_price_csv(str(path))
         assert str(info.value) == f"{path}:4: duplicate date 'd1'"
 
+    @pytest.mark.parametrize("text, message", [
+        ("date,t0,t5,t10\n\nd1,1,2,x\n", "unparseable price 'x' at {path}:3"),
+        ("date,t0,t5,t10\nd1,1,2,3\n\n \nd1,1,2,3\n", "{path}:5: duplicate date 'd1'"),
+        ("date,time,price\n\nd1,09:30,1\n,\nd1,9:xx,2\n", "{path}:5: unparseable time '9:xx'"),
+        ("date,time,price\nd1,09:30,1\n\nd1,09:30,2\n",
+         "{path}:4: duplicate observation for d1 09:30"),
+    ], ids=["wide-price", "wide-date", "long-time", "long-repeat"])
+    def test_errors_name_the_file_line_past_blank_rows(self, tmp_path, text, message):
+        path = tmp_path / "px.csv"
+        path.write_text(text)
+        with pytest.raises(DataError) as info:
+            read_price_csv(str(path))
+        assert str(info.value) == message.format(path=path)
+
     def test_missing_file_is_data_error(self, tmp_path):
         with pytest.raises(DataError):
             read_price_csv(str(tmp_path / "nope.csv"))

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -254,18 +255,65 @@ def factored_series(seed, B, n, d, K, m):
     return pool, rng.integers(0, m, size=(B, n)), scores, basis
 
 
-@pytest.fixture()
-def fallbacks(monkeypatch):
-    """Records the covariance of every series ``far1_fit`` sends to its batched ``eigh``."""
+def _recorded(monkeypatch, name):
+    """Wraps ``sieve.<name>`` to record every covariance row it receives."""
     calls = []
-    full_eigh = sieve._full_eigh
+    inner = getattr(sieve, name)
 
     def counted(cov):
         calls.extend(cov)
-        return full_eigh(cov)
+        return inner(cov)
 
-    monkeypatch.setattr(sieve, "_full_eigh", counted)
+    monkeypatch.setattr(sieve, name, counted)
     return calls
+
+
+@pytest.fixture()
+def fallbacks(monkeypatch):
+    """Records the covariance of every series ``far1_fit`` sends to its batched ``eigh``."""
+    return _recorded(monkeypatch, "_full_eigh")
+
+
+@pytest.fixture()
+def spectra(monkeypatch):
+    """Records the covariance of every series whose rank ``far1_fit`` takes from ``eigvalsh``."""
+    return _recorded(monkeypatch, "_spectrum")
+
+
+def eigvalsh_ranks(cov, n):
+    """Whether each covariance carries variance, and its rank, from its full spectrum."""
+    evals = np.maximum(np.linalg.eigvalsh(cov)[:, ::-1], 0.0)
+    live = evals[:, 0] > 0.0
+    rank = np.ones(len(cov), dtype=np.intp)
+    rank[live] = select_num_components(evals[live], n)
+    return live, rank
+
+
+_KINDS = ("ratio", "cut", "threshold", "prefix", "flat", "plain")
+_NUDGES = (0.0, 1e-15, -1e-15, 1e-13, -1e-13, 1e-10, -1e-10, 1e-6, -1e-6, 1e-3, -1e-3)
+
+
+def prescribed_spectrum(rng, d, n, kind, k, nudge):
+    """d descending eigenvalues with, at index k, a near-tie of the kind the rank rule resolves."""
+    if kind == "flat":
+        return np.zeros(d)
+    ratios = rng.uniform(0.05, 1.0, d - 1)
+    if kind == "prefix":  # four informative eigenvalues, then a cliff: L = p
+        ratios[:3] = rng.uniform(0.8, 1.0, 3)
+        ratios[3] = rng.uniform(1e-3, 0.05)
+    elif kind == "ratio":  # the k-th ratio ties the first
+        ratios[k] = min(ratios[0] * (1.0 + nudge), 1.0)
+    lam = 10.0 ** rng.uniform(-4, 4) * np.cumprod(np.r_[1.0, ratios])
+    if kind == "cut":  # at the informative cut lambda_1 / log max(lambda_1, n)
+        target = lam[0] / np.log(max(lam[0], n)) * (1.0 + nudge)
+    elif kind == "threshold":  # at the average variance trace / n
+        target = (lam.sum() - lam[k]) / (n - 1) * (1.0 + nudge)
+    else:
+        return lam
+    lam[:k] = np.maximum(lam[:k], target)
+    lam[k] = target
+    lam[k + 1 :] = np.minimum(lam[k + 1 :], target)
+    return lam
 
 
 class TestFar1:
@@ -291,6 +339,61 @@ class TestFar1:
         got = mean + far1_fit(*factored)
         assert not fallbacks  # every series took the certified path
         np.testing.assert_allclose(got, far1_oracle(curves, w), rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("panel", sorted(_PANELS))
+    def test_enclosures_rank_every_replicate(self, panel, spectra, monkeypatch):
+        _, factored, _ = _replicate_stack(panel, 100)
+        seen = []
+        ranks = sieve._far1_ranks
+
+        def recorded(cov, *ritz):
+            live, rank, lo, hi = ranks(cov, *ritz)
+            seen.append((cov, live, rank))
+            return live, rank, lo, hi
+
+        monkeypatch.setattr(sieve, "_far1_ranks", recorded)
+        far1_fit(*factored)
+        assert not spectra  # no series was left undecided
+        assert sum(len(cov) for cov, _, _ in seen) == 100
+        for cov, live, rank in seen:
+            want_live, want_rank = eigvalsh_ranks(cov, factored[1].shape[1])
+            assert np.array_equal(live, want_live) and np.array_equal(rank, want_rank)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(6, 12),
+        n=st.integers(3, 300),
+        rows=st.lists(
+            st.tuples(st.sampled_from(_KINDS), st.integers(1, 4), st.sampled_from(_NUDGES)),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_enclosed_rank_is_the_eigvalsh_rank(self, seed, d, n, rows):
+        # decided from the bounds or left to eigvalsh, every rank is the eigvalsh rank
+        rng = default_rng(seed)
+        cov = np.empty((len(rows), d, d))
+        for b, (kind, k, nudge) in enumerate(rows):
+            q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+            cov[b] = (q * prescribed_spectrum(rng, d, n, kind, k, nudge)) @ q.T
+        theta, _, resid, sq = sieve._leading_ritz_pairs(cov)
+        live, rank, lo, hi = sieve._far1_ranks(cov, theta, resid, sq, n)
+        want_live, want_rank = eigvalsh_ranks(cov, n)
+        assert np.array_equal(live, want_live) and np.array_equal(rank, want_rank)
+        evals = np.maximum(np.linalg.eigvalsh(cov)[:, ::-1][:, : lo.shape[1]], 0.0)
+        assert (lo <= evals).all() and (evals <= hi).all()
+
+    def test_refit_memory_stays_within_two_pool_buffers(self):
+        _, factored, curves = _replicate_stack("C06", 400)
+        del curves
+        tracemalloc.start()
+        try:
+            far1_fit(*factored)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * sieve._STACK_BYTES
 
     def test_repeated_leading_eigenvalue_falls_back_to_eigh(self, fallbacks):
         # Walsh columns: orthogonal and centred, so the covariance is exactly
