@@ -35,6 +35,7 @@ from .evalharness import (
 )
 from .fpca import model_to_json
 from .gridcurves import (
+    DEFAULT_MAX_MISSING_FRAC,
     cidr_transform,
     ingest_price_matrix,
     inverse_cidr,
@@ -126,12 +127,12 @@ def _resolve(args: argparse.Namespace, opts) -> dict:
     config = {}
     if args.config is not None:
         try:
-            with open(args.config) as fh:
+            with open(args.config, encoding="utf-8") as fh:
                 config = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}")
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}")
+        except ValueError as exc:  # undecodable text or invalid JSON
+            raise ConfigError(f"config file is not valid UTF-8 JSON: {exc}")
         if not isinstance(config, dict):
             raise ConfigError("config file must hold a JSON object")
         known = {o.name for o in opts}
@@ -177,12 +178,12 @@ def _with_manifest(text: str, opts: dict) -> str:
 
 
 def _bootstrap(opts: dict) -> BootstrapConfig:
-    """The command's bootstrap settings; a command without ``--center`` centres on far1."""
-    center = opts.get("center", "far1")
+    """The command's bootstrap settings; a command without ``--center`` takes the default centre."""
+    center = opts.get("center", BootstrapConfig.center)
     return BootstrapConfig(opts["replicates"], opts["seed"], opts["alphas"], center)
 
 
-def _load_curves(path: str, max_missing_frac: float = 0.5):
+def _load_curves(path: str, max_missing_frac: float):
     raw, grid, dates = read_price_csv(path)
     return cidr_transform(ingest_price_matrix(raw, grid, dates, max_missing_frac)[0])
 
@@ -197,8 +198,11 @@ def _report_dropped(failures: list, total: int) -> None:
 
 
 def _read_text(path: str) -> str:
-    with open(path) as fh:
-        return fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"cannot read {path}: {exc}")
 
 
 def _write_text(path: str, text: str) -> None:
@@ -214,20 +218,23 @@ def _write_text(path: str, text: str) -> None:
 
 _COMMON_FIT = [
     _Opt("num_components", int, None, "fix the number of curve components (default: automatic)"),
-    _Opt("max_order", int, 10, "largest score autoregression order considered"),
+    _Opt("max_order", int, BacktestPlan.max_order, "largest score autoregression order considered"),
 ]
 
 _COMMON_BOOT = [
-    _Opt("replicates", int, 400, "bootstrap replicate count"),
-    _Opt("seed", int, 0, "master random seed"),
-    _Opt("alphas", _floats, (0.2, 0.05), "miscoverage levels, e.g. 0.2,0.05"),
+    _Opt("replicates", int, BootstrapConfig.num_replicates, "bootstrap replicate count"),
+    _Opt("seed", int, BootstrapConfig.seed, "master random seed"),
+    _Opt("alphas", _floats, BootstrapConfig.alpha_levels, "miscoverage levels, e.g. 0.2,0.05"),
 ]
+_MISSING = _Opt("max_missing_frac", float, DEFAULT_MAX_MISSING_FRAC, "ingestion drop threshold")
+_WORKERS = _Opt("workers", int, BacktestPlan.n_workers, "bootstrap threads (capped at usable CPUs)")
+_CENTER = _Opt("center", str, BootstrapConfig.center, "interval center: far1 or ts")
 
 INGEST_OPTS = [
     _Opt("input", str, None, "raw price CSV (wide or long layout)"),
     _Opt("output", str, None, "cleaned wide price CSV to write"),
     _Opt("summary", str, None, "optional JSON cleaning summary to write"),
-    _Opt("max_missing_frac", float, 0.5, "drop days missing more than this fraction"),
+    _MISSING,
 ]
 
 
@@ -246,18 +253,18 @@ def cmd_ingest(opts: dict) -> int:
 SIMULATE_OPTS = [
     _Opt("days", int, 250, "number of days to simulate"),
     _Opt("tau", int, 75, "grid points per day"),
-    _Opt("factors", int, 2, "number of latent factors"),
-    _Opt("basis", str, "fourier", "factor shapes: fourier or poly"),
-    _Opt("score_ar", _floats, (0.5, 0.3), "per-factor AR(1) coefficients"),
-    _Opt("innovation_sd", _floats, (1.0, 1.0), "per-factor innovation scale"),
-    _Opt("noise_sd", float, 0.1, "pointwise noise level"),
-    _Opt("mean_scale", float, 0.0, "scale of the common mean curve"),
+    _Opt("factors", int, SynthSpec.num_factors, "number of latent factors"),
+    _Opt("basis", str, SynthSpec.basis, "factor shapes: fourier or poly"),
+    _Opt("score_ar", _floats, SynthSpec.score_ar, "per-factor AR(1) coefficients"),
+    _Opt("innovation_sd", _floats, SynthSpec.innovation_sd, "per-factor innovation scale"),
+    _Opt("noise_sd", float, SynthSpec.noise_sd, "pointwise noise level"),
+    _Opt("mean_scale", float, SynthSpec.mean_scale, "scale of the common mean curve"),
     _Opt("link_split", int, None, "generate late columns from early factors after this grid index"),
     _Opt("link_matrix", _floats, None, "row-major factor-linkage entries (requires --link-split)"),
     _Opt("late_factors", int, None, "late-block factor count (default: same as --factors)"),
     _Opt("link_noise_sd", _floats, None, "per-late-factor linkage noise scale"),
     _Opt("open_price", float, 100.0, "opening price used to rebuild price levels"),
-    _Opt("seed", int, 0, "random seed"),
+    _Opt("seed", int, SynthSpec.seed, "random seed"),
     _Opt("output", str, None, "wide price CSV to write"),
     _Opt("truth", str, None, "optional JSON ground-truth dump"),
 ]
@@ -315,7 +322,7 @@ def cmd_simulate(opts: dict) -> int:
 FIT_OPTS = [
     _Opt("input", str, None, "price CSV"),
     _Opt("output", str, None, "fitted-model JSON to write"),
-    _Opt("max_missing_frac", float, 0.5, "ingestion drop threshold"),
+    _MISSING,
 ] + _COMMON_FIT
 
 
@@ -345,9 +352,9 @@ FORECAST_OPTS = [
     _Opt("input", str, None, "price CSV"),
     _Opt("output_csv", str, None, "forecast table CSV to write"),
     _Opt("output_json", str, None, "forecast JSON to write"),
-    _Opt("center", str, "far1", "interval center: far1 or ts"),
-    _Opt("workers", int, 1, "worker threads for the bootstrap (capped at the usable CPUs)"),
-    _Opt("max_missing_frac", float, 0.5, "ingestion drop threshold"),
+    _CENTER,
+    _WORKERS,
+    _MISSING,
 ] + _COMMON_FIT + _COMMON_BOOT
 
 
@@ -376,7 +383,7 @@ UPDATE_OPTS = [
     _Opt("intervals", _bool, False, "also compute prediction intervals"),
     _Opt("output_csv", str, None, "updated-forecast CSV to write"),
     _Opt("output_json", str, None, "updated-forecast JSON to write"),
-    _Opt("max_missing_frac", float, 0.5, "ingestion drop threshold"),
+    _MISSING,
 ] + _COMMON_FIT + _COMMON_BOOT
 
 
@@ -460,12 +467,12 @@ def cmd_update(opts: dict) -> int:
 TUNE_OPTS = [
     _Opt("input", str, None, "price CSV"),
     _Opt("objective", str, "msfe", "msfe, interval_score, or both"),
-    _Opt("train_size", int, 150, "days fitted before the first validation day"),
-    _Opt("validation_size", int, 50, "validation days"),
+    _Opt("train_size", int, BacktestPlan.tune_train, "days fitted before the first validation day"),
+    _Opt("validation_size", int, BacktestPlan.tune_validation, "validation days"),
     _Opt("lambda_grid", _floats, DEFAULT_LAMBDA_GRID, "candidate shrinkage weights"),
     _Opt("periods", _ints, None, "updating periods to tune (default: all)"),
     _Opt("output", str, None, "schedule JSON to write"),
-    _Opt("max_missing_frac", float, 0.5, "ingestion drop threshold"),
+    _MISSING,
 ] + _COMMON_FIT + _COMMON_BOOT
 
 
@@ -488,19 +495,19 @@ def cmd_tune(opts: dict) -> int:
 
 BACKTEST_OPTS = [
     _Opt("input", str, None, "price CSV"),
-    _Opt("initial_train", int, 200, "days in the first training window"),
-    _Opt("n_test", int, 50, "test days"),
-    _Opt("methods", _strs, ("TS", "PLS", "OLS", "FLR"), "methods to evaluate"),
+    _Opt("initial_train", int, BacktestPlan.initial_train, "days in the first training window"),
+    _Opt("n_test", int, BacktestPlan.n_test, "test days"),
+    _Opt("methods", _strs, BacktestPlan.methods, "methods to evaluate"),
     _Opt("periods", _ints, None, "updating periods (default: all)"),
-    _Opt("center", str, "far1", "interval center: far1 or ts"),
-    _Opt("rolling", _bool, False, "roll the training window instead of expanding it"),
-    _Opt("tune_train", int, 150, "tuning: training days"),
-    _Opt("tune_validation", int, 50, "tuning: validation days"),
+    _CENTER,
+    _Opt("rolling", _bool, BacktestPlan.rolling, "keep the training window's length fixed"),
+    _Opt("tune_train", int, BacktestPlan.tune_train, "tuning: training days"),
+    _Opt("tune_validation", int, BacktestPlan.tune_validation, "tuning: validation days"),
     _Opt("lambda_grid", _floats, DEFAULT_LAMBDA_GRID, "candidate shrinkage weights"),
     _Opt("schedule", str, None, "precomputed shrinkage schedule JSON"),
-    _Opt("workers", int, 1, "worker threads for the bootstrap (capped at the usable CPUs)"),
+    _WORKERS,
     _Opt("outdir", str, None, "directory for the report and CSV tables"),
-    _Opt("max_missing_frac", float, 0.5, "ingestion drop threshold"),
+    _MISSING,
 ] + _COMMON_FIT + _COMMON_BOOT
 
 

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError
 from .gridcurves import FunctionalTimeSeries, IntradayGrid, _freeze
 from .varmodel import STATIONARITY_LIMIT
 
@@ -51,7 +51,7 @@ class SynthSpec:
 
     def __post_init__(self):
         if self.n < 1:
-            raise DataError(f"need n >= 1 days, got {self.n}")
+            raise ConfigError(f"need n >= 1 days, got {self.n}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.noise_sd < math.inf:
@@ -62,13 +62,13 @@ class SynthSpec:
             if not (np.isfinite(scales) & (scales >= 0.0)).all():
                 raise ConfigError(f"{name} entries must be finite and >= 0, got {given}")
         if self.tau < 3:
-            raise DataError(f"need tau >= 3, got {self.tau}")
+            raise ConfigError(f"need tau >= 3, got {self.tau}")
         if self.num_factors < 1:
-            raise DataError("need at least one factor")
+            raise ConfigError("need at least one factor")
         if self.basis not in ("fourier", "poly"):
-            raise DataError(f"unknown basis {self.basis!r}")
+            raise ConfigError(f"unknown basis {self.basis!r}")
         if self.link_split is not None and not 2 < self.link_split < self.tau:
-            raise DataError(
+            raise ConfigError(
                 f"link_split must lie strictly inside 2..tau, got {self.link_split}"
             )
         if self.link_split is not None and self.num_late_factors < 1:
@@ -102,7 +102,7 @@ def orthonormal_basis(npoints: int, weight: float, count: int, kind: str = "four
     if kind not in ("fourier", "poly"):
         raise ConfigError(f"unknown basis kind {kind!r}; expected 'fourier' or 'poly'")
     if count > npoints:
-        raise DataError(f"cannot build {count} orthonormal functions on {npoints} points")
+        raise ConfigError(f"cannot build {count} orthonormal functions on {npoints} points")
     x = np.linspace(0.0, 1.0, npoints)
     cols = []
     for k in range(count):
@@ -124,7 +124,7 @@ def orthonormal_basis(npoints: int, weight: float, count: int, kind: str = "four
                 v = v - (weight * (basis[:, j] @ v)) * basis[:, j]
             norm = np.sqrt(weight * (v @ v))
             if norm < 1e-12:
-                raise DataError("basis functions are numerically dependent")
+                raise ConfigError("basis functions are numerically dependent")
             basis[:, k] = v / norm
     return basis
 
@@ -133,7 +133,7 @@ def _simulate_scores(ar: np.ndarray, innov_sd: np.ndarray, n: int, rng) -> np.nd
     """n days of per-factor AR(1) scores, ``out[t] = eps[t] + ar * out[t - 1]``, after a burn-in."""
     radius = float(np.abs(ar).max())
     if not radius < STATIONARITY_LIMIT:
-        raise DataError(f"score dynamics are not stationary (companion radius {radius:.4f})")
+        raise ConfigError(f"score dynamics are not stationary (companion radius {radius:.4f})")
     out = rng.standard_normal((BURN_IN + n, ar.size)) * innov_sd
     for t in range(1, out.shape[0]):
         out[t] += ar * out[t - 1]
@@ -155,10 +155,10 @@ def generate(spec: SynthSpec):
     K = spec.num_factors
     ar = np.asarray(spec.score_ar, dtype=float)
     if ar.shape != (K,):
-        raise DataError(f"score_ar must have {K} entries, got {ar.shape}")
+        raise ConfigError(f"score_ar must have {K} entries, got {ar.shape}")
     innov_sd = np.asarray(spec.innovation_sd, dtype=float)
     if innov_sd.shape != (K,):
-        raise DataError(f"innovation_sd must have {K} entries, got {innov_sd.shape}")
+        raise ConfigError(f"innovation_sd must have {K} entries, got {innov_sd.shape}")
     mean = _mean_curve(d, spec.mean_scale)
     scores = _simulate_scores(ar, innov_sd, spec.n, rng)
 
@@ -170,13 +170,13 @@ def generate(spec: SynthSpec):
         m = spec.link_split
         S = spec.num_late_factors
         if spec.link_matrix is None:
-            raise DataError("link_split requires link_matrix")
+            raise ConfigError("link_split requires link_matrix")
         rho = np.asarray(spec.link_matrix, dtype=float)
         if rho.shape != (K, S):
-            raise DataError(f"link_matrix must have shape ({K}, {S}), got {rho.shape}")
+            raise ConfigError(f"link_matrix must have shape ({K}, {S}), got {rho.shape}")
         link_sd = np.asarray(spec.link_noise_sd, dtype=float)
         if link_sd.shape != (S,):
-            raise DataError(f"link_noise_sd must have {S} entries, got {link_sd.shape}")
+            raise ConfigError(f"link_noise_sd must have {S} entries, got {link_sd.shape}")
         n_early, n_late = m - 1, spec.tau - m
         factors = orthonormal_basis(n_early, 1.0 / max(n_early - 1, 1), K, spec.basis)
         late_basis = orthonormal_basis(n_late, 1.0 / max(n_late - 1, 1), S, spec.basis)

@@ -44,6 +44,7 @@ from .updating import (
     _schedule_from_doc,
     _update_period,
 )
+from .varmodel import DEFAULT_MAX_ORDER
 
 METHODS = ("TS", "PLS", "OLS", "FLR")
 
@@ -82,13 +83,11 @@ def ecp(actuals, lower, upper, mode: str = "pointwise") -> float:
     ``pointwise`` counts covered (day, point) pairs; ``uniform`` counts
     days whose whole curve stays inside.  Boundary hits count as covered.
     """
-    a = np.asarray(actuals, dtype=float)
-    lo = np.asarray(lower, dtype=float)
-    hi = np.asarray(upper, dtype=float)
-    if a.ndim == 1:
-        a, lo, hi = a[None], np.broadcast_to(lo, (1,) + lo.shape), np.broadcast_to(hi, (1,) + hi.shape)
-    lo = np.broadcast_to(lo, a.shape)
-    hi = np.broadcast_to(hi, a.shape)
+    a = np.atleast_2d(np.asarray(actuals, dtype=float))
+    try:
+        lo, hi = (np.broadcast_to(np.asarray(v, dtype=float), a.shape) for v in (lower, upper))
+    except ValueError as exc:
+        raise DataError(f"interval bounds do not fit the actuals: {exc}") from None
     if a.size == 0:
         raise DataError("empty actuals")
     inside = _covered(a, lo, hi)
@@ -107,9 +106,10 @@ def interval_score(lower, upper, actual, alpha: float):
     """
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
-    lo = np.asarray(lower, dtype=float)
-    hi = np.asarray(upper, dtype=float)
-    x = np.asarray(actual, dtype=float)
+    try:
+        lo, hi, x = np.broadcast_arrays(*(np.asarray(v, float) for v in (lower, upper, actual)))
+    except ValueError as exc:
+        raise DataError(f"interval bounds and actuals: {exc}") from None
     if (hi < lo).any():
         raise DataError("upper interval bound below lower bound")
     return (hi - lo) + (2.0 / alpha) * ((lo - x) * (x < lo) + (x - hi) * (x > hi))
@@ -142,7 +142,7 @@ class BacktestPlan:
     tune_validation: int = 50
     lambda_grid: tuple = DEFAULT_LAMBDA_GRID
     num_components: Optional[int] = None
-    max_order: int = 10
+    max_order: int = DEFAULT_MAX_ORDER
     rolling: bool = False
     n_workers: int = 1
 

@@ -26,6 +26,7 @@ from ._docs import write_csv
 from .errors import ConfigError, DataError
 
 MISSING_TOKENS = ("", "NA")
+DEFAULT_MAX_MISSING_FRAC = 0.5
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -163,7 +164,7 @@ def ingest_price_matrix(
     raw: np.ndarray,
     grid: Optional[IntradayGrid] = None,
     dates: Optional[Sequence[str]] = None,
-    max_missing_frac: float = 0.5,
+    max_missing_frac: float = DEFAULT_MAX_MISSING_FRAC,
 ):
     """Screen raw daily prices, drop unusable days, interpolate the rest.
 
@@ -268,10 +269,10 @@ def read_price_csv(path: str):
     float array with NaN for missing entries.
     """
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)  # each kept row with its file line, blank rows dropped
             rows = [(reader.line_num, r) for r in reader if r and any(f.strip() for f in r)]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}")
     if len(rows) < 2:
         raise DataError(f"{path}: no data rows")

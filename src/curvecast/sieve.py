@@ -15,11 +15,10 @@ often its series draws each residual-pool row and from its scores
 scattered onto the rows they were drawn with, so its covariance is the
 count-weighted pool covariance plus a low-rank score term.  Each refit
 takes its leading eigenpairs from a fixed-size block subspace iteration
-and bounds its eigenvalues from them; the bounds pick its rank
-(``eigvalsh`` runs only on a series they leave undecided) and certify
-the Ritz pairs by a Davis-Kahan residual bound (the series that fail
-take theirs from one batched ``eigh``); all take one transfer, in one
-chunk loop over one or more threads.  Pointwise
+and bounds its eigenvalues from them; a series whose rank they settle
+and whose Ritz pairs pass a Davis-Kahan residual bound uses those, every
+other series its rank and eigenpairs from one batched ``eigh``; all take
+one transfer, in one chunk loop over one or more threads.  Pointwise
 quantiles of these errors give prediction intervals and studentized
 sup-norm quantiles give a uniform band.
 
@@ -60,7 +59,7 @@ _FAR1_BLOCK = 4
 _FAR1_STEPS = 8
 #: largest certified Ritz residual in ``far1_fit``, as a share of the eigenvalue gap
 _FAR1_TOL = 1e-12
-#: pad of ``far1_fit``'s eigenvalue bounds per unit ``|A|_F``: their and eigvalsh's rounding
+#: pad of ``far1_fit``'s eigenvalue bounds per unit ``|A|_F``: their and LAPACK's rounding
 _FAR1_PAD = 64 * np.finfo(float).eps
 #: bytes of count-scaled residual pool (d x m per series) one ``far1_fit`` thread
 #: builds at once, in one buffer it reuses for every chunk of series it refits
@@ -154,11 +153,6 @@ def _intervals(values: np.ndarray, alpha_levels, axis: int = 0) -> dict:
     }
 
 
-def _spectrum(cov: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a (k, d, d) covariance stack, largest first, negative values set to 0."""
-    return np.maximum(np.linalg.eigvalsh(cov)[:, ::-1], 0.0)
-
-
 def _full_eigh(cov: np.ndarray):
     """Eigenpairs of a (k, d, d) covariance stack, largest first, negative values set to 0."""
     evals, evecs = np.linalg.eigh(cov)
@@ -197,31 +191,39 @@ def _leading_ritz_pairs(cov: np.ndarray):
     return theta, vecs, resid, np.einsum("bip,bip->bp", image, image)
 
 
-def _far1_ranks(cov, theta, resid, sq, n):
-    """Which series of a (B, d, d) covariance stack are live, their ranks J, and eigenvalue bounds.
+def _eigen_bounds(fro2, theta, resid, sq):
+    """Bounds ``lo <= lambda_i <= hi`` (B, p + 1) from :func:`_leading_ritz_pairs` and ``|A|_F^2``.
 
-    Bounds ``lo <= lambda_i <= hi`` (B, p + 1) from :func:`_leading_ritz_pairs` (Parlett, The
-    Symmetric Eigenvalue Problem, ch. 10-11): lambda_i >= theta_i, by Cauchy interlacing;
-    lambda_{q+1} <= U_q, the Frobenius norm of A with v_1..v_q projected out, U_q^2 = |A|_F^2 -
-    sum_{i<=q} (2 |A v_i|^2 - theta_i^2), by Courant-Fischer; lambda_i <= theta_i + r_i once
-    U_i < theta_i - r_i.  Each is widened by pad = ``_FAR1_PAD |A|_F`` (U_q^2 by pad |A|_F,
-    trace / n by d pad / n).  J is :func:`select_num_components`' rank where the bounds settle,
-    strictly: A = 0 or lo_1 > 0; the informative prefix L <= p; k_max against L; the ratios'
-    argmin.  :func:`_spectrum` ranks the other rows, and all rows when d <= p.
+    lambda_i >= theta_i (Cauchy interlacing); lambda_{q+1} <= U_q, |A|_F with v_1..v_q projected
+    out, U_q^2 = |A|_F^2 - sum_{i<=q} (2 |A v_i|^2 - theta_i^2) (Courant-Fischer); lambda_i <=
+    theta_i + r_i once U_i < theta_i - r_i (Parlett, The Symmetric Eigenvalue Problem, ch. 10-11).
+    Each is widened by pad = ``_FAR1_PAD |A|_F`` (U_q^2 by pad |A|_F).
     """
-    (rows, d), p = cov.shape[:2], theta.shape[1]
-    at = np.arange(rows)
-    fro2 = np.einsum("bij,bij->b", cov, cov)[:, None]
+    p = theta.shape[1]
     pad = _FAR1_PAD * np.sqrt(fro2)
     tail = fro2 - np.cumsum(np.pad(2.0 * sq - theta**2, ((0, 0), (1, 0))), axis=1)
     hi = np.sqrt(np.maximum(tail, 0.0) + pad * np.sqrt(fro2)) + pad
     hi[:, :p] = np.where(hi[:, 1:] < theta - resid - pad,
                          np.minimum(hi[:, :p], theta + resid + pad), hi[:, :p])
-    lo = np.pad(np.maximum(theta - pad, 0.0), ((0, 0), (0, 1)))
-    live = lo[:, 0] > 0.0
+    return np.pad(np.maximum(theta - pad, 0.0), ((0, 0), (0, 1))), hi
+
+
+def _far1_ranks(cov, theta, resid, sq, n):
+    """Which series of a (B, d, d) covariance stack the Ritz pairs prove, and their ranks J.
+
+    Proven: d above the block, lo_1 > 0, :func:`select_num_components`' rank settled strictly by
+    the :func:`_eigen_bounds` (prefix L <= p, k_max against L, the ratios' argmin; trace / n
+    widened by d pad / n), and each used pair's residual at most ``_FAR1_TOL`` times the least
+    gap the bounds allow around it, its upper bound within half that gap of theta (Davis-Kahan).
+    """
+    (rows, d), p = cov.shape[:2], theta.shape[1]
+    at = np.arange(rows)
+    fro2 = np.einsum("bij,bij->b", cov, cov)[:, None]
+    lo, hi = _eigen_bounds(fro2, theta, resid, sq)
+    pad = _FAR1_PAD * np.sqrt(fro2[:, 0])
     cut = lo[:, 0] / np.log(np.maximum(hi[:, 0], n)), hi[:, 0] / np.log(np.maximum(lo[:, 0], n))
     L = (lo[:, :p] > cut[1][:, None]).sum(axis=1)
-    thr = (np.einsum("bii->b", cov) + [[-d], [d]] * pad[:, 0]) / n
+    thr = (np.einsum("bii->b", cov) + [[-d], [d]] * pad) / n
     above = (lo[:, :p] > thr[1][:, None]).sum(axis=1)
     settled = (hi[at, L] < cut[0]) & ((above >= L) | (hi[at, above] < thr[0]))
     cand = np.arange(p) < np.where(above >= L, L, np.maximum(above, 1))[:, None]
@@ -230,13 +232,12 @@ def _far1_ranks(cov, theta, resid, sq, n):
     rank = np.argmin(ratio_hi, axis=1) + 1
     ratio_lo[at, rank - 1] = np.inf
     settled &= (ratio_hi[at, rank - 1] < ratio_lo.min(axis=1)) | (cand.sum(axis=1) < 2)
-    redo = np.flatnonzero(~(live & settled | ~cov.any(axis=(1, 2))) | (p == d))
-    if redo.size:
-        evals = _spectrum(cov[redo])
-        live[redo] = alive = evals[:, 0] > 0.0
-        rank[redo] = 1
-        rank[redo[alive]] = select_num_components(evals[alive], n)
-    return live, rank, lo, hi
+    # lambda_i - lambda_{i+1} >= spacing[i]
+    spacing = np.pad(lo[:, :p] - hi[:, 1:], ((0, 0), (1, 0)), constant_values=np.inf)
+    gap = np.minimum(spacing[:, :p], spacing[:, 1:])
+    sound = ((resid <= _FAR1_TOL * gap) & (hi[:, :p] - theta <= 0.5 * gap)
+             & (lo[:, :p] > 1e-12 * hi[:, :1])) | (np.arange(p) >= rank[:, None])
+    return (p < d) & (lo[:, 0] > 0.0) & settled & sound.all(axis=1), rank
 
 
 def far1_fit(pool, idx, weight, scores=None, basis=None, n_workers: int = 1) -> np.ndarray:
@@ -261,21 +262,15 @@ def far1_fit(pool, idx, weight, scores=None, basis=None, n_workers: int = 1) -> 
     rank-(2K+1) term ``Phi S_b Phi^T + Phi D_b^T R + R^T D_b Phi^T -
     n xbar_b xbar_b^T``, where ``S_b = scores[b]^T scores[b]``.  The
     first part is a symmetric rank-m update of the pool scaled by the
-    root counts, the one large array.  :func:`_leading_ritz_pairs` gives
-    the J eigenvectors and :func:`_far1_ranks` J, from padded bounds on
-    each spectrum (``eigvalsh`` runs only where they leave J undecided).
-    The Ritz pairs must pass a Davis-Kahan certificate against the bounds:
-    for every i < J, the residual is at most ``_FAR1_TOL`` times the least
-    gap they allow around the i-th eigenvalue, whose upper bound lies within
-    half that gap of the Ritz value used for it.  The series that fail (a
-    near-repeated eigenvalue, J above the block size) take their eigenpairs
-    from one batched ``eigh`` of their covariances instead, dropping
-    eigenvalues at most 1e-12 times the largest.  Either way the transfer is
-    applied as ``(w/n) c[1:]^T (c[:-1] v)`` with ``v = V_J diag(1/lambda_J)
-    V_J^T c_last``: ``c[:-1] v`` is a gather from ``R v``, and ``c[1:]^T``
-    applies as a ``bincount`` of it onto the pool rows times ``R``.  Every
-    per-series sum is a stacked product or a per-series ``bincount``, so row
-    b's forecast depends on row b alone.
+    root counts, the one large array.  :func:`_far1_ranks` proves J and the
+    Ritz pairs of :func:`_leading_ritz_pairs` from padded bounds on each
+    spectrum; every other series takes its J and eigenpairs from one batched
+    ``eigh``, dropping eigenvalues at most 1e-12 times the largest.  Either
+    way the transfer is applied as ``(w/n) c[1:]^T (c[:-1] v)`` with ``v =
+    V_J diag(1/lambda_J) V_J^T c_last``: ``c[:-1] v`` is a gather from ``R
+    v``, and ``c[1:]^T`` applies as a ``bincount`` of it onto the pool rows
+    times ``R``.  Every per-series sum is a stacked product or a per-series
+    ``bincount``, so row b's forecast depends on row b alone.
     ``min(n_workers, B, usable CPUs)`` threads each refit every workers-th
     chunk of at most ceil(B / workers) rows and ``_STACK_BYTES`` of scaled
     pool, in one buffer of their own.
@@ -368,23 +363,18 @@ def _far1_rows(resid, idx, scores, basis, weight, scaled):
     cov *= weight / n
 
     theta, vecs, resnorm, sq = _leading_ritz_pairs(cov)
-    live, rank, lo, hi = _far1_ranks(cov, theta, resnorm, sq, n)
-    p = theta.shape[1]
-    spacing = np.full((rows, p + 1), np.inf)
-    spacing[:, 1:] = lo[:, :p] - hi[:, 1:]  # lambda_i - lambda_{i+1} >= spacing[i]
-    gap = np.minimum(spacing[:, :p], spacing[:, 1:])
-    used = np.arange(p) < rank[:, None]
-    sound = ((resnorm <= _FAR1_TOL * gap) & (hi[:, :p] - theta <= 0.5 * gap)
-             & (lo[:, :p] > 1e-12 * hi[:, :1]))
-    certified = live & (rank <= p) & (sound | ~used).all(axis=1)
-
+    proven, rank = _far1_ranks(cov, theta, resnorm, sq, n)
+    used = proven[:, None] & (np.arange(theta.shape[1]) < rank[:, None])
     last = np.matmul(basis, scores[:, -1, :, None])[:, :, 0] + resid[idx[:, -1]] - xbar
-    v = _inverse_apply(theta, vecs, used & certified[:, None], last)
-    redo = np.flatnonzero(live & ~certified)
-    if redo.size:
+    v = _inverse_apply(theta, vecs, used, last)
+    redo, flat = np.flatnonzero(~proven), False
+    if redo.size:  # liveness, rank and eigenpairs from one batched eigh
         vals, full = _full_eigh(cov[redo])
+        alive = vals[:, 0] > 0.0
+        rank[redo[alive]] = select_num_components(vals[alive], n)
         keep = (np.arange(d) < rank[redo, None]) & (vals > 1e-12 * vals[:, :1])
         v[redo] = _inverse_apply(vals, full, keep, last[redo])
+        flat = not alive.all()
     lagged = (
         np.matmul(scores[:, :-1], np.matmul(basis.T, v))[:, :, 0]
         + np.take_along_axis(np.matmul(resid, v)[:, :, 0], idx[:, :-1], axis=1)
@@ -399,7 +389,7 @@ def _far1_rows(resid, idx, scores, basis, weight, scaled):
         - xbar * lagged.sum(axis=1, keepdims=True)
     )
     preds = xbar + (weight / n) * step
-    return preds, not live.all()
+    return preds, flat
 
 
 @dataclass(frozen=True)

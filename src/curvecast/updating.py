@@ -41,6 +41,7 @@ from .sieve import (
     _one_step,
     _walk_days,
 )
+from .varmodel import DEFAULT_MAX_ORDER
 
 #: default shrinkage grid: exact least squares plus decade steps
 DEFAULT_LAMBDA_GRID = (0.0,) + tuple(10.0**j for j in range(-2, 9))
@@ -235,7 +236,7 @@ def pls_interval_update(
     lam,
     fpca: FpcaModel,
     reps: SieveReplicates,
-    alpha_levels: Sequence[float] = (0.2, 0.05),
+    alpha_levels: Sequence[float] = BootstrapConfig.alpha_levels,
 ) -> dict:
     """Prediction intervals for the rest of the day from bootstrap score draws.
 
@@ -414,7 +415,7 @@ def flr_interval_update(
     model: FlrModel,
     observed: Sequence[float],
     reps: SieveReplicates,
-    alpha_levels: Sequence[float] = (0.2, 0.05),
+    alpha_levels: Sequence[float] = BootstrapConfig.alpha_levels,
 ) -> dict:
     """Prediction intervals for the remaining block via bootstrap linkages.
 
@@ -554,13 +555,13 @@ def _argmin_grid(totals: np.ndarray, grid: tuple) -> float:
 
 def tune_lambda(
     fts: FunctionalTimeSeries,
-    train_size: int = 150,
-    validation_size: int = 50,
+    train_size: int,
+    validation_size: int,
     objective: str = "msfe",
     lambda_grid: Sequence[float] = DEFAULT_LAMBDA_GRID,
     periods: Optional[Sequence[int]] = None,
     num_components: Optional[int] = None,
-    max_order: int = 10,
+    max_order: int = DEFAULT_MAX_ORDER,
     bootstrap: Optional[BootstrapConfig] = None,
     failures: Optional[list] = None,
 ) -> LambdaSchedule:

@@ -366,6 +366,26 @@ class TestErrorPaths:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize("option,argv,code", [
+        ("input", ["ingest", "--output", "c.csv"], 2),
+        ("config", ["simulate", "--output", "s.csv"], 1),
+        ("schedule", ["update", "--method", "pls", "--output-json", "u.json"], 2),
+        ("report", ["export-plots", "--outdir", "plots"], 2),
+    ], ids=["input", "config", "schedule", "report"])
+    def test_undecodable_file_is_one_line(self, workdir, tmp_path, monkeypatch, capsys, option,
+                                          argv, code):
+        _, _, partial = workdir
+        monkeypatch.chdir(tmp_path)
+        bad = tmp_path / "latin1"
+        bad.write_bytes(b'{"date": "d\xe9"}\n')  # Latin-1, not UTF-8
+        if argv[0] == "update":
+            argv = argv + ["--input", str(partial)]
+        capsys.readouterr()
+        assert main(argv + ["--" + option, str(bad)]) == code
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        assert err.startswith("error: " if code == 1 else "data error: ")
+
     def test_unknown_config_key_is_exit_one(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"days": 30, "bogus_key": 1}))
@@ -426,6 +446,13 @@ class TestErrorPaths:
              "--tau", "8"],
             ["simulate", "--link-split", "5", "--late-factors", "0", "--days", "20",
              "--tau", "8"],
+            ["simulate", "--days", "0", "--tau", "8"],
+            ["simulate", "--days", "20", "--tau", "2"],
+            ["simulate", "--factors", "0", "--days", "20", "--tau", "8"],
+            ["simulate", "--basis", "foo", "--days", "20", "--tau", "8"],
+            ["simulate", "--score-ar", "0.5", "--days", "20", "--tau", "8"],
+            ["simulate", "--score-ar", "1.5,0.3", "--days", "20", "--tau", "8"],
+            ["simulate", "--link-split", "1", "--days", "20", "--tau", "8"],
             ["backtest", "--methods", "flr,FLR", "--initial-train", "60", "--n-test", "1",
              "--replicates", "50"],
             ["tune", "--periods", "", "--train-size", "40", "--validation-size", "2"],
@@ -441,6 +468,9 @@ class TestErrorPaths:
              "num-components-zero", "tune-empty-lambda-grid", "simulate-negative-noise",
              "simulate-nan-noise", "simulate-negative-innovation-sd",
              "simulate-negative-link-noise-sd", "simulate-zero-late-factors",
+             "simulate-zero-days", "simulate-tau-two", "simulate-zero-factors",
+             "simulate-unknown-basis", "simulate-score-ar-length", "simulate-explosive-score-ar",
+             "simulate-link-split-one",
              "backtest-repeated-method", "tune-empty-periods", "backtest-empty-periods"]
         + [f"{command}-{bad}-missing-frac" for command in _MISSING_FRAC_RUNS
            for bad in ("nan", "inf")],

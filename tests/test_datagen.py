@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from curvecast import ConfigError, DataError, SynthSpec, generate
+from curvecast import ConfigError, SynthSpec, generate
 
 
 class TestGenerate:
@@ -44,11 +44,11 @@ class TestLinkedMode:
         assert truth.late_factors.shape == (6, 2)
 
     def test_requires_link_matrix(self):
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigError):
             generate(SynthSpec(n=20, tau=8, link_split=4))
 
     def test_split_bounds(self):
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigError):
             generate(SynthSpec(n=10, tau=8, link_split=1, link_matrix=((1.0,),)))
 
     def test_zero_late_factors_is_config_error(self):
@@ -62,9 +62,9 @@ class TestLinkedMode:
 class TestValidation:
     @pytest.mark.parametrize("ar", [0.999, -0.999, 1.5])
     def test_non_stationary_score_ar(self, ar):
-        with pytest.raises(DataError, match="not stationary"):
+        with pytest.raises(ConfigError, match="not stationary"):
             generate(SynthSpec(n=10, tau=8, num_factors=2, score_ar=(0.5, ar)))
 
     def test_score_ar_length(self):
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigError):
             generate(SynthSpec(n=10, tau=8, num_factors=2, score_ar=(0.5,)))

@@ -15,6 +15,7 @@ from curvecast import (
     BacktestPlan,
     BootstrapConfig,
     ConfigError,
+    DataError,
     FunctionalTimeSeries,
     IntradayGrid,
     LambdaSchedule,
@@ -67,6 +68,16 @@ class TestIntervalScore:
         x = np.array([0.5, 2.0, 0.5])
         per = interval_score(lo, hi, x, 0.2)
         assert np.array_equal(per, np.array([1.0, 11.0, 1.0]))
+        assert np.array_equal(interval_score(0.0, 1.0, x, 0.2), per)  # scalar bounds broadcast
+
+    @pytest.mark.parametrize("args,error", [
+        ((np.ones(3), np.ones(4), np.ones(3), 0.1), DataError),
+        ((np.ones(3), np.zeros(3), np.ones(3), 0.1), DataError),
+        ((0.0, 1.0, 0.5, 1.0), ConfigError),
+    ], ids=["mismatched-shapes", "upper-below-lower", "alpha-one"])
+    def test_bad_inputs_are_typed(self, args, error):
+        with pytest.raises(error):
+            interval_score(*args)
 
 
 class TestEcp:
@@ -85,6 +96,15 @@ class TestEcp:
     def test_unknown_mode(self):
         with pytest.raises(ConfigError):
             ecp(np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)), "banded")
+
+    @pytest.mark.parametrize("actuals,bounds", [
+        (np.ones((3, 4)), np.ones(5)),
+        (np.ones(4), np.ones((2, 4))),
+        (np.ones((0, 4)), np.ones(4)),
+    ], ids=["bounds-too-long", "bounds-with-more-days", "no-days"])
+    def test_bad_shapes_are_data_errors(self, actuals, bounds):
+        with pytest.raises(DataError):
+            ecp(actuals, bounds, bounds)
 
     @settings(max_examples=100, deadline=None)
     @given(bounds=_bounds_and_actuals())

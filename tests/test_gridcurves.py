@@ -222,6 +222,25 @@ class TestCsv:
         with pytest.raises(DataError):
             read_price_csv(str(tmp_path / "nope.csv"))
 
+    @pytest.mark.parametrize("text", [
+        "date,t0,t5,t10\nd1,100,101,102\nd2,103,104,105\n",
+        "date,time,price\n" + "".join(
+            f"{d},{t},{p}\n" for d, base in (("d1", 100), ("d2", 103))
+            for p, t in enumerate(("09:30", "09:35", "09:40"), start=base)),
+    ], ids=["wide", "long"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, text):
+        path = tmp_path / "px.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        raw, grid, dates = read_price_csv(str(path))
+        assert dates == ["d1", "d2"] and grid.tau == 3
+        assert raw.tolist() == [[100.0, 101.0, 102.0], [103.0, 104.0, 105.0]]
+
+    def test_undecodable_file_is_data_error(self, tmp_path):
+        path = tmp_path / "px.csv"
+        path.write_bytes(b"date,t0,t5\nd\xe9,100,101\n")
+        with pytest.raises(DataError, match="cannot read"):
+            read_price_csv(str(path))
+
     def test_wide_missing_padded_and_bad_tokens(self, tmp_path):
         path = tmp_path / "px.csv"
         path.write_text(

@@ -274,12 +274,6 @@ def fallbacks(monkeypatch):
     return _recorded(monkeypatch, "_full_eigh")
 
 
-@pytest.fixture()
-def spectra(monkeypatch):
-    """Records the covariance of every series whose rank ``far1_fit`` takes from ``eigvalsh``."""
-    return _recorded(monkeypatch, "_spectrum")
-
-
 def eigvalsh_ranks(cov, n):
     """Whether each covariance carries variance, and its rank, from its full spectrum."""
     evals = np.maximum(np.linalg.eigvalsh(cov)[:, ::-1], 0.0)
@@ -341,23 +335,23 @@ class TestFar1:
         np.testing.assert_allclose(got, far1_oracle(curves, w), rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("panel", sorted(_PANELS))
-    def test_enclosures_rank_every_replicate(self, panel, spectra, monkeypatch):
+    def test_enclosures_rank_every_replicate(self, panel, fallbacks, monkeypatch):
         _, factored, _ = _replicate_stack(panel, 100)
         seen = []
         ranks = sieve._far1_ranks
 
         def recorded(cov, *ritz):
-            live, rank, lo, hi = ranks(cov, *ritz)
-            seen.append((cov, live, rank))
-            return live, rank, lo, hi
+            proven, rank = ranks(cov, *ritz)
+            seen.append((cov, proven, rank))
+            return proven, rank
 
         monkeypatch.setattr(sieve, "_far1_ranks", recorded)
         far1_fit(*factored)
-        assert not spectra  # no series was left undecided
+        assert not fallbacks  # every series was proven
         assert sum(len(cov) for cov, _, _ in seen) == 100
-        for cov, live, rank in seen:
+        for cov, proven, rank in seen:
             want_live, want_rank = eigvalsh_ranks(cov, factored[1].shape[1])
-            assert np.array_equal(live, want_live) and np.array_equal(rank, want_rank)
+            assert proven.all() and want_live.all() and np.array_equal(rank, want_rank)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -371,18 +365,45 @@ class TestFar1:
         ),
     )
     def test_enclosed_rank_is_the_eigvalsh_rank(self, seed, d, n, rows):
-        # decided from the bounds or left to eigvalsh, every rank is the eigvalsh rank
+        # every eigenvalue lies inside its bounds, and every proven rank is the eigvalsh rank
         rng = default_rng(seed)
         cov = np.empty((len(rows), d, d))
         for b, (kind, k, nudge) in enumerate(rows):
             q, _ = np.linalg.qr(rng.standard_normal((d, d)))
             cov[b] = (q * prescribed_spectrum(rng, d, n, kind, k, nudge)) @ q.T
         theta, _, resid, sq = sieve._leading_ritz_pairs(cov)
-        live, rank, lo, hi = sieve._far1_ranks(cov, theta, resid, sq, n)
-        want_live, want_rank = eigvalsh_ranks(cov, n)
-        assert np.array_equal(live, want_live) and np.array_equal(rank, want_rank)
+        lo, hi = sieve._eigen_bounds(np.einsum("bij,bij->b", cov, cov)[:, None], theta, resid, sq)
         evals = np.maximum(np.linalg.eigvalsh(cov)[:, ::-1][:, : lo.shape[1]], 0.0)
         assert (lo <= evals).all() and (evals <= hi).all()
+        proven, rank = sieve._far1_ranks(cov, theta, resid, sq, n)
+        want_live, want_rank = eigvalsh_ranks(cov, n)
+        assert want_live[proven].all() and np.array_equal(rank[proven], want_rank[proven])
+
+    def test_an_unproven_row_alone_takes_the_batched_eigh(self, fallbacks, monkeypatch):
+        mean, factored, curves = _replicate_stack("C08", 50)  # one chunk
+        proven_run = far1_fit(*factored)
+        assert not fallbacks
+        ranks = sieve._far1_ranks
+
+        def leave_one(cov, *ritz):
+            proven, rank = ranks(cov, *ritz)
+            proven[7] = False
+            return proven, rank
+
+        monkeypatch.setattr(sieve, "_far1_ranks", leave_one)
+        got = far1_fit(*factored)
+        assert len(fallbacks) == 1
+        others = np.arange(50) != 7
+        assert np.array_equal(got[others], proven_run[others])
+        np.testing.assert_allclose(mean + got[7], far1_oracle(curves[7:8], factored[2])[0],
+                                   rtol=0.0, atol=1e-12)
+
+    def test_grid_within_the_block_takes_the_batched_eigh(self, fallbacks):
+        pool, idx, scores, basis = factored_series(4, 6, 40, 3, 2, 12)
+        got = far1_fit(pool, idx, 0.1, scores, basis)
+        assert len(fallbacks) == 6
+        curves = scores @ basis.T + pool[idx]
+        np.testing.assert_allclose(got, far1_oracle(curves, 0.1), rtol=0.0, atol=1e-12)
 
     def test_refit_memory_stays_within_two_pool_buffers(self):
         _, factored, curves = _replicate_stack("C06", 400)
@@ -409,6 +430,16 @@ class TestFar1:
         assert len(fallbacks) == 1
         np.testing.assert_allclose(fallbacks[0], w * tied.T @ tied / 64, rtol=0.0, atol=1e-14)
         np.testing.assert_allclose(got, far1_oracle(stack, w), rtol=0.0, atol=1e-12)
+
+    def test_tied_pairs_inside_a_settled_rank_take_the_batched_eigh(self, fallbacks):
+        # Walsh columns with a decaying tail: the bounds settle J = 2, but the two
+        # used eigenvalues tie, so no gap certifies their Ritz pairs
+        t = np.arange(64)
+        walsh = np.stack([(-1.0) ** (t >> k) for k in range(6)], axis=1)
+        tied = walsh * [1.0, 1.0, 0.22, 0.2, 0.17, 0.14] + 1.0
+        got = far1_fit(tied, np.arange(64)[None], 0.2)
+        assert len(fallbacks) == 1
+        np.testing.assert_allclose(got, far1_oracle(tied[None], 0.2), rtol=0.0, atol=1e-12)
 
     def test_rank_above_the_block_takes_the_batched_eigh(self, fallbacks):
         # five near-equal leading variances then a drop: the ratio rule keeps
