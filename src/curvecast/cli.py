@@ -270,6 +270,10 @@ SIMULATE_OPTS = [
 ]
 
 
+#: SynthSpec fields whose simulate flag has another name; the rest are the field, dashed
+_SYNTH_FLAGS = {"n": "days", "num_factors": "factors", "num_late_factors": "late_factors"}
+
+
 def cmd_simulate(opts: dict) -> int:
     K = opts["factors"]
     S = opts["late_factors"] if opts["late_factors"] is not None else K
@@ -278,7 +282,7 @@ def cmd_simulate(opts: dict) -> int:
         if opts["link_matrix"] is not None:
             flat = opts["link_matrix"]
             if len(flat) != K * S:
-                raise ConfigError(f"link matrix needs {K * S} entries, got {len(flat)}")
+                raise ConfigError(f"--link-matrix needs {K * S} entries, got {len(flat)}")
             rho = tuple(tuple(flat[r * S : (r + 1) * S]) for r in range(K))
         else:
             rho = tuple(
@@ -289,20 +293,18 @@ def cmd_simulate(opts: dict) -> int:
             "num_late_factors": S,
             "link_noise_sd": opts["link_noise_sd"] or (0.3,) * S,
         }
-    spec = SynthSpec(
-        n=opts["days"],
-        tau=opts["tau"],
-        num_factors=K,
-        basis=opts["basis"],
-        score_ar=opts["score_ar"],
-        innovation_sd=opts["innovation_sd"],
-        noise_sd=opts["noise_sd"],
-        mean_scale=opts["mean_scale"],
-        seed=opts["seed"],
-        link_split=opts["link_split"],
-        **extra,
-    )
-    fts, truth = generate(spec)
+    try:
+        fts, truth = generate(SynthSpec(
+            n=opts["days"], tau=opts["tau"], num_factors=K, basis=opts["basis"],
+            score_ar=opts["score_ar"], innovation_sd=opts["innovation_sd"],
+            noise_sd=opts["noise_sd"], mean_scale=opts["mean_scale"], seed=opts["seed"],
+            link_split=opts["link_split"], **extra,
+        ))
+    except ConfigError as exc:  # name the flag the user typed, not the field
+        field, _, rest = str(exc).partition(" ")
+        if field not in SynthSpec.__dataclass_fields__:
+            raise
+        raise ConfigError(f"--{_SYNTH_FLAGS.get(field, field).replace('_', '-')} {rest}") from None
     opens = np.full(fts.n, opts["open_price"])
     out = _require(opts, "output")
     write_wide_csv(out, inverse_cidr(fts, opens))

@@ -33,6 +33,7 @@ class SynthSpec:
     innovations.  When ``link_split`` is set, the factors live on
     the early columns only and the late columns are generated as
     ``late = early_scores @ link_matrix + link noise`` on their own basis.
+    Each configuration error begins with the name of the field at fault.
     """
 
     n: int
@@ -51,7 +52,7 @@ class SynthSpec:
 
     def __post_init__(self):
         if self.n < 1:
-            raise ConfigError(f"need n >= 1 days, got {self.n}")
+            raise ConfigError(f"n must be >= 1, got {self.n}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.noise_sd < math.inf:
@@ -62,19 +63,23 @@ class SynthSpec:
             if not (np.isfinite(scales) & (scales >= 0.0)).all():
                 raise ConfigError(f"{name} entries must be finite and >= 0, got {given}")
         if self.tau < 3:
-            raise ConfigError(f"need tau >= 3, got {self.tau}")
+            raise ConfigError(f"tau must be >= 3, got {self.tau}")
         if self.num_factors < 1:
-            raise ConfigError("need at least one factor")
+            raise ConfigError(f"num_factors must be >= 1, got {self.num_factors}")
         if self.basis not in ("fourier", "poly"):
-            raise ConfigError(f"unknown basis {self.basis!r}")
+            raise ConfigError(f"basis must be 'fourier' or 'poly', got {self.basis!r}")
         if self.link_split is not None and not 2 < self.link_split < self.tau:
-            raise ConfigError(
-                f"link_split must lie strictly inside 2..tau, got {self.link_split}"
-            )
+            raise ConfigError(f"link_split must lie strictly between 2 and {self.tau}, "
+                              f"got {self.link_split}")
         if self.link_split is not None and self.num_late_factors < 1:
-            raise ConfigError(
-                f"num_late_factors must be >= 1 with link_split, got {self.num_late_factors}"
-            )
+            raise ConfigError(f"num_late_factors must be >= 1, got {self.num_late_factors}")
+        m = self.link_split or self.tau  # the factors span m - 1 curve values, late ones tau - m
+        if self.num_factors > m - 1:
+            raise ConfigError(f"num_factors must be <= {m - 1} for this grid, "
+                              f"got {self.num_factors}")
+        if self.link_split is not None and self.num_late_factors > self.tau - m:
+            raise ConfigError(f"num_late_factors must be <= {self.tau - m} for this grid, "
+                              f"got {self.num_late_factors}")
 
 
 @dataclass(frozen=True)
@@ -124,7 +129,7 @@ def orthonormal_basis(npoints: int, weight: float, count: int, kind: str = "four
                 v = v - (weight * (basis[:, j] @ v)) * basis[:, j]
             norm = np.sqrt(weight * (v @ v))
             if norm < 1e-12:
-                raise ConfigError("basis functions are numerically dependent")
+                raise ConfigError(f"cannot build {count} independent functions on {npoints} points")
             basis[:, k] = v / norm
     return basis
 
@@ -133,7 +138,7 @@ def _simulate_scores(ar: np.ndarray, innov_sd: np.ndarray, n: int, rng) -> np.nd
     """n days of per-factor AR(1) scores, ``out[t] = eps[t] + ar * out[t - 1]``, after a burn-in."""
     radius = float(np.abs(ar).max())
     if not radius < STATIONARITY_LIMIT:
-        raise ConfigError(f"score dynamics are not stationary (companion radius {radius:.4f})")
+        raise ConfigError(f"score_ar is not stationary (companion radius {radius:.4f})")
     out = rng.standard_normal((BURN_IN + n, ar.size)) * innov_sd
     for t in range(1, out.shape[0]):
         out[t] += ar * out[t - 1]

@@ -26,11 +26,15 @@ Replicate ``b`` always draws from its own counter-split random stream,
 and its refit depends on its own draws alone (every per-replicate sum
 is a stacked product, never one matrix product across replicates), so
 results do not depend on evaluation order, chunking or worker count.
-The private ``_fit_day`` is the one per-day fit shared by the CLI,
-tuning and the backtest: it fits the decomposition, selects the order
-and fits the score autoregression, and keeps them in a frozen ``_Day``
-with the one-step score forecast (computed once per day) and the curve
-it implies, which every intraday update of that day reads.  The private
+The private ``_index_draws`` reads every replicate's stream in one pass,
+without a ``Generator`` per replicate, bit for bit what each replicate's
+own ``Generator`` draws; it checks that against a real one on every call
+and draws replicate by replicate when they differ.  The private
+``_fit_day`` is the one per-day fit shared by the CLI, tuning and the
+backtest: it fits the decomposition, selects the order and fits the
+score autoregression, and keeps them in a frozen ``_Day`` with the
+one-step score forecast (computed once per day) and the curve it
+implies, which every intraday update of that day reads.  The private
 ``_walk_days`` walks tuning's and the backtest's days through it,
 recording a day that cannot be fitted instead of stopping.
 """
@@ -64,6 +68,8 @@ _FAR1_PAD = 64 * np.finfo(float).eps
 #: bytes of count-scaled residual pool (d x m per series) one ``far1_fit`` thread
 #: builds at once, in one buffer it reuses for every chunk of series it refits
 _STACK_BYTES = 8 * 2**20
+#: replicates whose stream words ``_lockstep_draws`` holds at once; PCG64's LCG multiplier
+_DRAW_ROWS, _PCG64_MULT = 64, 0x2360ED051FC65DA44385DF649FCCF645
 FORECAST_SCHEMA_VERSION = 1
 CENTER_CHOICES = ("far1", "ts")
 
@@ -506,18 +512,66 @@ def _index_draws(seed, B, T, M, p, n_eps, n_resid):
     Stream order: T core, M pre- and p post-sample innovations, the future one; then n = T + p
     series residual rows, the future row.  Bounded draws read the stream value by value, so
     the two reads equal these six draws bit for bit.  Returns (B, M+T+p) innovations in time
-    order (pre, core, post), (B,) future ones, (B, n) series rows and (B,) future rows."""
-    ext = np.empty((B, M + T + p), dtype=np.int64)
-    rows = np.empty((B, T + p), dtype=np.int64)
-    fut, fut_rows = np.empty((2, B), dtype=np.int64)
-    in_time_order = np.r_[T : T + M, :T, T + M : T + M + p]
-    for b in range(B):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(b,)))
-        draw = rng.integers(0, n_eps, size=T + M + p + 1)
-        ext[b], fut[b] = draw[in_time_order], draw[-1]
-        draw = rng.integers(0, n_resid, size=T + p + 1)
-        rows[b], fut_rows[b] = draw[:-1], draw[-1]
-    return ext, fut, rows, fut_rows
+    order (pre, core, post), (B,) future ones, (B, n) series rows and (B,) future rows.  Rows
+    that :func:`_lockstep_draws` flags are redrawn by :func:`_replicate_draws`, and so is every
+    row when a range lies outside [2, 2**32) or the first kept row differs from a real
+    ``Generator``'s, checked on every call."""
+    out = (np.empty((B, M + T + p), np.int64), np.empty(B, np.int64),
+           np.empty((B, T + p), np.int64), np.empty(B, np.int64))
+    flagged = np.ones(B, dtype=bool)
+    if 2 <= min(n_eps, n_resid) and max(n_eps, n_resid) < 2**32:
+        flagged = _lockstep_draws(seed, T, M, p, n_eps, n_resid, out)
+        first = int(flagged.argmin())
+        oracle = _replicate_draws(seed, first, T, M, p, n_eps, n_resid)
+        flagged |= not all(np.array_equal(a[first], v) for a, v in zip(out, oracle))
+    for b in np.flatnonzero(flagged):
+        for a, v in zip(out, _replicate_draws(seed, b, T, M, p, n_eps, n_resid)):
+            a[b] = v
+    return out
+
+
+def _replicate_draws(seed, b, T, M, p, n_eps, n_resid):
+    """Replicate b's row of each :func:`_index_draws` output, from a ``Generator`` on its stream."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(int(b),)))
+    eps, rows = rng.integers(0, n_eps, size=T + M + p + 1), rng.integers(0, n_resid, size=T + p + 1)
+    return np.r_[eps[T : T + M], eps[:T], eps[T + M : -1]], eps[-1], rows[:-1], rows[-1]
+
+
+def _lockstep_draws(seed, T, M, p, n_eps, n_resid, out):
+    """:func:`_index_draws` into ``out`` for every replicate at once; returns which to redraw.
+
+    Replicate b's ``SeedSequence`` hashes one word, b, into ``SeedSequence(seed).pool``, so
+    the B pools and their ``generate_state(4, uint64)`` words are one pass of uint32 arithmetic.
+    Each seeds one reused ``PCG64`` as its constructor would, and its raw words, as uint32 low
+    half first, are what ``integers`` reads.  Lemire's rule ``(u n) >> 32`` runs in place on
+    ``_DRAW_ROWS`` rows at a time; a row is flagged if a word falls below ``(2**32 - n) % n``."""
+    B, n1 = out[1].size, T + M + p + 1
+    calls = 16 + 4 * max(-(-int(seed).bit_length() // 32) - 4, 0)  # hashmix steps before b
+    hash_a = np.uint32([0x43B0D7E5 * pow(0x931E8875, calls + k, 2**32) % 2**32 for k in range(5)])
+    hash_b = np.uint32([0x8B51F9DD * pow(0x58F38DED, j, 2**32) % 2**32 for j in range(9)])
+    v = (np.arange(B, dtype=np.uint32)[:, None] ^ hash_a[:4]) * hash_a[1:]
+    pool = 0xCA01F9DD * np.random.SeedSequence(seed).pool - 0x4973F715 * (v ^ v >> 16)
+    pool ^= pool >> 16
+    state = (np.tile(pool, 2) ^ hash_b[:8]) * hash_b[1:]
+    state ^= state >> 16
+    gen, width = np.random.PCG64(0), -(-(n1 + T + p + 1) // 2)
+    doc = gen.state
+    pieces = [(out[0][:, M : M + T], 0, n_eps), (out[0][:, :M], T, n_eps),
+              (out[0][:, M + T :], T + M, n_eps), (out[1][:, None], n1 - 1, n_eps),
+              (out[2], n1, n_resid), (out[3][:, None], n1 + T + p, n_resid)]
+    u, flagged = np.empty((min(B, _DRAW_ROWS), 2 * width), np.uint32), np.zeros(B, bool)
+    for lo in range(0, B, _DRAW_ROWS):
+        for r, (s1, s0, i1, i0) in enumerate(state.view(np.uint64)[lo : lo + _DRAW_ROWS].tolist()):
+            doc["state"]["inc"] = inc = (i1 << 65 | i0 << 1 | 1) % 2**128  # 2 seq + 1
+            doc["state"]["state"] = ((inc + (s1 << 64 | s0)) * _PCG64_MULT + inc) % 2**128
+            gen.state = doc
+            u[r] = gen.random_raw(width).view(np.uint32)
+        for dest, at, n in pieces:
+            prod = dest[lo : lo + _DRAW_ROWS].view(np.uint64)
+            np.multiply(u[: len(prod), at : at + prod.shape[1]], np.uint64(n), out=prod)
+            flagged[lo : lo + _DRAW_ROWS] |= (prod.view(np.uint32)[:, ::2] < (2**32 - n) % n).any(1)
+            prod >>= np.uint64(32)
+    return flagged
 
 
 def _draws(fpca, var, seed, B):

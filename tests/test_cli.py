@@ -442,17 +442,19 @@ class TestErrorPaths:
             ["simulate", "--noise-sd", "-1", "--days", "20", "--tau", "8"],
             ["simulate", "--noise-sd", "nan", "--days", "20", "--tau", "8"],
             ["simulate", "--innovation-sd=-1,-1", "--days", "20", "--tau", "8"],
-            ["simulate", "--link-split", "4", "--link-noise-sd=-0.5,0.3", "--days", "20",
+            ["simulate", "--link-noise-sd=-0.5,0.3", "--link-split", "4", "--days", "20",
              "--tau", "8"],
-            ["simulate", "--link-split", "5", "--late-factors", "0", "--days", "20",
+            ["simulate", "--late-factors", "0", "--link-split", "5", "--days", "20",
              "--tau", "8"],
             ["simulate", "--days", "0", "--tau", "8"],
-            ["simulate", "--days", "20", "--tau", "2"],
+            ["simulate", "--tau", "2", "--days", "20"],
             ["simulate", "--factors", "0", "--days", "20", "--tau", "8"],
             ["simulate", "--basis", "foo", "--days", "20", "--tau", "8"],
             ["simulate", "--score-ar", "0.5", "--days", "20", "--tau", "8"],
             ["simulate", "--score-ar", "1.5,0.3", "--days", "20", "--tau", "8"],
             ["simulate", "--link-split", "1", "--days", "20", "--tau", "8"],
+            ["simulate", "--factors", "8", "--days", "20", "--tau", "8"],
+            ["simulate", "--late-factors", "4", "--link-split", "5", "--days", "20", "--tau", "8"],
             ["backtest", "--methods", "flr,FLR", "--initial-train", "60", "--n-test", "1",
              "--replicates", "50"],
             ["tune", "--periods", "", "--train-size", "40", "--validation-size", "2"],
@@ -470,7 +472,8 @@ class TestErrorPaths:
              "simulate-negative-link-noise-sd", "simulate-zero-late-factors",
              "simulate-zero-days", "simulate-tau-two", "simulate-zero-factors",
              "simulate-unknown-basis", "simulate-score-ar-length", "simulate-explosive-score-ar",
-             "simulate-link-split-one",
+             "simulate-link-split-one", "simulate-factors-above-grid",
+             "simulate-late-factors-above-block",
              "backtest-repeated-method", "tune-empty-periods", "backtest-empty-periods"]
         + [f"{command}-{bad}-missing-frac" for command in _MISSING_FRAC_RUNS
            for bad in ("nan", "inf")],
@@ -493,6 +496,8 @@ class TestErrorPaths:
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
+        if command == "simulate":  # each simulate case gives the flag at fault first
+            assert options[0].split("=")[0] in err
 
     def test_var_identifiability_limit_is_exit_three(self, tmp_path, capsys):
         # two components need six days: five leave no identifiable lag order

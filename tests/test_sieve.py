@@ -184,6 +184,110 @@ class TestStreamContract:
             assert fut_rows[b] == fut_row
 
 
+def index_draws_oracle(seed, B, T, M, p, n_eps, n_resid):
+    """The per-replicate loop: one ``Generator`` per replicate, two bulk reads of its stream."""
+    ext = np.empty((B, M + T + p), dtype=np.int64)
+    rows = np.empty((B, T + p), dtype=np.int64)
+    fut, fut_rows = np.empty((2, B), dtype=np.int64)
+    in_time_order = np.r_[T : T + M, :T, T + M : T + M + p]
+    for b in range(B):
+        rng = default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(b,)))
+        draw = rng.integers(0, n_eps, size=T + M + p + 1)
+        ext[b], fut[b] = draw[in_time_order], draw[-1]
+        draw = rng.integers(0, n_resid, size=T + p + 1)
+        rows[b], fut_rows[b] = draw[:-1], draw[-1]
+    return ext, fut, rows, fut_rows
+
+
+def assert_same_draws(got, want):
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert np.array_equal(g, w)
+
+
+def assert_kept_rows_match(args, want):
+    """Run the one-pass draws; every row they do not flag must equal the oracle's."""
+    out = tuple(np.empty_like(w) for w in want)
+    flagged = sieve._lockstep_draws(args[0], *args[2:], out)
+    for got, w in zip(out, want):
+        assert np.array_equal(got[~flagged], w[~flagged])
+    return flagged
+
+
+# index ranges: small pools, ones (no stream value read), near 2**31 (Lemire rejections on
+# about half the words), near 2**26 - 2**15 (rejections on about one word in 2,000, so in
+# some replicates and not others) and the rest of 32 bits
+_SOME_REJECT = 2**26 - 2**15
+_ranges = st.one_of(
+    st.integers(1, 600), st.just(1), st.integers(2**31 - 8, 2**31 + 16),
+    st.integers(_SOME_REJECT - 64, _SOME_REJECT + 64), st.integers(2, 2**32 - 1),
+)
+
+
+class TestLockstepDraws:
+    """The one-pass draws equal the per-replicate ``Generator`` loop, row for row, bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**130), B=st.integers(1, 60), T=st.integers(1, 300),
+        M=st.integers(0, 500), p=st.integers(1, 4), n_eps=_ranges, n_resid=_ranges,
+    )
+    @example(seed=3, B=8, T=5, M=2, p=1, n_eps=1, n_resid=6)
+    @example(seed=3, B=8, T=5, M=2, p=1, n_eps=6, n_resid=1)
+    @example(seed=0, B=1, T=1, M=0, p=1, n_eps=2, n_resid=2)  # n1 = 3, odd
+    @example(seed=2**64 + 3, B=9, T=6, M=3, p=2, n_eps=40, n_resid=41)  # n1 = 12, even
+    @example(seed=2**130, B=60, T=300, M=500, p=4, n_eps=2**31 + 11, n_resid=_SOME_REJECT)
+    def test_matches_the_per_replicate_loop(self, seed, B, T, M, p, n_eps, n_resid):
+        want = index_draws_oracle(seed, B, T, M, p, n_eps, n_resid)
+        assert_same_draws(sieve._index_draws(seed, B, T, M, p, n_eps, n_resid), want)
+        if 2 <= min(n_eps, n_resid) and max(n_eps, n_resid) < 2**32:
+            # the one pass itself, not only after the check against a real Generator
+            assert_kept_rows_match((seed, B, T, M, p, n_eps, n_resid), want)
+
+    def test_rejections_flag_only_their_replicates(self):
+        args = (7, 60, 200, 40, 2, _SOME_REJECT, _SOME_REJECT + 3)
+        flagged = assert_kept_rows_match(args, index_draws_oracle(*args))
+        assert 0 < flagged.sum() < flagged.size
+
+    def test_a_wrong_first_replicate_falls_back_to_the_generators(self, monkeypatch):
+        lockstep, calls = sieve._lockstep_draws, []
+
+        def wrong_row_zero(*args):
+            flagged = lockstep(*args)
+            args[-1][0][0, 0] += 1  # row 0 kept, but not what its stream draws
+            calls.append(flagged.copy())
+            return flagged
+
+        monkeypatch.setattr(sieve, "_lockstep_draws", wrong_row_zero)
+        args = (11, 40, 30, 9, 2, 25, 32)
+        got = sieve._index_draws(*args)
+        assert len(calls) == 1 and not calls[0][0]
+        assert_same_draws(got, index_draws_oracle(*args))
+
+    @pytest.mark.parametrize("n_eps,n_resid", [(1, 6), (6, 1), (2**32, 6), (6, 2**32 + 3)])
+    def test_ranges_outside_32_bits_take_the_generators(self, monkeypatch, n_eps, n_resid):
+        # a range of 1 reads no stream value and one above 2**32 - 1 reads 64-bit words
+        def unused(*args):
+            raise AssertionError("one-pass draws used outside [2, 2**32)")
+
+        monkeypatch.setattr(sieve, "_lockstep_draws", unused)
+        args = (3, 8, 5, 2, 1, n_eps, n_resid)
+        assert_same_draws(sieve._index_draws(*args), index_draws_oracle(*args))
+
+    def test_memory_stays_near_the_per_replicate_loop(self):
+        # C06 shape: a 250-day training window, VAR(2) with a 38-day pre-sample, B = 400
+        args = (derive_seed(12345, 2, 250), 400, 248, 38, 2, 248, 250)
+        peaks = []
+        for draw in (sieve._index_draws, index_draws_oracle):
+            tracemalloc.start()
+            try:
+                draw(*args)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 1.5 * peaks[1]
+
+
 def regularized_transfer(cov0, cov1, w, n):
     """Lagged covariance composed with the rank-truncated covariance inverse, from one ``eigh``."""
     evals, evecs = np.linalg.eigh(w * cov0)
