@@ -167,9 +167,15 @@ def generate(spec: SynthSpec):
     mean = _mean_curve(d, spec.mean_scale)
     scores = _simulate_scores(ar, innov_sd, spec.n, rng)
 
+    def basis(field, npoints, count):  # rectangle-rule weights; a dependent basis names its field
+        try:
+            return orthonormal_basis(npoints, 1.0 / max(npoints - 1, 1), count, spec.basis)
+        except ConfigError as exc:
+            raise ConfigError(f"{field} must be smaller for this grid: {exc}") from None
+
     linked = {}
     if spec.link_split is None:
-        factors = orthonormal_basis(d, grid.quad_weight, K, spec.basis)
+        factors = basis("num_factors", d, K)
         values = scores @ factors.T
     else:  # the early columns carry the factors, the late ones a noisy linkage of their scores
         m = spec.link_split
@@ -183,8 +189,8 @@ def generate(spec: SynthSpec):
         if link_sd.shape != (S,):
             raise ConfigError(f"link_noise_sd must have {S} entries, got {link_sd.shape}")
         n_early, n_late = m - 1, spec.tau - m
-        factors = orthonormal_basis(n_early, 1.0 / max(n_early - 1, 1), K, spec.basis)
-        late_basis = orthonormal_basis(n_late, 1.0 / max(n_late - 1, 1), S, spec.basis)
+        factors = basis("num_factors", n_early, K)
+        late_basis = basis("num_late_factors", n_late, S)
         late_scores = scores @ rho + link_sd * rng.standard_normal((spec.n, S))
         values = np.hstack([scores @ factors.T, late_scores @ late_basis.T])
         linked = dict(link_split=m, link_matrix=_freeze(rho), late_factors=_freeze(late_basis),

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional
 
@@ -39,6 +40,7 @@ from .updating import (
     normalize_lambda_grid,
     tune_lambda,
     updating_columns,
+    _check_lambda,
     _resolve_periods,
     _schedule_doc,
     _schedule_from_doc,
@@ -176,9 +178,9 @@ def validate_plan(plan: BacktestPlan, fts: FunctionalTimeSeries) -> tuple:
         else:
             sched = plan.lambda_schedule
             for m in periods:
-                sched.point_lambda(m)
+                _check_lambda(sched.point_lambda(m))
                 for a in plan.bootstrap.alpha_levels:
-                    sched.interval_lambda(a, m)
+                    _check_lambda(sched.interval_lambda(a, m))
     if plan.n_workers < 1:
         raise ConfigError(f"n_workers must be >= 1, got {plan.n_workers}")
     return periods
@@ -222,27 +224,14 @@ class MetricReport:
     lambda_schedule: Optional[LambdaSchedule]
 
 
-class _Cell:
-    """Accumulates per-day vectors for one (method, updating period), or for TS's whole curve."""
-
-    __slots__ = ("sq", "sign_ok", "cover", "iscore")
-
-    def __init__(self, alphas):
-        self.sq = []
-        self.sign_ok = []
-        self.cover = {a: [] for a in alphas}
-        self.iscore = {a: [] for a in alphas}
-
-    def add_point(self, actual, forecast):
-        self.sq.append((actual - forecast) ** 2)
-        self.sign_ok.append(np.sign(actual) == np.sign(forecast))
-
-    def add_interval(self, alpha, actual, lo, hi):
-        self.cover[alpha].append(_covered(actual, lo, hi))
-        self.iscore[alpha].append(interval_score(lo, hi, actual, alpha))
+def _day_row(actual, point, bounds):
+    """One day's (squared errors, sign hits, {alpha: covered}, {alpha: interval score})."""
+    cover = {a: _covered(actual, lo, hi) for a, (lo, hi) in bounds.items()}
+    iscore = {a: interval_score(lo, hi, actual, a) for a, (lo, hi) in bounds.items()}
+    return (actual - point) ** 2, np.sign(actual) == np.sign(point), cover, iscore
 
 
-def _pooled_mean(parts: list) -> Optional[float]:
+def _pooled_mean(parts) -> Optional[float]:
     return float(np.mean(np.concatenate(parts))) if parts else None
 
 
@@ -251,28 +240,63 @@ def _mean_present(values) -> Optional[float]:
     return float(np.mean(values)) if values else None
 
 
-def _cell_metrics(cell: _Cell) -> Optional[dict]:
-    if not cell.sq:
+def _cell_metrics(rows: list, alphas) -> Optional[dict]:
+    if not rows:
         return None
+    sq, sign_ok, cover, iscore = zip(*rows)
     return {
-        "msfe": _pooled_mean(cell.sq),
-        "sign_accuracy": _pooled_mean(cell.sign_ok),
-        "days": len(cell.sq),
-        "ecp_pointwise": {a: _pooled_mean(v) for a, v in cell.cover.items()},
-        "interval_score": {a: _pooled_mean(v) for a, v in cell.iscore.items()},
+        "msfe": _pooled_mean(sq),
+        "sign_accuracy": _pooled_mean(sign_ok),
+        "days": len(rows),
+        "ecp_pointwise": {a: _pooled_mean([c[a] for c in cover if a in c]) for a in alphas},
+        "interval_score": {a: _pooled_mean([s[a] for s in iscore if a in s]) for a in alphas},
     }
+
+
+def _score_test_day(actual, day, forecast, methods, schedule, periods):
+    """One test day's value: ``(rows, band, skipped)``.
+
+    ``rows`` lists ``((method, m), row)`` pairs of :func:`_day_row` rows,
+    TS's whole curve first as ``("TS", None)``; ``band`` maps each alpha
+    to whether the uniform band holds the whole day (None without TS);
+    ``skipped`` lists the (method, m) cells whose update failed.
+    """
+    alphas = forecast.alpha_levels
+    rows, skipped, band, pls = [], [], None, "PLS" in methods
+    if "TS" in methods:
+        rows.append((("TS", None), _day_row(actual, day.ts_curve, forecast.pointwise)))
+        band = {a: bool(_covered(actual, *forecast.band[a]).all()) for a in alphas}
+    for m in periods:
+        cols = updating_columns(actual.size + 1, m)  # a curve holds tau - 1 values
+        late = actual[cols]
+        lam = schedule.point_lambda(m) if pls else None
+        lam_iv = {a: schedule.interval_lambda(a, m) for a in alphas} if pls else None
+        for mth in methods:
+            if mth == "TS":
+                point = day.ts_curve[cols]
+                ivs = {a: (lo[cols], hi[cols]) for a, (lo, hi) in forecast.pointwise.items()}
+            else:
+                try:
+                    point, ivs = _update_period(
+                        day, mth, actual[: m - 1], lam, lam_iv, forecast.replicates, alphas
+                    )
+                except (NumericalError, DataError):
+                    skipped.append((mth, m))
+                    continue
+            rows.append(((mth, m), _day_row(late, point, ivs)))
+    return rows, band, skipped
 
 
 def run_backtest(fts: FunctionalTimeSeries, plan: BacktestPlan) -> MetricReport:
     """Walk-forward evaluation of the requested methods, on an expanding or rolling window.
 
-    A day that cannot be fitted is recorded in ``failures`` with stage "tune" (a shrinkage
-    validation day) or "fit" (a test day) and left out; :class:`NumericalError` if all are.
+    Each test day is fitted, drawn and scored into one value, and the values
+    are folded in day order.  A day that cannot be fitted or drawn is recorded
+    in ``failures`` with stage "tune" (a shrinkage validation day) or "fit" (a
+    test day) and left out; :class:`NumericalError` if all are.
     """
     periods = validate_plan(plan, fts)
     alphas = plan.bootstrap.alpha_levels
-    tau = fts.grid.tau
-    updating_methods = tuple(m for m in plan.methods if m != "TS")
     failures = []
 
     schedule = plan.lambda_schedule
@@ -283,69 +307,38 @@ def run_backtest(fts: FunctionalTimeSeries, plan: BacktestPlan) -> MetricReport:
             replace(plan.bootstrap, seed=derive_seed(plan.bootstrap.seed, 1)), failures,
         )
 
-    ts_full, ts_band_cover = _Cell(alphas), {a: [] for a in alphas}
-    cells = {mth: {m: _Cell(alphas) for m in periods} for mth in plan.methods}
-    skipped = {}
-
     def draw(day, t):
         cfg = replace(plan.bootstrap, seed=derive_seed(plan.bootstrap.seed, 2, t))
         return sieve_prediction(day.train, day.fpca, day.var, cfg, n_workers=plan.n_workers)
 
+    def score(day, t, forecast):
+        return _score_test_day(fts.values[t], day, forecast, plan.methods, schedule, periods)
+
     days = range(plan.initial_train, plan.initial_train + plan.n_test)
-    roll = plan.initial_train if plan.rolling else 0
-    walk = _walk_days(fts, days, plan.num_components, plan.max_order, draw, failures, "fit", roll)
-    for t, day, forecast in walk:
-        actual = fts.values[t]
+    scored, dropped = _walk_days(fts, days, plan.num_components, plan.max_order, draw, score,
+                                 "fit", plan.initial_train if plan.rolling else 0)
+    failures += dropped
+    if not scored:
+        raise NumericalError(f"every test day failed; first error: {dropped[0]['error']}")
 
-        if "TS" in plan.methods:
-            ts_full.add_point(actual, day.ts_curve)
-            for a in alphas:
-                ts_full.add_interval(a, actual, *forecast.pointwise[a])
-                ts_band_cover[a].append(bool(_covered(actual, *forecast.band[a]).all()))
-
-        for m in periods:
-            cols = updating_columns(tau, m)
-            actual_late = actual[cols]
-            if "TS" in plan.methods:
-                cell = cells["TS"][m]
-                cell.add_point(actual_late, day.ts_curve[cols])
-                for a in alphas:
-                    lo, hi = forecast.pointwise[a]
-                    cell.add_interval(a, actual_late, lo[cols], hi[cols])
-            lam = lam_iv = None
-            if "PLS" in plan.methods:
-                lam = schedule.point_lambda(m)
-                lam_iv = {a: schedule.interval_lambda(a, m) for a in alphas}
-            for mth in updating_methods:
-                try:
-                    point, ivs = _update_period(
-                        day, mth, actual[: m - 1], lam, lam_iv, forecast.replicates, alphas
-                    )
-                except (NumericalError, DataError):
-                    skipped[(mth, m)] = skipped.get((mth, m), 0) + 1
-                    continue
-                cells[mth][m].add_point(actual_late, point)
-                for a, (lo, hi) in ivs.items():
-                    cells[mth][m].add_interval(a, actual_late, lo, hi)
-        # the day's replicates and their cached pool statistics go before the next day's draw
-        forecast = None
-
-    days_used = plan.n_test - sum(f["stage"] == "fit" for f in failures)
-    if days_used == 0:
-        first = next(f for f in failures if f["stage"] == "fit")
-        raise NumericalError(f"every test day failed; first error: {first['error']}")
+    cells = {}
+    for rows, _, _ in scored:
+        for key, row in rows:
+            cells.setdefault(key, []).append(row)
+    skipped = dict(Counter(key for _, _, skips in scored for key in skips))
 
     full_day = {}
-    if ts_full.sq:
-        sq = np.vstack(ts_full.sq)
-        iscore = {a: np.vstack(ts_full.iscore[a]).mean(axis=0) for a in alphas}
+    if "TS" in plan.methods:
+        sq, _, cover, iscore = zip(*cells[("TS", None)])
+        sq = np.vstack(sq)
+        curve = {a: np.vstack([s[a] for s in iscore]).mean(axis=0) for a in alphas}
         full_day["TS"] = {
             "msfe": float(sq.mean()),
             "msfe_curve": sq.mean(axis=0).tolist(),
-            "ecp_pointwise": {a: float(np.mean(np.vstack(ts_full.cover[a]))) for a in alphas},
-            "ecp_uniform": {a: float(np.mean(ts_band_cover[a])) for a in alphas},
-            "interval_score": {a: float(iscore[a].mean()) for a in alphas},
-            "interval_score_curve": {a: iscore[a].tolist() for a in alphas},
+            "ecp_pointwise": {a: float(np.mean(np.vstack([c[a] for c in cover]))) for a in alphas},
+            "ecp_uniform": {a: float(np.mean([band[a] for _, band, _ in scored])) for a in alphas},
+            "interval_score": {a: float(curve[a].mean()) for a in alphas},
+            "interval_score_curve": {a: curve[a].tolist() for a in alphas},
         }
 
     per_period = {}
@@ -353,7 +346,7 @@ def run_backtest(fts: FunctionalTimeSeries, plan: BacktestPlan) -> MetricReport:
     for mth in plan.methods:
         table = {}
         for m in periods:
-            got = _cell_metrics(cells[mth][m])
+            got = _cell_metrics(cells.get((mth, m), []), alphas)
             if got is not None:
                 table[m] = got
         if not table:
@@ -373,7 +366,7 @@ def run_backtest(fts: FunctionalTimeSeries, plan: BacktestPlan) -> MetricReport:
         methods=plan.methods,
         periods=periods,
         n_test=plan.n_test,
-        days_used=days_used,
+        days_used=len(scored),
         seed=plan.bootstrap.seed,
         full_day=full_day,
         updating=updating,

@@ -35,8 +35,8 @@ backtest: it fits the decomposition, selects the order and fits the
 score autoregression, and keeps them in a frozen ``_Day`` with the
 one-step score forecast (computed once per day) and the curve it
 implies, which every intraday update of that day reads.  The private
-``_walk_days`` walks tuning's and the backtest's days through it,
-recording a day that cannot be fitted instead of stopping.
+``_walk_days`` walks tuning's and the backtest's days through it into one
+value per day, in day order, recording a day it cannot fit or draw.
 """
 
 from __future__ import annotations
@@ -429,13 +429,15 @@ def _fit_day(train: FunctionalTimeSeries, num_components, max_order: int) -> _Da
     return _Day(train, fpca, var, *_one_step(fpca, var))
 
 
-def _walk_days(fts, days, num_components, max_order, draw, failures, stage, rolling=0):
-    """Fit each day t of ``days`` and call ``draw(day, t)``: yields ``(t, day, drawn)``.
+def _walk_days(fts, days, num_components, max_order, draw, score, stage, rolling=0):
+    """Fit, draw and score each of ``days`` in order: returns ``(values, failures)``.
 
-    Day t is fitted on ``fts.window(t - rolling, t)``, or on every earlier
-    day when ``rolling`` is 0.  A day whose fit or draw raises a library
-    error is appended to ``failures`` as ``{"day", "stage", "error"}``.
+    Day t is fitted on ``fts.window(t - rolling, t)``, or on every earlier day when
+    ``rolling`` is 0, and scored as ``score(day, t, draw(day, t))``, one day's draw live at
+    a time.  A fit or draw that raises a library error records the day in ``failures`` as
+    ``{"day", "stage", "error"}``; an error that ``score`` raises propagates.
     """
+    values, failures = [], []
     for t in days:
         try:
             day = _fit_day(fts.window(t - rolling if rolling else 0, t), num_components, max_order)
@@ -443,8 +445,9 @@ def _walk_days(fts, days, num_components, max_order, draw, failures, stage, roll
         except (DataError, NumericalError, ConfigError) as exc:
             failures.append({"day": t, "stage": stage, "error": str(exc)})
             continue
-        yield t, day, drawn
-        del day, drawn  # so a consumer that drops its own keeps one day's draw live
+        values.append(score(day, t, drawn))
+        del drawn
+    return values, failures
 
 
 def _check_pair(fpca: FpcaModel, var: VarModel) -> None:

@@ -580,12 +580,11 @@ def tune_lambda(
     :class:`NumericalError` is raised.  Each dropped day is appended to
     ``failures``, when given, as ``{"day", "stage": "tune", "error"}``.
 
-    The pass streams: each validation day is fitted once, its replicates'
-    index draws (seed ``derive_seed(bootstrap.seed, 1, day)``) are made
-    once and only the future score draws and residual rows are kept (no
-    pseudo-series is built), every period is scored for the whole grid,
-    and the day is dropped.  Memory is bounded by one day's index draws
-    plus a (periods, 1 + alphas, grid, days) score table.
+    Each validation day is fitted once, its replicates' index draws (seed
+    ``derive_seed(bootstrap.seed, 1, day)``) are made once, keeping only the
+    future score draws and residual rows (no pseudo-series is built), and it
+    is scored for the whole grid into one (periods, 1 + alphas, grid) table;
+    the tables are stacked in day order.  One day's index draws are live at a time.
     """
     from .evalharness import interval_score
 
@@ -613,15 +612,10 @@ def tune_lambda(
             _, future_scores, _, rows = _draws(day.fpca, day.var, seed, bootstrap.num_replicates)
             return future_scores, (day.fpca.residuals - day.fpca.residuals.mean(axis=0)).T[:, rows]
 
-    P, L = len(periods), len(grid)
-    by_day = []
-    failures = [] if failures is None else failures
-    first = len(failures)
-    days = range(train_size, train_size + validation_size)
-    for v, day, drawn in _walk_days(fts, days, num_components, max_order, draw, failures, "tune"):
+    def score(day, v, drawn):
+        """The day's point score, then one interval score per alpha, for each grid value."""
         actual = fts.values[v]
-        # the point score, then one interval score per alpha, for each grid value
-        scores = np.full((P, 1 + len(alphas), L), np.inf)
+        scores = np.full((len(periods), 1 + len(alphas), len(grid)), np.inf)
         for i, m in enumerate(periods):
             ctx = _context(day.fpca, day.ts_scores, actual[: m - 1])
             actual_late = actual[m - 1 :]
@@ -633,7 +627,7 @@ def tune_lambda(
                     _require_full_rank(ctx.eigenbasis_obs, m)
                 except NumericalError:
                     start = 1
-            if start == L:
+            if start == len(grid):
                 continue
             if want_point:
                 betas = _pls_betas(ctx, day.fpca, grid[start:], ctx.ts_scores[:, None])
@@ -645,11 +639,14 @@ def tune_lambda(
                 bounds = _pls_bounds(ctx, day.fpca, future_scores, late_t, grid[start:], alphas)
                 for k, a in enumerate(alphas):
                     scores[i, 1 + k, start:] = interval_score(*bounds[a], actual_late, a).mean(-1)
-        by_day.append(scores)
+        return scores
+
+    days = range(train_size, train_size + validation_size)
+    by_day, dropped = _walk_days(fts, days, num_components, max_order, draw, score, "tune")
+    if failures is not None:
+        failures += dropped
     if not by_day:
-        raise NumericalError(
-            f"every validation day failed; first error: {failures[first]['error']}"
-        )
+        raise NumericalError(f"every validation day failed; first error: {dropped[0]['error']}")
 
     table = np.stack(by_day, axis=-1)  # (periods, 1 + alphas, grid, days)
     point = interval = None

@@ -455,6 +455,12 @@ class TestErrorPaths:
             ["simulate", "--link-split", "1", "--days", "20", "--tau", "8"],
             ["simulate", "--factors", "8", "--days", "20", "--tau", "8"],
             ["simulate", "--late-factors", "4", "--link-split", "5", "--days", "20", "--tau", "8"],
+            # SynthSpec accepts these counts, but the basis on their grid is dependent
+            ["simulate", "--late-factors", "3", "--link-split", "5", "--days", "20", "--tau", "8"],
+            ["simulate", "--factors", "3", "--tau", "4", "--days", "20",
+             "--score-ar", "0.1,0.1,0.1", "--innovation-sd", "1,1,1"],
+            ["simulate", "--factors", "30", "--basis", "poly", "--tau", "75", "--days", "20",
+             "--score-ar=" + ",".join(["0.1"] * 30), "--innovation-sd=" + ",".join(["1"] * 30)],
             ["backtest", "--methods", "flr,FLR", "--initial-train", "60", "--n-test", "1",
              "--replicates", "50"],
             ["tune", "--periods", "", "--train-size", "40", "--validation-size", "2"],
@@ -473,7 +479,8 @@ class TestErrorPaths:
              "simulate-zero-days", "simulate-tau-two", "simulate-zero-factors",
              "simulate-unknown-basis", "simulate-score-ar-length", "simulate-explosive-score-ar",
              "simulate-link-split-one", "simulate-factors-above-grid",
-             "simulate-late-factors-above-block",
+             "simulate-late-factors-above-block", "simulate-late-basis-dependent",
+             "simulate-fourier-basis-dependent", "simulate-poly-basis-dependent",
              "backtest-repeated-method", "tune-empty-periods", "backtest-empty-periods"]
         + [f"{command}-{bad}-missing-frac" for command in _MISSING_FRAC_RUNS
            for bad in ("nan", "inf")],
@@ -497,7 +504,7 @@ class TestErrorPaths:
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
         if command == "simulate":  # each simulate case gives the flag at fault first
-            assert options[0].split("=")[0] in err
+            assert err.startswith(f"error: {options[0].split('=')[0]} ")
 
     def test_var_identifiability_limit_is_exit_three(self, tmp_path, capsys):
         # two components need six days: five leave no identifiable lag order

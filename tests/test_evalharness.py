@@ -199,6 +199,24 @@ class TestPlanValidation:
         with pytest.raises(ConfigError):
             validate_plan(plan, fts)
 
+    @pytest.mark.parametrize("bad", [-1.0, np.inf])
+    @pytest.mark.parametrize("where", ["point", "interval"])
+    def test_provided_schedule_value_must_be_finite_and_nonnegative(self, small_backtest,
+                                                                     bad, where):
+        # rejected before any test day is fitted or drawn
+        fts, _, _ = small_backtest
+        point, interval = {3: 0.1}, {0.2: {3: 0.1}, 0.05: {3: 0.1}}
+        if where == "point":
+            point[3] = bad
+        else:
+            interval[0.05][3] = bad
+        plan = BacktestPlan(
+            initial_train=60, n_test=6, methods=("TS", "PLS"), periods=(3,),
+            lambda_schedule=LambdaSchedule(point=point, interval=interval, lambda_grid=(0.1,)),
+        )
+        with pytest.raises(ConfigError, match="shrinkage must be finite and >= 0"):
+            validate_plan(plan, fts)
+
 
 class TestBacktestReport:
     def test_shape_of_report(self, small_backtest):

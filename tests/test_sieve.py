@@ -31,6 +31,7 @@ from curvecast.fpca import select_num_components
 from curvecast.sieve import (
     _fit_day,
     _intervals,
+    _walk_days,
     sorted_quantile,
 )
 from conftest import sort_quantile_oracle
@@ -182,6 +183,45 @@ class TestStreamContract:
             assert fut_eps[b] == fut
             assert np.array_equal(rows[b], series)
             assert fut_rows[b] == fut_row
+
+
+class TestWalkDays:
+    @pytest.fixture(scope="class")
+    def panel(self):
+        return generate(SynthSpec(n=30, tau=8, seed=1))[0]
+
+    @staticmethod
+    def draw(day, t):
+        if t == 21:
+            raise NumericalError("stub draw failed")
+        return t * 10
+
+    def test_values_in_day_order_and_fit_and_draw_failures_recorded(self, panel):
+        # day 2 has too few days before it to select a lag order; day 21's draw fails
+        seen = []
+
+        def score(day, t, drawn):
+            seen.append(t)
+            assert day.train.n == t
+            return t, drawn
+
+        values, failures = _walk_days(panel, [20, 2, 21, 22, 23], None, 2, self.draw, score, "s")
+        assert values == [(20, 200), (22, 220), (23, 230)] and seen == [20, 22, 23]
+        assert [(f["day"], f["stage"]) for f in failures] == [(2, "s"), (21, "s")]
+        assert "lag order" in failures[0]["error"]
+        assert failures[1]["error"] == "stub draw failed"
+
+    def test_rolling_window_fits_on_the_last_days(self, panel):
+        values, _ = _walk_days(panel, [25], None, 2, self.draw,
+                               lambda day, t, drawn: day.train.n, "s", rolling=12)
+        assert values == [12]
+
+    def test_error_raised_by_score_propagates(self, panel):
+        def score(day, t, drawn):
+            raise ConfigError("bad score setting")
+
+        with pytest.raises(ConfigError, match="bad score setting"):
+            _walk_days(panel, [20, 22], None, 2, self.draw, score, "s")
 
 
 def index_draws_oracle(seed, B, T, M, p, n_eps, n_resid):
