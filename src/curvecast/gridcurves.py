@@ -168,12 +168,12 @@ def ingest_price_matrix(
 ):
     """Screen raw daily prices, drop unusable days, interpolate the rest.
 
-    ``raw`` is (n, tau) with NaN for a missing price.  Days are dropped (with
-    a warning) when more than ``max_missing_frac`` (a fraction in [0, 1]) of
-    their prices are missing or when a boundary price is missing, which
-    would be the anchor of the return curve.  Interior gaps of the kept
-    days are filled linearly in the grid index.
-    Returns ``(PriceMatrix, kept_dates, summary_dict)``.
+    ``raw`` is (n, tau) with NaN for a missing price.  Days are dropped (with a warning) when
+    more than ``max_missing_frac`` (a fraction in [0, 1]) of their prices are missing or when a
+    boundary price is missing, which would be the anchor of the return curve.  Interior gaps of
+    the kept days are filled linearly in the grid index; a kept day's non-positive or infinite
+    price is a ``DataError`` that names its date label.  Returns ``(PriceMatrix, kept_dates,
+    summary_dict)``.
     """
     if not 0.0 <= max_missing_frac <= 1.0:
         raise ConfigError(f"max_missing_frac must lie in [0, 1], got {max_missing_frac}")
@@ -189,32 +189,33 @@ def ingest_price_matrix(
     if len(dates) != n:
         raise DataError(f"{len(dates)} date labels for {n} rows")
 
-    keep = []
-    dropped = []
-    for t in range(n):
-        miss = np.isnan(raw[t])
-        frac = miss.mean()
-        if frac > max_missing_frac:
-            dropped.append((dates[t], f"{frac:.0%} of prices missing"))
-        elif miss[0] or miss[-1]:
-            dropped.append((dates[t], "missing boundary price"))
-        else:
-            keep.append(t)
+    miss = np.isnan(raw)
+    frac = miss.mean(axis=1)
+    over = frac > max_missing_frac
+    edge = miss[:, 0] | miss[:, -1]
+    dropped = [
+        (dates[t], f"{frac[t]:.0%} of prices missing" if over[t] else "missing boundary price")
+        for t in np.flatnonzero(over | edge)
+    ]
     if dropped:
         warnings.warn(
             f"dropped {len(dropped)} of {n} days during ingestion: "
             + "; ".join(f"{d} ({why})" for d, why in dropped[:5])
             + ("..." if len(dropped) > 5 else "")
         )
-    if not keep:
+    keep = np.flatnonzero(~(over | edge))
+    if not keep.size:
         raise DataError("no usable days after screening")
-    kept = raw[keep]  # a copy, filled in place
-    interpolated = int(np.isnan(kept).sum())
+    kept, gaps = raw[keep], miss[keep]  # kept is a copy, filled in place
+    bad = np.argwhere(np.isinf(kept) | (kept <= 0))  # a missing price compares false
+    if bad.size:
+        raise DataError(f"non-positive or non-finite price at {dates[keep[bad[0, 0]]]}, "
+                        f"grid index {bad[0, 1] + 1}")
+    interpolated = int(gaps.sum())
     idx = np.arange(tau)
-    for row in kept:
-        miss = np.isnan(row)
-        if miss.any():
-            row[miss] = np.interp(idx[miss], idx[~miss], row[~miss])
+    for t in np.flatnonzero(gaps.any(axis=1)):
+        hole = gaps[t]
+        kept[t, hole] = np.interp(idx[hole], idx[~hole], kept[t, ~hole])
     pm = PriceMatrix(kept, grid)
     summary = {
         "days_in": n,
@@ -271,7 +272,8 @@ def read_price_csv(path: str):
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)  # each kept row with its file line, blank rows dropped
-            rows = [(reader.line_num, r) for r in reader if r and any(f.strip() for f in r)]
+            rows = [(reader.line_num, r) for r in reader
+                    if r and (r[0].strip() or any(f.strip() for f in r))]
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}")
     if len(rows) < 2:
@@ -285,12 +287,8 @@ def read_price_csv(path: str):
 
 def _read_long(rows, header, path):
     lowered = [h.lower() for h in header]
-    c_date = lowered.index("date")
-    c_time = lowered.index("time")
-    c_price = lowered.index("price")
-    obs = {}
-    times = {}
-    dates = []
+    c_date, c_time, c_price = (lowered.index(name) for name in ("date", "time", "price"))
+    obs, times, dates = {}, {}, []
     for ln, row in rows[1:]:
         if len(row) != len(header):
             raise DataError(f"{path}:{ln}: expected {len(header)} fields, got {len(row)}")
@@ -320,11 +318,9 @@ def _read_long(rows, header, path):
 
 
 def _read_wide(rows, header, path):
-    has_date = header[0].lower() == "date"
-    price_cols = header[1:] if has_date else header
-    offset = 1 if has_date else 0
+    offset = int(header[0].lower() == "date")
     minutes = []
-    for h in price_cols:
+    for h in header[offset:]:
         m = _parse_clock(h)
         if m is None:
             raise DataError(f"{path}: unrecognized wide-format column {h!r}")
@@ -339,11 +335,11 @@ def _read_wide(rows, header, path):
     for i, (ln, row) in enumerate(rows[1:]):
         if len(row) != len(header):
             raise DataError(f"{path}:{ln}: expected {len(header)} fields, got {len(row)}")
-        date = row[0].strip() if has_date else f"day{i + 1:04d}"
+        date = row[0].strip() if offset else f"day{i + 1:04d}"
         if dates.setdefault(date, ln) != ln:
             raise DataError(f"{path}:{ln}: duplicate date {date!r}")
         try:
-            raw[i] = [float(tok) for tok in row[offset:]]
+            raw[i] = list(map(float, row[offset:]))
         except ValueError:  # missing or bad tokens: parse field by field
             raw[i] = [_parse_price(tok, f"{path}:{ln}") for tok in row[offset:]]
     return raw, grid, list(dates)

@@ -3,8 +3,10 @@
 Each replicate resamples centered score innovations, converts them to
 backward-model innovations, and rebuilds an artificial score history
 backward from the observed final days, so every pseudo-series shares the
-sample's most recent state.  Pseudo-curves add whole resampled residual
-curves on top of the reconstructed score part.  One FAR(1) routine,
+sample's most recent state; that history is built on its first read, so
+the PLS interval update, which reads only the next-day draws, never pays
+for it.  Pseudo-curves add whole resampled residual curves on top of the
+reconstructed score part.  One FAR(1) routine,
 :func:`far1_fit`, refits the one-step functional autoregression to a
 stack of series: to every pseudo-series, where the forecast's error
 against that replicate's simulated future curve is the bootstrap proxy
@@ -45,8 +47,9 @@ import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -471,20 +474,28 @@ class SieveReplicates:
     ``mean + scores @ eigenfunctions.T + resid_pool[resid_idx]``; storing
     scores and pool indices instead of full curve stacks keeps the
     payload small and lets intraday-updating code project arbitrary
-    column blocks cheaply.
+    column blocks cheaply.  ``series_scores`` is built on its first read by
+    ``_build_series``, which is then dropped with the index draws it holds.
     """
 
-    series_scores: np.ndarray      # (B, n, K) pseudo score paths
     series_resid_idx: np.ndarray   # (B, n) rows into resid_pool
     future_scores: np.ndarray      # (B, K) next-day score draws
     future_resid_idx: np.ndarray   # (B,) rows into resid_pool
     mean: np.ndarray               # (d,)
     eigenfunctions: np.ndarray     # (d, K)
     resid_pool: np.ndarray         # (n, d) centered residual curves
+    _build_series: Callable[[], np.ndarray] = field(repr=False, compare=False)
 
     @property
     def num_replicates(self) -> int:
-        return self.series_scores.shape[0]
+        return self.future_scores.shape[0]
+
+    @cached_property
+    def series_scores(self) -> np.ndarray:
+        """(B, n, K) pseudo score paths, read-only, built on first read and kept."""
+        scores = self._build_series()
+        object.__setattr__(self, "_build_series", None)
+        return scores
 
     @cached_property
     def _pool_stats(self):
@@ -577,45 +588,40 @@ def _lockstep_draws(seed, T, M, p, n_eps, n_resid, out):
     return flagged
 
 
-def _draws(fpca, var, seed, B):
-    """Check that the day can be resampled, then :func:`_index_draws` with (B, K) future scores.
+def draw_replicates(fpca: FpcaModel, var: VarModel, cfg: BootstrapConfig) -> SieveReplicates:
+    """Check that the day can be resampled, then draw every replicate's indices and next-day scores.
 
-    Warns when B is too small for stable quantiles."""
+    Warns when B is too small for stable quantiles.  The pseudo score paths (innovation gather,
+    forward transfer, backward rebuild) are built on the first read of ``series_scores``, so a
+    reader of the next-day draws alone, such as the PLS interval update, never builds them.
+    """
+    B = cfg.num_replicates
     if B < 50:
         warnings.warn(f"only {B} replicates; quantiles will be unstable")
     ts1, _ = _one_step(fpca, var)
-    M = _presample(var)
-    eps_pool, p = var.centered_residuals, var.order
+    M, eps_pool, p, K = _presample(var), var.centered_residuals, var.order, fpca.num_components
     T = fpca.scores.shape[0] - p
-    padded, fut_eps, series_rows, fut_rows = _index_draws(
-        seed, B, T, M, p, eps_pool.shape[0], fpca.residuals.shape[0]
-    )
-    return padded, ts1 + eps_pool[fut_eps], series_rows, fut_rows
+    padded, fut_eps, series_resid_idx, fut_resid_idx = _index_draws(
+        cfg.seed, B, T, M, p, eps_pool.shape[0], fpca.residuals.shape[0])
 
-
-def draw_replicates(fpca: FpcaModel, var: VarModel, cfg: BootstrapConfig) -> SieveReplicates:
-    """Draw every replicate's pseudo score path and residual assignments."""
-    padded, future_scores, series_resid_idx, fut_resid_idx = _draws(
-        fpca, var, cfg.seed, cfg.num_replicates
-    )
-    (B, n), K, p = series_resid_idx.shape, fpca.num_components, var.order
-    T = n - p
-
-    # time-major (n, B, K) while recursing, so each step's block is contiguous
-    paths = np.empty((n, B, K))
-    paths[:T] = _transfer_padded(var, np.take(var.centered_residuals, padded.T, axis=0))
-    paths[T:] = fpca.scores[T:, None, :K]
-    _recurse(paths[::-1], var.backward_coeffs, p)
-    series_scores = np.ascontiguousarray(paths.transpose(1, 0, 2))
+    def build_series() -> np.ndarray:
+        # time-major (n, B, K) while recursing, so each step's block is contiguous
+        paths = np.empty((T + p, B, K))
+        paths[:T] = _transfer_padded(var, np.take(eps_pool, padded.T, axis=0))
+        paths[T:] = fpca.scores[T:, None, :K]
+        _recurse(paths[::-1], var.backward_coeffs, p)
+        series = paths.transpose(1, 0, 2).copy()
+        series.flags.writeable = False
+        return series
 
     return SieveReplicates(
-        series_scores=_freeze(series_scores),
         series_resid_idx=series_resid_idx,
-        future_scores=_freeze(future_scores),
+        future_scores=_freeze(ts1 + eps_pool[fut_eps]),
         future_resid_idx=fut_resid_idx,
         mean=fpca.mean,
         eigenfunctions=_freeze(fpca.eigenfunctions[:, :K]),
         resid_pool=_freeze(fpca.residuals - fpca.residuals.mean(axis=0)),
+        _build_series=build_series,
     )
 
 
@@ -671,7 +677,6 @@ def sieve_prediction(
         raise DataError("curve series does not match the fitted decomposition")
     w = fts.grid.quad_weight
     reps = draw_replicates(fpca, var, cfg)
-    B = reps.num_replicates
 
     preds = far1_fit(reps.resid_pool, reps.series_resid_idx, w, reps.series_scores,
                      reps.eigenfunctions, n_workers)
@@ -705,7 +710,7 @@ def sieve_prediction(
         band=band,
         replicates=reps,
         alpha_levels=cfg.alpha_levels,
-        num_replicates=B,
+        num_replicates=reps.num_replicates,
         seed=cfg.seed,
         degenerate=degenerate,
     )

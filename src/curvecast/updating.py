@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -34,9 +34,8 @@ from .sieve import (
     BootstrapConfig,
     SieveReplicates,
     derive_seed,
-    draw_replicates,  # noqa: F401  (re-exported beside the interval updates that read its output)
+    draw_replicates,
     _Day,
-    _draws,
     _intervals,
     _one_step,
     _walk_days,
@@ -580,11 +579,11 @@ def tune_lambda(
     :class:`NumericalError` is raised.  Each dropped day is appended to
     ``failures``, when given, as ``{"day", "stage": "tune", "error"}``.
 
-    Each validation day is fitted once, its replicates' index draws (seed
-    ``derive_seed(bootstrap.seed, 1, day)``) are made once, keeping only the
-    future score draws and residual rows (no pseudo-series is built), and it
-    is scored for the whole grid into one (periods, 1 + alphas, grid) table;
-    the tables are stacked in day order.  One day's index draws are live at a time.
+    Each validation day is fitted once, its replicates are drawn once (seed
+    ``derive_seed(bootstrap.seed, 1, day)``), keeping only the future score
+    draws and residual rows (the pseudo-series is never read, so never built),
+    and it is scored for the whole grid into one (periods, 1 + alphas, grid)
+    table; the tables are stacked in day order.  One day's draws are live at a time.
     """
     from .evalharness import interval_score
 
@@ -607,10 +606,10 @@ def tune_lambda(
     alphas = bootstrap.alpha_levels if want_interval else ()
 
     def draw(day, v):
-        if want_interval:  # the future draws alone: no pseudo-series is built
-            seed = derive_seed(bootstrap.seed, 1, v)
-            _, future_scores, _, rows = _draws(day.fpca, day.var, seed, bootstrap.num_replicates)
-            return future_scores, (day.fpca.residuals - day.fpca.residuals.mean(axis=0)).T[:, rows]
+        if want_interval:  # the future draws alone: the pseudo-series is never read, so never built
+            cfg = replace(bootstrap, seed=derive_seed(bootstrap.seed, 1, v))
+            reps = draw_replicates(day.fpca, day.var, cfg)
+            return reps.future_scores, reps.resid_pool.T[:, reps.future_resid_idx]
 
     def score(day, v, drawn):
         """The day's point score, then one interval score per alpha, for each grid value."""

@@ -286,19 +286,19 @@ def _recurse(z: np.ndarray, coeffs: np.ndarray, start: int) -> None:
 def _transfer_padded(model: VarModel, extended: np.ndarray) -> np.ndarray:
     """Vectorized transfer on pre-padded innovations, time-major.
 
-    ``extended`` has shape (M+T+p, B, K), one (B, K) block per time step,
+    ``extended`` is (M+T+p, B, K) floats, one (B, K) block per time step,
     and the result has shape (T, B, K).  Runs the forward recursion
-    ``z_t = e_t + sum_xi A_xi z_{t-xi}`` from zeros over all M+T+p steps,
-    keeps ``zeta = z[M:]`` and applies the backward lag polynomial to it.
-    ``zeta`` equals the moving-average filter of ``extended`` truncated
-    after psi_M plus the psi tail past M, which is below ``PSI_TOLERANCE``.
+    ``z_t = e_t + sum_xi A_xi z_{t-xi}`` from zeros over all M+T+p steps in
+    place, overwriting ``extended`` (callers pass a fresh array), keeps
+    ``zeta = z[M:]`` and applies the backward lag polynomial to it.  ``zeta``
+    equals the moving-average filter of the innovations truncated after
+    psi_M plus the psi tail past M, which is below ``PSI_TOLERANCE``.
     """
     M = _presample(model)
     p = model.order
     T = extended.shape[0] - M - p
-    z = np.array(extended, dtype=float)
-    _recurse(z, model.coeffs, 1)
-    zeta = z[M:]
+    _recurse(extended, model.coeffs, 1)
+    zeta = extended[M:]
     eta = zeta[:T].copy()
     for xi in range(1, p + 1):
         eta -= zeta[xi : xi + T] @ model.backward_coeffs[xi - 1].T

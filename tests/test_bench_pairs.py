@@ -59,6 +59,15 @@ class TestSummarize:
         assert not summary["forecast_loop/seed5"]["all_correct"]
         assert summary["cli_intraday/seed0"]["latency_trimmed_mean_ms"]["pairs"] == 2
 
+    def test_traced_runs_are_kept_apart(self):
+        traced = canned("cli_intraday", 0, [(90.0, 80.0)])
+        for run in traced:
+            run["trace"] = 1
+        summary = bench_pairs.summarize(canned("cli_intraday", 0, [(50.0, 40.0)]) + traced, BETTER)
+        assert sorted(summary) == ["cli_intraday/seed0", "cli_intraday/seed0/traced"]
+        latency = summary["cli_intraday/seed0/traced"]["latency_trimmed_mean_ms"]
+        assert latency["parent"]["median"] == 90.0 and latency["pairs"] == 1
+
     def test_a_pair_missing_a_side_is_left_out(self):
         runs = canned("forecast_loop", 0, [(80.0, 70.0), (82.0, 72.0)])[:-1]
         latency = bench_pairs.summarize(runs, BETTER)["forecast_loop/seed0"][

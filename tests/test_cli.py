@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import curvecast.cli as cli
+import curvecast.sieve as sieve
 from curvecast import (
     BacktestPlan,
     BootstrapConfig,
@@ -148,6 +149,20 @@ class TestUpdate:
             )
             assert rc == 0
             assert json.loads(out.read_text())["method"] == method
+
+    @pytest.mark.parametrize("method, builds", [("pls", 0), ("flr", 1)])
+    def test_only_flr_intervals_build_the_pseudo_series(self, workdir, tmp_path, monkeypatch,
+                                                        method, builds):
+        _, _, partial = workdir
+        calls = []
+        transfer = sieve._transfer_padded
+        monkeypatch.setattr(sieve, "_transfer_padded",
+                            lambda *args: calls.append(1) or transfer(*args))
+        rc = main(["update", "--input", str(partial), "--method", method, "--lam", "1.0",
+                   "--intervals", "--replicates", "60", "--seed", "5",
+                   "--output-json", str(tmp_path / "up.json")])
+        assert rc == 0
+        assert len(calls) == builds
 
     def test_pls_requires_lambda_source(self, workdir, tmp_path):
         _, _, partial = workdir
@@ -592,6 +607,17 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and len(err.strip().splitlines()) == 1
         assert f"{prices}:3: duplicate date 'd1'" in err
+        assert not (tmp_path / "c.csv").exists()
+
+    def test_bad_price_names_its_date_not_its_kept_row(self, tmp_path, capsys):
+        prices = tmp_path / "px.csv"
+        prices.write_text("date,t0,t5,t10,t15\nd1,NA,1,1,1\nd2,1,1,1,1\nd3,1,-2,1,1\n")
+        capsys.readouterr()
+        with pytest.warns(UserWarning, match=r"d1 \(missing boundary price\)"):
+            rc = main(["ingest", "--input", str(prices), "--output", str(tmp_path / "c.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "data error: non-positive or non-finite price at d3, grid index 2\n"
         assert not (tmp_path / "c.csv").exists()
 
     def test_malformed_schedule_is_exit_two(self, workdir, tmp_path, capsys):

@@ -404,8 +404,9 @@ class TestCellsAndDays:
 
         monkeypatch.setattr(evalharness, "sieve_prediction",
                             watched(evalharness.sieve_prediction, lambda fc: fc.replicates))
-        # tuning keeps only its future draws; its padded innovation indices must go
-        monkeypatch.setattr(updating, "_draws", watched(updating._draws, lambda out: out[0]))
+        # tuning keeps only its future draws; its replicate set, index draws included, must go
+        monkeypatch.setattr(updating, "draw_replicates",
+                            watched(updating.draw_replicates, lambda reps: reps))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             report = run_backtest(fts, plan)

@@ -2,6 +2,7 @@ import csv
 import math
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from curvecast import (
     read_price_csv,
     write_wide_csv,
 )
+from curvecast.gridcurves import _parse_clock, _parse_price
 
 
 def make_prices(seed, n, tau):
@@ -101,7 +103,107 @@ class TestSeries:
         assert np.array_equal(fts.window(2, 5).values, values[2:5])
 
 
+def ingest_row_loop_oracle(raw, grid=None, dates=None, max_missing_frac=0.5):
+    """The row-by-row screening ``ingest_price_matrix`` replaced, for prices known to be valid."""
+    raw = np.asarray(raw, dtype=float)
+    n, tau = raw.shape
+    if grid is None:
+        grid = IntradayGrid.regular(tau)
+    dates = [f"day{t + 1:04d}" for t in range(n)] if dates is None else list(dates)
+    keep, dropped = [], []
+    for t in range(n):
+        miss = np.isnan(raw[t])
+        frac = miss.mean()
+        if frac > max_missing_frac:
+            dropped.append((dates[t], f"{frac:.0%} of prices missing"))
+        elif miss[0] or miss[-1]:
+            dropped.append((dates[t], "missing boundary price"))
+        else:
+            keep.append(t)
+    if dropped:
+        warnings.warn(
+            f"dropped {len(dropped)} of {n} days during ingestion: "
+            + "; ".join(f"{d} ({why})" for d, why in dropped[:5])
+            + ("..." if len(dropped) > 5 else "")
+        )
+    if not keep:
+        raise DataError("no usable days after screening")
+    kept = raw[keep]
+    interpolated = int(np.isnan(kept).sum())
+    idx = np.arange(tau)
+    for row in kept:
+        miss = np.isnan(row)
+        if miss.any():
+            row[miss] = np.interp(idx[miss], idx[~miss], row[~miss])
+    summary = {
+        "days_in": n,
+        "days_kept": len(keep),
+        "days_dropped": [{"date": d, "reason": why} for d, why in dropped],
+        "interpolated_cells": interpolated,
+        "tau": tau,
+    }
+    return PriceMatrix(kept, grid), [dates[t] for t in keep], summary
+
+
+def _ingest_outcome(ingest, raw, max_missing_frac):
+    """What an ingestion returns or raises, with the text of every warning it gives."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            pm, kept, summary = ingest(raw, dates=[f"d{t}" for t in range(raw.shape[0])],
+                                       max_missing_frac=max_missing_frac)
+            out = (pm.prices.shape, pm.prices.tobytes(), kept, summary)
+        except DataError as exc:
+            out = str(exc)
+    return out, [str(w.message) for w in caught]
+
+
+@st.composite
+def _gappy_prices(draw):
+    """Positive prices with random gaps, whole missing rows and missing boundary prices."""
+    n, tau = draw(st.integers(1, 9)), draw(st.integers(3, 9))
+    raw = draw(arrays(float, (n, tau), elements=st.floats(1e-3, 1e6)))
+    kind = st.sampled_from(["full", "random", "all", "first", "last", "interior"])
+    for t in range(n):
+        row_kind = draw(kind)
+        if row_kind == "random":
+            raw[t, draw(arrays(bool, tau))] = np.nan
+        elif row_kind == "all":
+            raw[t] = np.nan
+        elif row_kind in ("first", "last"):
+            raw[t, 0 if row_kind == "first" else -1] = np.nan
+        elif row_kind == "interior":
+            lo = draw(st.integers(1, tau - 2))
+            raw[t, lo : draw(st.integers(lo + 1, tau - 1))] = np.nan
+    return raw
+
+
 class TestIngestion:
+    @settings(max_examples=300, deadline=None)
+    @given(raw=_gappy_prices(), data=st.data())
+    @example(raw=np.array([[1.0, np.nan, np.nan, 2.0], [1.0, np.nan, 3.0, 2.0]]), data=None)
+    def test_array_screening_equals_the_row_loop(self, raw, data):
+        fracs = sorted(set(np.isnan(raw).mean(axis=1).tolist()))
+        choices = [0.0, 1.0, 0.5] + fracs
+        levels = choices if data is None else [
+            data.draw(st.sampled_from(choices) | st.floats(0.0, 1.0))
+        ]
+        for level in levels:
+            want = _ingest_outcome(ingest_row_loop_oracle, raw, level)
+            assert _ingest_outcome(ingest_price_matrix, raw, level) == want
+
+    def test_bad_price_names_its_date_label(self):
+        raw = np.array([[np.nan, 1, 1, 1], [1, 1, 1, 1], [1, -2, 1, 1]], dtype=float)
+        with pytest.warns(UserWarning, match=r"d1 \(missing boundary price\)"):
+            with pytest.raises(DataError) as info:
+                ingest_price_matrix(raw, dates=["d1", "d2", "d3"])
+        assert str(info.value) == "non-positive or non-finite price at d3, grid index 2"
+        raw[2, 1] = np.inf  # a kept day's default label, past an interior gap
+        raw[1, 2] = np.nan
+        with pytest.warns(UserWarning), pytest.raises(DataError) as info:
+            ingest_price_matrix(raw)
+        assert str(info.value) == "non-positive or non-finite price at day0003, grid index 2"
+
     def test_interior_gap_interpolated(self):
         raw = np.array([[100.0, np.nan, 104.0]])
         pm, _, summary = ingest_price_matrix(raw)
@@ -144,7 +246,153 @@ class TestIngestion:
         assert summary["days_dropped"] == []
 
 
+def read_csv_oracle(path):
+    """The reader ``read_price_csv`` replaced: a blank-row test over every field, and a
+    list comprehension over a complete wide row."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            rows = [(reader.line_num, r) for r in reader if r and any(f.strip() for f in r)]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}")
+    if len(rows) < 2:
+        raise DataError(f"{path}: no data rows")
+    header = [f.strip() for f in rows[0][1]]
+    if sorted(h.lower() for h in header) == ["date", "price", "time"]:
+        return _read_long_oracle(rows, header, path)
+    return _read_wide_oracle(rows, header, path)
+
+
+def _read_long_oracle(rows, header, path):
+    lowered = [h.lower() for h in header]
+    c_date, c_time, c_price = (lowered.index(c) for c in ("date", "time", "price"))
+    obs, times, dates = {}, {}, []
+    for ln, row in rows[1:]:
+        if len(row) != len(header):
+            raise DataError(f"{path}:{ln}: expected {len(header)} fields, got {len(row)}")
+        date = row[c_date].strip()
+        tlabel = row[c_time].strip()
+        minutes = _parse_clock(tlabel)
+        if minutes is None:
+            raise DataError(f"{path}:{ln}: unparseable time {tlabel!r}")
+        price = _parse_price(row[c_price], f"{path}:{ln}")
+        if date not in obs:
+            obs[date] = {}
+            dates.append(date)
+        if minutes in obs[date]:
+            raise DataError(f"{path}:{ln}: duplicate observation for {date} {tlabel}")
+        obs[date][minutes] = price
+        times[minutes] = tlabel
+    minutes_sorted = sorted(times)
+    tau = len(minutes_sorted)
+    if tau < 3:
+        raise DataError(f"{path}: only {tau} distinct intraday times, need at least 3")
+    grid = IntradayGrid(tau=tau, times=tuple(m - minutes_sorted[0] for m in minutes_sorted))
+    raw = np.full((len(dates), tau), np.nan)
+    for t, date in enumerate(dates):
+        for j, m in enumerate(minutes_sorted):
+            raw[t, j] = obs[date].get(m, math.nan)
+    return raw, grid, dates
+
+
+def _read_wide_oracle(rows, header, path):
+    has_date = header[0].lower() == "date"
+    price_cols = header[1:] if has_date else header
+    offset = 1 if has_date else 0
+    minutes = []
+    for h in price_cols:
+        m = _parse_clock(h)
+        if m is None:
+            raise DataError(f"{path}: unrecognized wide-format column {h!r}")
+        minutes.append(m)
+    if len(minutes) < 3:
+        raise DataError(f"{path}: only {len(minutes)} price columns, need at least 3")
+    if any(b <= a for a, b in zip(minutes, minutes[1:])):
+        raise DataError(f"{path}: wide-format time columns must be increasing")
+    grid = IntradayGrid(tau=len(minutes), times=tuple(m - minutes[0] for m in minutes))
+    dates = {}
+    raw = np.full((len(rows) - 1, len(minutes)), np.nan)
+    for i, (ln, row) in enumerate(rows[1:]):
+        if len(row) != len(header):
+            raise DataError(f"{path}:{ln}: expected {len(header)} fields, got {len(row)}")
+        date = row[0].strip() if has_date else f"day{i + 1:04d}"
+        if dates.setdefault(date, ln) != ln:
+            raise DataError(f"{path}:{ln}: duplicate date {date!r}")
+        try:
+            raw[i] = [float(tok) for tok in row[offset:]]
+        except ValueError:
+            raw[i] = [_parse_price(tok, f"{path}:{ln}") for tok in row[offset:]]
+    return raw, grid, list(dates)
+
+
+# prices mostly parse; flawed tokens, clocks and labels are the rarer draws
+_PRICE_TOKENS = st.sampled_from([
+    "", "NA", " NA ", "  ", "\t", "100", " 101.5 ", "1e2", "1E-3", "-2.5e+1", "inf", "-inf",
+    "nan", "1_0", "+7", ".5", "5.", "0", "-0.0", "1e400", "0x10", "1o1",
+]) | st.floats(allow_nan=False).map(repr) | st.floats(1e-3, 1e6).map(repr)
+_LABELS = st.sampled_from(["d1", " d1 ", "", "date", "2024-01-02"])
+_CLOCKS = st.sampled_from(["09:30", "09:35", "09:40", "t0", "t5", "x"])
+
+
+@st.composite
+def _price_files(draw):
+    """CSV text in the wide (with or without dates) or long layout, with flaws and noise."""
+    layout = draw(st.sampled_from(["wide", "wide-undated", "long"]))
+    if layout == "long":
+        header = [draw(st.sampled_from([h, h.upper(), f" {h} "]))
+                  for h in draw(st.permutations(["date", "time", "price"]))]
+    else:
+        times = [f"t{5 * j}" for j in range(draw(st.sampled_from([2, 3, 3, 4, 5])))]
+        if draw(st.integers(0, 3)) == 0:
+            times[draw(st.integers(0, len(times) - 1))] = draw(_CLOCKS)
+        header = (["date"] if layout == "wide" else []) + times
+    rows = []
+    for i in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["blank", "spaces", "commas", "ragged"]))
+        if kind == "blank":
+            rows.append([])
+        elif kind == "spaces":
+            rows.append([" " * draw(st.integers(1, 3))])
+        elif kind == "commas":
+            rows.append([draw(st.sampled_from(["", " "])) for _ in header])
+        else:
+            row = []
+            for h in header:
+                name = h.strip().lower()
+                if name == "date":  # a day of its own, a repeat of the first or a flawed label
+                    days = f"d{i}" if layout == "wide" else f"d{i // 3}"
+                    row.append(draw(st.sampled_from([days] * 4) | _LABELS))
+                elif name == "time":
+                    row.append(draw(st.sampled_from(["09:30", "09:35", "09:40"]) | _CLOCKS))
+                else:
+                    row.append(draw(_PRICE_TOKENS))
+            if kind == "ragged":
+                row = row[:-1] if draw(st.booleans()) else row + [draw(_PRICE_TOKENS)]
+            rows.append(row)
+    text = draw(st.sampled_from(["\n", "\r\n"])).join(",".join(r) for r in [header] + rows)
+    return draw(st.sampled_from(["", "\ufeff"])) + text + "\n"
+
+
+def _read_outcome(read, path):
+    try:
+        raw, grid, dates = read(path)
+    except DataError as exc:
+        return str(exc)
+    return raw.shape, raw.tobytes(), grid, dates
+
+
 class TestCsv:
+    @settings(max_examples=400, deadline=None)
+    @given(text=_price_files())
+    @example(text="date,t0,t5,t10\n,1,2,3\n \nd1,1, ,3\n\n,,,\nd1,1,2,3\n")
+    @example(text="\ufeffT0,t5,t10\n1_0,1e400,-inf\n")
+    def test_reader_equals_the_field_by_field_oracle(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "px.csv")
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            assert _read_outcome(read_price_csv, path) == _read_outcome(read_csv_oracle, path)
+
     def test_round_trip_with_dates(self, tmp_path):
         prices = make_prices(8, 5, 6)
         dates = [f"2024-01-{d:02d}" for d in range(1, 6)]

@@ -28,12 +28,14 @@ from curvecast import (
 )
 from curvecast import sieve
 from curvecast.fpca import select_num_components
+from curvecast.gridcurves import _freeze
 from curvecast.sieve import (
     _fit_day,
     _intervals,
     _walk_days,
     sorted_quantile,
 )
+from curvecast.varmodel import _presample, _recurse, _transfer_padded
 from conftest import sort_quantile_oracle
 
 # a few repeated values mixed with arbitrary ones, so ties are common
@@ -158,6 +160,66 @@ class TestReplicates:
             big = draw_replicates(model, var, BootstrapConfig(num_replicates=many, seed=11))
         for name in ("series_scores", "series_resid_idx", "future_scores", "future_resid_idx"):
             assert np.array_equal(getattr(small, name), getattr(big, name)[:few]), name
+
+
+def eager_draw_oracle(fpca, var, cfg):
+    """The eager draw: every index draw, then every pseudo score path at once, copied twice."""
+    B = cfg.num_replicates
+    ts1, _ = sieve._one_step(fpca, var)
+    M = _presample(var)
+    eps_pool, p, K = var.centered_residuals, var.order, fpca.num_components
+    T = fpca.scores.shape[0] - p
+    padded, fut_eps, series_resid_idx, fut_resid_idx = sieve._index_draws(
+        cfg.seed, B, T, M, p, eps_pool.shape[0], fpca.residuals.shape[0]
+    )
+    paths = np.empty((T + p, B, K))
+    paths[:T] = _transfer_padded(var, np.take(eps_pool, padded.T, axis=0))
+    paths[T:] = fpca.scores[T:, None, :K]
+    _recurse(paths[::-1], var.backward_coeffs, p)
+    return {
+        "series_scores": _freeze(np.ascontiguousarray(paths.transpose(1, 0, 2))),
+        "series_resid_idx": series_resid_idx,
+        "future_scores": _freeze(ts1 + eps_pool[fut_eps]),
+        "future_resid_idx": fut_resid_idx,
+        "mean": fpca.mean,
+        "eigenfunctions": _freeze(fpca.eigenfunctions[:, :K]),
+        "resid_pool": _freeze(fpca.residuals - fpca.residuals.mean(axis=0)),
+    }
+
+
+class TestLazySeries:
+    """The pseudo score paths, built on first read, equal the eager draw bit for bit."""
+
+    @pytest.fixture(scope="class", params=["C06", "C08"])
+    def day(self, request):
+        spec, days = _PANELS[request.param]
+        return _fit_day(generate(spec)[0].head(days), None, 10)
+
+    @pytest.mark.parametrize("B", [1, 57, 400])
+    @pytest.mark.parametrize("seed", [0, 7, 2**63 + 5])
+    def test_equal_to_the_eager_draw(self, day, seed, B):
+        cfg = BootstrapConfig(num_replicates=B, seed=seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # B < 50 warns
+            reps = draw_replicates(day.fpca, day.var, cfg)
+            want = eager_draw_oracle(day.fpca, day.var, cfg)
+        assert "series_scores" not in reps.__dict__ and reps.num_replicates == B
+        for name, value in want.items():
+            got = getattr(reps, name)
+            assert got.dtype == value.dtype and got.shape == value.shape, name
+            assert got.tobytes() == value.tobytes(), name
+        paths = reps.series_scores
+        assert paths is reps.series_scores and reps._build_series is None
+        assert paths.flags.c_contiguous and not paths.flags.writeable
+
+    def test_errors_and_warnings_fire_at_draw_time(self, small_fit, monkeypatch):
+        _, model, var = small_fit
+        monkeypatch.setattr(sieve, "_transfer_padded", None)  # the build is never reached
+        with pytest.warns(UserWarning, match="only 20 replicates"):
+            draw_replicates(model, var, BootstrapConfig(num_replicates=20, seed=1))
+        monkeypatch.setattr(type(var), "is_stationary", property(lambda self: False))
+        with pytest.raises(NumericalError, match="bootstrap resampling rejected"):
+            draw_replicates(model, var, BootstrapConfig())
 
 
 class TestStreamContract:

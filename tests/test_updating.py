@@ -333,6 +333,25 @@ class TestIntervalUpdates:
         other = pls_interval_update(context, 1e8, model, reps)
         assert not np.array_equal(out[0.2][0], other[0.2][0])
 
+    def test_only_the_flr_update_and_the_forecast_build_the_pseudo_series(
+        self, linked_data, pipeline, context, monkeypatch
+    ):
+        fts, _ = linked_data
+        train, model, var = pipeline
+        builds = []  # one call of the transfer per build of the pseudo-series
+        transfer = sieve._transfer_padded
+        monkeypatch.setattr(sieve, "_transfer_padded",
+                            lambda *args: builds.append(1) or transfer(*args))
+        fresh = draw_replicates(model, var, BootstrapConfig(num_replicates=80, seed=9))
+        for lam in (0.0, 1.0, 1e8):
+            pls_interval_update(context, lam, model, fresh)
+        assert builds == [] and "series_scores" not in fresh.__dict__
+        for _ in range(2):
+            flr_interval_update(flr_fit(train, 10), fts.values[150, :9], fresh)
+        assert len(builds) == 1 and fresh._build_series is None
+        sieve.sieve_prediction(train, model, var, BootstrapConfig(num_replicates=80, seed=9))
+        assert len(builds) == 2
+
     def test_flr_intervals(self, linked_data, reps):
         fts, _ = linked_data
         model = flr_fit(fts.head(150), 10)
@@ -480,13 +499,13 @@ def _hand_built(early_basis, *, zero_early_rows=(), zero_replicates=()):
         scores[list(zero_replicates)] = 0.0
         idx[list(zero_replicates)] = r.choice(list(zero_early_rows), size=(len(zero_replicates), n))
     reps = SieveReplicates(
-        series_scores=scores,
         series_resid_idx=idx,
         future_scores=r.normal(size=(B, 1)),
         future_resid_idx=r.integers(0, n, size=B),
         mean=mean,
         eigenfunctions=eigenfunctions,
         resid_pool=pool,
+        _build_series=lambda: scores,
     )
     late_basis = r.normal(size=(3, 2))
     model = FlrModel(

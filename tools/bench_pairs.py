@@ -3,15 +3,17 @@
     python3 tools/bench_pairs.py --parent ../parent --change . --workload forecast_loop \
         --pairs 10 --seed 0 --output BENCH_<n>.json
 
-Each pair runs ``python3 perfbench/run.py --workload W --seed S --seconds X --trace 0``
-once in each checkout, the parent first in even pairs and the change first in odd ones,
+Each pair runs ``python3 perfbench/run.py --workload W --seed S --seconds X --trace T``
+(T is ``--trace``, 0 by default) once in each checkout, the parent first in even pairs and the change first in odd ones,
 one run at a time.  The output file holds every run (its metrics and ``correct`` flag),
 then per workload and seed each end-to-end metric's medians, quartiles and win count,
 and each side's ``pkg.src_lines`` and ``len(curvecast.__all__)``.  A change wins a pair
 when its value is better in the direction ``BENCHMARK.json`` gives; ties count for
 neither.  Quartiles are ``statistics.quantiles(values, n=4, method="inclusive")``.
 Repeat ``--workload`` and ``--seed`` to run several; an existing ``--output`` is
-extended, not overwritten, so runs can be added in several sittings.
+extended, not overwritten, so runs can be added in several sittings.  Traced runs
+(``--trace 1``, for their per-layer metrics) are summarized apart, under
+``W/seedS/traced``, because tracing slows every run.
 """
 
 from __future__ import annotations
@@ -44,7 +46,8 @@ def summarize(runs: list, better: dict) -> dict:
     """
     groups, out = {}, {}
     for r in runs:
-        groups.setdefault(f"{r['workload']}/seed{r['seed']}", []).append(r)
+        traced = "/traced" if r.get("trace") else ""
+        groups.setdefault(f"{r['workload']}/seed{r['seed']}{traced}", []).append(r)
     for key, group in sorted(groups.items()):
         by_pair = {}
         for r in group:
@@ -86,10 +89,10 @@ def package_facts(checkout: str) -> dict:
     return {"pkg.src_lines": lines, "pkg.public_names": int(names.stdout)}
 
 
-def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced benchmark run in ``checkout``: its ``correct`` flag and metric values."""
+def run_once(checkout: str, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """One benchmark run in ``checkout``: its ``correct`` flag and metric values."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     if done.returncode not in (0, 1) or not lines:
@@ -107,6 +110,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, action="append", default=None)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--output", required=True)
     args = parser.parse_args(argv)
     checkouts = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
@@ -119,13 +123,15 @@ def main(argv=None) -> int:
     doc["packages"] = {side: package_facts(path) for side, path in checkouts.items()}
     for workload in args.workload:
         for seed in args.seed or [0]:
-            done = [r["pair"] for r in doc["runs"] if (r["workload"], r["seed"]) == (workload, seed)]
+            done = [r["pair"] for r in doc["runs"]
+                    if (r["workload"], r["seed"], r.get("trace", 0)) == (workload, seed, args.trace)]
             first = max(done, default=-1) + 1
             for pair in range(first, first + args.pairs):
                 for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
-                    run = run_once(checkouts[side], workload, seed, args.seconds)
+                    run = run_once(checkouts[side], workload, seed, args.seconds, args.trace)
                     doc["runs"].append({"workload": workload, "seed": seed, "pair": pair,
-                                        "side": side, **run})
+                                        "side": side, **({"trace": 1} if args.trace else {}),
+                                        **run})
                     print(f"{workload} seed {seed} pair {pair} {side}: correct={run['correct']} "
                           f"{json.dumps(run['metrics'])}", flush=True)
                     doc["summary"] = summarize(doc["runs"], better)
