@@ -47,7 +47,6 @@ from .sieve import (
     empirical_quantile,
     far1_fit,
     forecast_to_json,
-    future_curves,
     sieve_prediction,
     write_forecast_csv,
 )

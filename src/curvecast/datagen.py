@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError
-from .gridcurves import FunctionalTimeSeries, IntradayGrid, _freeze
+from .gridcurves import FunctionalTimeSeries, IntradayGrid, _freeze, block_weight
 from .varmodel import STATIONARITY_LIMIT
 
 BURN_IN = 500
@@ -167,9 +167,9 @@ def generate(spec: SynthSpec):
     mean = _mean_curve(d, spec.mean_scale)
     scores = _simulate_scores(ar, innov_sd, spec.n, rng)
 
-    def basis(field, npoints, count):  # rectangle-rule weights; a dependent basis names its field
+    def basis(field, npoints, count):  # a dependent basis names its field
         try:
-            return orthonormal_basis(npoints, 1.0 / max(npoints - 1, 1), count, spec.basis)
+            return orthonormal_basis(npoints, block_weight(npoints), count, spec.basis)
         except ConfigError as exc:
             raise ConfigError(f"{field} must be smaller for this grid: {exc}") from None
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -33,6 +33,11 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=float)
     out.flags.writeable = False
     return out
+
+
+def block_weight(npoints: int) -> float:
+    """Rectangle-rule weight of a block of grid points (weight 1 for a single point)."""
+    return 1.0 / (npoints - 1) if npoints >= 2 else 1.0
 
 
 @dataclass(frozen=True)
@@ -74,7 +79,7 @@ class IntradayGrid:
     @property
     def quad_weight(self) -> float:
         """Rectangle-rule weight for inner products on the curve grid."""
-        return 1.0 / (self.tau - 2)
+        return block_weight(self.curve_size)
 
     @property
     def curve_size(self) -> int:

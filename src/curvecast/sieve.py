@@ -53,7 +53,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._docs import bounds_doc, dump_doc, envelope, write_curve_csv
+from ._docs import bounds_doc, coverage_pct, dump_doc, envelope, write_curve_csv
 from .errors import ConfigError, DataError, NumericalError
 from .fpca import FpcaModel, fit_fpca, select_num_components
 from .gridcurves import FunctionalTimeSeries, _freeze
@@ -81,7 +81,8 @@ CENTER_CHOICES = ("far1", "ts")
 class BootstrapConfig:
     """Knobs of the bootstrap: replicate count, master seed, coverage levels.
 
-    A repeated coverage level is kept once, in first-seen order.
+    A repeated coverage level is kept once, in first-seen order; levels
+    sharing a rounded coverage percent, their column label, are rejected.
     ``center`` picks the curve the pointwise intervals are anchored to:
     the functional-autoregression forecast refit per replicate ("far1",
     matching the error proxies) or the component-score forecast ("ts").
@@ -100,6 +101,11 @@ class BootstrapConfig:
         alphas = tuple(dict.fromkeys(float(a) for a in self.alpha_levels))
         if not alphas or any(not 0.0 < a < 1.0 for a in alphas):
             raise ConfigError(f"alpha levels must lie in (0, 1), got {self.alpha_levels}")
+        seen = {}  # the first level per coverage percent, which names its output columns
+        for a in alphas:
+            pct = coverage_pct(a)
+            if seen.setdefault(pct, a) != a:
+                raise ConfigError(f"alpha levels {seen[pct]} and {a} share the coverage label {pct}")
         object.__setattr__(self, "alpha_levels", alphas)
         if self.center not in CENTER_CHOICES:
             raise ConfigError(f"center must be one of {CENTER_CHOICES}, got {self.center!r}")
@@ -625,15 +631,6 @@ def draw_replicates(fpca: FpcaModel, var: VarModel, cfg: BootstrapConfig) -> Sie
     )
 
 
-def future_curves(reps: SieveReplicates) -> np.ndarray:
-    """All simulated next-day curves, shape (B, d)."""
-    return (
-        reps.mean
-        + reps.future_scores @ reps.eigenfunctions.T
-        + reps.resid_pool[reps.future_resid_idx]
-    )
-
-
 @dataclass(frozen=True)
 class SieveForecast:
     """Point forecast, pointwise intervals, and uniform bands for one day.
@@ -682,7 +679,9 @@ def sieve_prediction(
                      reps.eigenfunctions, n_workers)
     preds += reps.mean
 
-    errors = future_curves(reps) - preds
+    # each replicate's simulated next-day curve, less its refit's forecast
+    errors = (reps.mean + reps.future_scores @ reps.eigenfunctions.T
+              + reps.resid_pool[reps.future_resid_idx]) - preds
     sigma = errors.std(axis=0)
     degenerate = bool((sigma <= 0.0).any())
     if degenerate:

@@ -29,7 +29,7 @@ import numpy as np
 from ._docs import check_doc, decode_keys, dump_doc, envelope, load_doc, reading
 from .errors import ConfigError, DataError, NumericalError
 from .fpca import FpcaModel, select_num_components, weighted_pca
-from .gridcurves import FunctionalTimeSeries, _freeze
+from .gridcurves import FunctionalTimeSeries, _freeze, block_weight
 from .sieve import (
     BootstrapConfig,
     SieveReplicates,
@@ -259,11 +259,6 @@ def pls_interval_update(
 # ---------------------------------------------------------------------------
 
 
-def block_weight(npoints: int) -> float:
-    """Rectangle-rule weight of a sub-block (weight 1 for a single point)."""
-    return 1.0 / (npoints - 1) if npoints >= 2 else 1.0
-
-
 def _solve_link(gram: np.ndarray, cross: np.ndarray):
     """Least-squares linkage of late scores on early scores, for one series or a stack.
 
@@ -306,41 +301,18 @@ class FlrModel:
     link: np.ndarray          # (R, S)
     ridged: bool
 
-    @property
-    def num_early(self) -> int:
-        return self.early_basis.shape[1]
 
-    @property
-    def num_late(self) -> int:
-        return self.late_basis.shape[1]
-
-
-def flr_fit(
-    fts: FunctionalTimeSeries,
-    m: int,
-    num_early: Optional[int] = None,
-    num_late: Optional[int] = None,
-) -> FlrModel:
-    """Fit block component analyses and the early-to-late score regression."""
-    d = fts.grid.curve_size
-    tau = fts.grid.tau
-    lcols = updating_columns(tau, m)
+def flr_fit(fts: FunctionalTimeSeries, m: int) -> FlrModel:
+    """Block component analyses at their selected ranks and the early-to-late score regression."""
+    lcols = updating_columns(fts.grid.tau, m)
     # fancy-indexed, not sliced: the PCA's rounding follows this F-contiguous block
     ecols = np.arange(m - 1)
     w_e = block_weight(ecols.size)
     w_l = block_weight(lcols.size)
     e_mean, e_phi, e_vals, e_scores, e_degen = weighted_pca(fts.values[:, ecols], w_e)
     l_mean, l_phi, l_vals, l_scores, l_degen = weighted_pca(fts.values[:, lcols], w_l)
-    n = fts.n
-    if num_early is None:
-        num_early = 1 if e_degen else select_num_components(e_vals, n)
-    if num_late is None:
-        num_late = 1 if l_degen else select_num_components(l_vals, n)
-    if not 1 <= num_early <= e_vals.size or not 1 <= num_late <= l_vals.size:
-        raise DataError(
-            f"block ranks ({num_early}, {num_late}) outside the available "
-            f"({e_vals.size}, {l_vals.size})"
-        )
+    num_early = 1 if e_degen else select_num_components(e_vals, fts.n)
+    num_late = 1 if l_degen else select_num_components(l_vals, fts.n)
     theta = e_scores[:, :num_early]
     link, ridged = _solve_link(theta.T @ theta, theta.T @ l_scores[:, :num_late])
     return FlrModel(
@@ -388,7 +360,7 @@ def _bootstrap_links(model: FlrModel, reps: SieveReplicates):
     stacked products over the 1 + K score rows.  Every sum is per
     replicate, so a replicate's link depends on its own draws alone.
     """
-    R, C = model.num_early, model.num_early + model.num_late
+    R, C = model.early_basis.shape[1], model.early_basis.shape[1] + model.late_basis.shape[1]
     tally, score_gram = reps._pool_stats
     # both weighted block bases on the whole grid, which the m - 1 observed
     # columns and the late ones after them partition

@@ -661,6 +661,49 @@ class TestErrorPaths:
         assert main(["forecast", "--input", str(prices)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("argv,levels,pct", [
+        (["forecast", "--alphas", "0.05,0.051", "--replicates", "100"], ("0.05", "0.051"), 95),
+        (["update", "--method", "pls", "--lam", "1", "--intervals", "--alphas", "0.2,0.204",
+          "--replicates", "100"], ("0.2", "0.204"), 80),
+    ], ids=["forecast", "update"])
+    def test_alpha_levels_sharing_a_column_label_are_exit_one(self, workdir, tmp_path, capsys,
+                                                              argv, levels, pct):
+        # both levels would write lo{pct}/hi{pct}, and a CSV reader keeps one of each pair
+        _, prices, partial = workdir
+        source = partial if argv[0] == "update" else prices
+        out = tmp_path / "o.csv"
+        capsys.readouterr()
+        assert main(argv[:1] + ["--input", str(source), "--output-csv", str(out)] + argv[1:]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: alpha levels {levels[0]} and {levels[1]} "
+                       f"share the coverage label {pct}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["forecast", "--replicates", "100000000", "--output-json", "f.json"],
+        # 10**9 days fail at the first allocation; 10**8 would fill 1.5 GiB first
+        ["simulate", "--days", "1000000000", "--output", "s.csv"],
+    ], ids=["forecast", "simulate"])
+    def test_out_of_memory_is_one_line_and_exit_one(self, workdir, tmp_path, argv):
+        pytest.importorskip("resource")
+        _, prices, _ = workdir
+        if argv[0] == "forecast":
+            argv = argv + ["--input", str(prices)]
+        limit = 3 * 2**30  # the child's own address space; no test may take the machine's memory
+        child = ("import resource, sys\n"
+                 f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+                 "from curvecast.cli import main\nsys.exit(main(sys.argv[1:]))\n")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", child, *argv], capture_output=True, text=True,
+                             env=env, cwd=tmp_path, timeout=120)
+        assert run.returncode == 1, run.stderr
+        assert "Traceback" not in run.stderr
+        assert len(run.stderr.splitlines()) == 1
+        assert run.stderr.startswith("error: not enough memory: ")
+        assert not list(tmp_path.iterdir())
+
 
 # every option that converts its value, read from the CLI's own table, so new flags are covered
 _CONVERTED_OPTIONS = [

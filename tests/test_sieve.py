@@ -21,7 +21,6 @@ from curvecast import (
     empirical_quantile,
     far1_fit,
     forecast_to_json,
-    future_curves,
     generate,
     sieve_prediction,
     write_forecast_csv,
@@ -121,6 +120,14 @@ class TestBootstrapConfig:
         cfg = BootstrapConfig(num_replicates=50, alpha_levels=(0.05, 0.2, 0.05, 0.2))
         assert cfg.alpha_levels == (0.05, 0.2)
 
+    @pytest.mark.parametrize("alphas,pct", [((0.05, 0.051), 95), ((0.3, 0.2, 0.204), 80)])
+    def test_levels_sharing_a_coverage_label_rejected(self, alphas, pct):
+        # every table and CSV names a level's columns by its rounded coverage percent
+        first, second = alphas[-2:]
+        with pytest.raises(ConfigError, match=rf"^alpha levels {first} and {second} share "
+                                              rf"the coverage label {pct}$"):
+            BootstrapConfig(num_replicates=50, alpha_levels=alphas)
+
     def test_small_b_warns(self, small_fit):
         _, model, var = small_fit
         with pytest.warns(UserWarning):
@@ -136,7 +143,7 @@ class TestReplicates:
         assert small_reps.future_scores.shape == (60, K)
         assert small_reps.resid_pool.shape[1] == d
         assert small_reps.series_resid_idx.shape == (60, n)
-        assert future_curves(small_reps).shape == (60, d)
+        assert small_reps.resid_pool[small_reps.future_resid_idx].shape == (60, d)
 
     def test_deterministic(self, small_fit):
         _, model, var = small_fit

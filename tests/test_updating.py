@@ -213,8 +213,18 @@ class TestPls:
                 pls_interval_update(context, {0.2: 1.0, 0.05: bad}, model, reps)
 
 
+def flr_with_ranks(monkeypatch, fts, m, r, s):
+    """``flr_fit`` with its block ranks fixed at (r, s); the early block's rank is asked first."""
+    ranks = iter((r, s))
+    with monkeypatch.context() as patch:
+        patch.setattr(updating, "select_num_components", lambda evals, n: next(ranks))
+        model = flr_fit(fts, m)
+    assert (model.early_basis.shape[1], model.late_basis.shape[1]) == (r, s)
+    return model
+
+
 class TestFlr:
-    def test_perfect_linkage_recovery(self):
+    def test_perfect_linkage_recovery(self, monkeypatch):
         spec = SynthSpec(
             n=200, tau=20, num_factors=2, score_ar=(0.6, 0.4),
             innovation_sd=(1.0, 0.7), noise_sd=0.0, seed=21, link_split=10,
@@ -222,7 +232,7 @@ class TestFlr:
             link_noise_sd=(0.0, 0.0),
         )
         fts, _ = generate(spec)
-        model = flr_fit(fts.head(150), 10, num_early=2, num_late=2)
+        model = flr_with_ranks(monkeypatch, fts.head(150), 10, 2, 2)
         worst = 0.0
         for t in range(150, 200):
             pred = flr_update(model, fts.values[t, :9])
@@ -413,11 +423,12 @@ class TestBootstrapLinks:
         worst_links = worst_bounds = 0.0
         fits = 0
         for m in (2, 3, 38, 73, 74):
-            ranks = [(None, None)] + [
+            ranks = [None] + [
                 (r, s) for r in range(1, min(3, m - 1) + 1) for s in range(1, min(3, tau - m) + 1)
             ]
-            for num_early, num_late in ranks:
-                flr = flr_fit(train, m, num_early, num_late)
+            for fixed in ranks:
+                flr = flr_fit(train, m) if fixed is None else flr_with_ranks(
+                    monkeypatch, train, m, *fixed)
                 links, ridged = updating._bootstrap_links(flr, reps)
                 want_links, want_ridged = materialised_links(flr, reps)
                 assert not ridged.any() and not want_ridged.any()
@@ -453,9 +464,9 @@ class TestBootstrapLinks:
                     assert _max_rel(got[a][0], want[a][0]) <= 1e-12
                     assert _max_rel(got[a][1], want[a][1]) <= 1e-12
 
-    def test_links_of_a_prefix_are_the_prefix_draw_links(self, c08_day):
+    def test_links_of_a_prefix_are_the_prefix_draw_links(self, c08_day, monkeypatch):
         train, _, model, var = c08_day
-        flr = flr_fit(train, 38, 2, 2)
+        flr = flr_with_ranks(monkeypatch, train, 38, 2, 2)
         full = draw_replicates(model, var, BootstrapConfig(num_replicates=400, seed=6))
         head = draw_replicates(model, var, BootstrapConfig(num_replicates=50, seed=6))
         links, _ = updating._bootstrap_links(flr, full)
