@@ -103,6 +103,16 @@ def coverage_pct(alpha: float) -> int:
     return round(100.0 * (1.0 - alpha))
 
 
+def check_coverage_labels(alphas, error) -> None:
+    """Raise ``error`` naming the first two levels that share a coverage percent (column label)."""
+    seen = {}
+    for a in alphas:
+        pct = coverage_pct(a)
+        if pct in seen:
+            raise error(f"alpha levels {seen[pct]} and {a} share the coverage label {pct}")
+        seen[pct] = a
+
+
 def by_coverage(alphas) -> list:
     """Miscoverage levels ordered by increasing coverage, the column order of every table."""
     return sorted(alphas, key=lambda a: 1.0 - a)

@@ -22,6 +22,7 @@ import numpy as np
 
 from ._docs import (
     by_coverage,
+    check_coverage_labels,
     coverage_pct,
     decode_keys,
     dump_doc,
@@ -414,6 +415,7 @@ def report_from_json(text: str) -> MetricReport:
             if doc["lambda_schedule"] is None
             else _schedule_from_doc(doc["lambda_schedule"]),
         )
+    check_coverage_labels(f["alpha_levels"], DataError)  # one CSV column label per level
     return MetricReport(**f)
 
 

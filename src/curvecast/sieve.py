@@ -53,7 +53,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._docs import bounds_doc, coverage_pct, dump_doc, envelope, write_curve_csv
+from ._docs import bounds_doc, check_coverage_labels, dump_doc, envelope, write_curve_csv
 from .errors import ConfigError, DataError, NumericalError
 from .fpca import FpcaModel, fit_fpca, select_num_components
 from .gridcurves import FunctionalTimeSeries, _freeze
@@ -68,9 +68,12 @@ _FAR1_STEPS = 8
 _FAR1_TOL = 1e-12
 #: pad of ``far1_fit``'s eigenvalue bounds per unit ``|A|_F``: their and LAPACK's rounding
 _FAR1_PAD = 64 * np.finfo(float).eps
-#: bytes of count-scaled residual pool (d x m per series) one ``far1_fit`` thread
-#: builds at once, in one buffer it reuses for every chunk of series it refits
+#: bytes of count-scaled residual pool (d x m per series) in one ``far1_fit`` chunk, which
+#: sets how many series each Ritz iteration, rank proof and transfer batch holds
 _STACK_BYTES = 8 * 2**20
+#: bytes of it one thread scales at once, in one buffer it reuses for every block of every
+#: chunk; below NumPy's 4 MiB huge-page threshold
+_BLOCK_BYTES = 2**20
 #: replicates whose stream words ``_lockstep_draws`` holds at once; PCG64's LCG multiplier
 _DRAW_ROWS, _PCG64_MULT = 64, 0x2360ED051FC65DA44385DF649FCCF645
 FORECAST_SCHEMA_VERSION = 1
@@ -101,11 +104,7 @@ class BootstrapConfig:
         alphas = tuple(dict.fromkeys(float(a) for a in self.alpha_levels))
         if not alphas or any(not 0.0 < a < 1.0 for a in alphas):
             raise ConfigError(f"alpha levels must lie in (0, 1), got {self.alpha_levels}")
-        seen = {}  # the first level per coverage percent, which names its output columns
-        for a in alphas:
-            pct = coverage_pct(a)
-            if seen.setdefault(pct, a) != a:
-                raise ConfigError(f"alpha levels {seen[pct]} and {a} share the coverage label {pct}")
+        check_coverage_labels(alphas, ConfigError)
         object.__setattr__(self, "alpha_levels", alphas)
         if self.center not in CENTER_CHOICES:
             raise ConfigError(f"center must be one of {CENTER_CHOICES}, got {self.center!r}")
@@ -288,7 +287,10 @@ def far1_fit(pool, idx, weight, scores=None, basis=None, n_workers: int = 1) -> 
     ``bincount``, so row b's forecast depends on row b alone.
     ``min(n_workers, B, usable CPUs)`` threads each refit every workers-th
     chunk of at most ceil(B / workers) rows and ``_STACK_BYTES`` of scaled
-    pool, in one buffer of their own.
+    pool.  Each thread reuses one covariance stack, ``_STACK_BYTES d / m``
+    bytes, and builds it ``_BLOCK_BYTES`` of scaled pool at a time in one
+    reused buffer, so with d < m / 2 (every shipped workload) and B in the
+    hundreds no allocation reaches NumPy's 4 MiB huge-page threshold.
     """
     if n_workers < 1:
         raise ConfigError(f"n_workers must be >= 1, got {n_workers}")
@@ -304,12 +306,14 @@ def far1_fit(pool, idx, weight, scores=None, basis=None, n_workers: int = 1) -> 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(n_workers, B, cpus or 1)
     rows = max(1, min(_STACK_BYTES // (8 * m * d), -(-B // workers)))
+    block = max(1, min(_BLOCK_BYTES // (8 * m * d), rows))
     preds = np.empty((B, d))
 
-    def refit(first: int) -> bool:  # every workers-th chunk, in one buffer of its own
-        scaled, flat = np.empty((rows, d, m)), False
+    def refit(first: int) -> bool:  # every workers-th chunk, in buffers of its own
+        scaled, cov, flat = np.empty((block, d, m)), np.empty((rows, d, d)), False
         for at in (slice(lo, lo + rows) for lo in range(first * rows, B, workers * rows)):
-            preds[at], chunk_flat = _far1_rows(resid, idx[at], scores[at], basis, weight, scaled)
+            preds[at], chunk_flat = _far1_rows(resid, idx[at], scores[at], basis, weight,
+                                               scaled, cov)
             flat |= chunk_flat
         return flat
 
@@ -345,9 +349,10 @@ def _pool_tally(idx, scores, m):
     return tally
 
 
-def _far1_rows(resid, idx, scores, basis, weight, scaled):
-    """:func:`far1_fit` on one chunk of series, from the centred pool, with a buffer of at
-    least its rows of scaled pool; also says if any series was flat."""
+def _far1_rows(resid, idx, scores, basis, weight, scaled, cov):
+    """:func:`far1_fit` on one chunk of series, from the centred pool, with a (block, d, m)
+    buffer of scaled pool and a covariance stack of at least its rows; also says if any
+    series was flat."""
     rows, n = idx.shape
     m, d = resid.shape
     K = basis.shape[1]
@@ -360,10 +365,11 @@ def _far1_rows(resid, idx, scores, basis, weight, scaled):
         + np.matmul(cnt[:, None, :], resid)[:, 0]
     ) / n
 
-    # sum_t resid[idx_t] resid[idx_t]^T, one symmetric rank-k update per series
-    resid_t = np.ascontiguousarray(resid.T)
-    scaled = np.multiply(resid_t, np.sqrt(cnt)[:, None, :], out=scaled[:rows])
-    cov = np.matmul(scaled, scaled.transpose(0, 2, 1))
+    # sum_t resid[idx_t] resid[idx_t]^T, one symmetric rank-k update per series, a block at a time
+    resid_t, root, cov = np.ascontiguousarray(resid.T), np.sqrt(cnt)[:, None, :], cov[:rows]
+    for lo in range(0, rows, len(scaled)):
+        part = np.multiply(resid_t, root[lo : lo + len(scaled)], out=scaled[: rows - lo])
+        np.matmul(part, part.transpose(0, 2, 1), out=cov[lo : lo + len(part)])
     # sum_t x_t x_t^T - n xbar xbar^T = cov + A + A^T, A = [basis, xbar] @ half
     half = np.empty((rows, K + 1, d))
     half[:, :K] = 0.5 * np.matmul(np.matmul(scores.transpose(0, 2, 1), scores), basis.T)

@@ -588,6 +588,24 @@ class TestErrorPaths:
         assert err.startswith("data error: ") and len(err.strip().splitlines()) == 1
         assert not list(tmp_path.rglob("*.csv"))
 
+    def test_levels_sharing_a_coverage_label_are_exit_two(self, tmp_path, capsys):
+        # a report whose every table has both levels: its CSVs would repeat the 95 columns
+        per = {"0.05": 0.9, "0.051": 0.9}
+        full = {"msfe": 1.0, "msfe_curve": [1.0], "ecp_pointwise": per, "ecp_uniform": per,
+                "interval_score": per, "interval_score_curve": {a: [2.0] for a in per}}
+        cell = {"msfe": 1.0, "sign_accuracy": 0.5, "days": 1, "ecp_pointwise": per,
+                "interval_score": per}
+        report = tmp_path / "report.json"
+        report.write_text(_report_text(
+            alpha_levels=[0.05, 0.051], full_day={"TS": full}, per_period={"TS": {"3": cell}},
+            updating={"TS": {**cell, "periods_covered": [3]}}))
+        capsys.readouterr()
+        rc = main(["export-plots", "--report", str(report), "--outdir", str(tmp_path / "p")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "data error: alpha levels 0.05 and 0.051 share the coverage label 95\n"
+        assert not (tmp_path / "p").exists()
+
     def test_bad_time_label_is_exit_two(self, tmp_path, capsys):
         prices = tmp_path / "px.csv"
         prices.write_text("date,t0,t5,t10-\nd1,100,101,102\n")

@@ -477,6 +477,27 @@ class TestReportSerialization:
         assert back.config_hash == report.config_hash
         assert back.plan == report.plan
 
+    @pytest.mark.parametrize("levels", [("0.05", "0.051"), ("0.2", "0.2")])
+    def test_levels_sharing_a_coverage_label_are_data_errors(self, small_backtest, levels):
+        # a level added to every table beside one of its label: each CSV would have
+        # two columns of one name
+        _, _, report = small_backtest
+        old, new = levels
+
+        def with_level(doc):
+            if isinstance(doc, list):
+                return [with_level(v) for v in doc]
+            if not isinstance(doc, dict):
+                return doc
+            out = {k: with_level(v) for k, v in doc.items()}
+            return {**out, new: out[old]} if old in out else out
+
+        doc = with_level(json.loads(report_to_json(report)))
+        doc["alpha_levels"].append(float(new))
+        with pytest.raises(DataError, match=f"alpha levels {old} and {new} share the "
+                                            f"coverage label {round(100 * (1 - float(old)))}"):
+            report_from_json(json.dumps(doc))
+
     def test_csv_export_deterministic(self, small_backtest, tmp_path):
         _, _, report = small_backtest
         d1 = tmp_path / "a"

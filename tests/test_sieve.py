@@ -555,7 +555,7 @@ class TestFar1:
 
         def recorded(cov, *ritz):
             proven, rank = ranks(cov, *ritz)
-            seen.append((cov, proven, rank))
+            seen.append((cov.copy(), proven, rank))  # the next chunk reuses the stack
             return proven, rank
 
         monkeypatch.setattr(sieve, "_far1_ranks", recorded)
@@ -618,7 +618,9 @@ class TestFar1:
         curves = scores @ basis.T + pool[idx]
         np.testing.assert_allclose(got, far1_oracle(curves, 0.1), rtol=0.0, atol=1e-12)
 
-    def test_refit_memory_stays_within_two_pool_buffers(self):
+    def test_refit_memory_stays_within_two_pool_buffers(self, monkeypatch):
+        # a chunk's covariance stack and one small block of scaled pool; no array as large
+        # as the 4 MiB from which NumPy advises huge pages
         _, factored, curves = _replicate_stack("C06", 400)
         del curves
         tracemalloc.start()
@@ -627,7 +629,21 @@ class TestFar1:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * sieve._STACK_BYTES
+        assert peak <= 8 * 2**20
+
+        largest, ritz = [], sieve._leading_ritz_pairs
+
+        def snapshot(cov):  # every buffer and temporary of the chunk is live here
+            largest.append(max(t.size for t in tracemalloc.take_snapshot().traces))
+            return ritz(cov)
+
+        monkeypatch.setattr(sieve, "_leading_ritz_pairs", snapshot)
+        tracemalloc.start()
+        try:
+            far1_fit(*factored)
+        finally:
+            tracemalloc.stop()
+        assert len(largest) > 1 and max(largest) < 4 * 2**20
 
     def test_repeated_leading_eigenvalue_falls_back_to_eigh(self, fallbacks):
         # Walsh columns: orthogonal and centred, so the covariance is exactly
@@ -758,14 +774,20 @@ class TestSievePrediction:
         assert other.center == "ts"
         assert not np.array_equal(other.pointwise[0.2][0], forecast.pointwise[0.2][0])
 
-    @settings(max_examples=12, deadline=None)
-    @given(n_workers=st.integers(1, 4), rows_per_chunk=st.integers(1, 60))
-    @example(n_workers=1, rows_per_chunk=1)
-    def test_worker_invariance(self, small_fit, forecast, n_workers, rows_per_chunk):
-        # the fixture ran in one chunk; any chunk budget and worker count agree with it
+    @settings(max_examples=16, deadline=None)
+    @given(n_workers=st.integers(1, 4), rows=st.integers(1, 60).flatmap(
+        lambda chunk: st.tuples(st.just(chunk), st.integers(1, chunk))))
+    @example(n_workers=1, rows=(1, 1))
+    @example(n_workers=1, rows=(60, 7))
+    @example(n_workers=2, rows=(60, 60))
+    def test_worker_invariance(self, small_fit, forecast, n_workers, rows):
+        # the fixture ran in one chunk of one block; any chunk and block budget (rows of
+        # scaled pool, one row up to the whole chunk) and worker count agree with it
         fts, model, var = small_fit
         cfg = BootstrapConfig(num_replicates=60, seed=5)
-        with mock.patch.object(sieve, "_STACK_BYTES", rows_per_chunk * fts.values.nbytes):
+        chunk, block = (r * fts.values.nbytes for r in rows)
+        with mock.patch.object(sieve, "_STACK_BYTES", chunk), \
+                mock.patch.object(sieve, "_BLOCK_BYTES", block):
             par = sieve_prediction(fts, model, var, cfg, n_workers=n_workers)
         assert np.array_equal(par.point, forecast.point)
         assert np.array_equal(par.error_sd, forecast.error_sd)

@@ -16,6 +16,9 @@ The probes (``--probe`` picks some; all run by default):
 
 * ``draws``: every array of ``draw_replicates`` on the C06 and C08 panels, seeds 0, 7 and
   2**63 + 5, B = 1, 57 and 400, the pseudo score paths included;
+* ``forecast``: ``sieve_prediction``'s point, error_sd, pointwise intervals and band on the
+  C06 (d = 39) and C08 (d = 74) panels, seeds 0 and 7, B = 1, 57 and 400, with one and
+  with two refit threads;
 * ``tune``: ``tune_lambda(objective="both")`` on the C08 panel, 150 training and 8
   validation days, every period, B = 400;
 * ``golden``: every file ``tests/golden/make_golden.py`` writes, run from each tree;
@@ -47,6 +50,7 @@ C08 = dict(n=250, tau=75, num_factors=2, score_ar=(0.85, 0.7), innovation_sd=(1.
 PANELS = {"C06": (C06, 250), "C08": (C08, 250)}  # spec, days fitted
 SEEDS = (0, 7, 2**63 + 5)
 REPLICATES = (1, 57, 400)
+FORECAST_SEEDS, FORECAST_WORKERS = (0, 7), (1, 2)
 DRAW_FIELDS = ("series_scores", "series_resid_idx", "future_scores", "future_resid_idx",
                "mean", "eigenfunctions", "resid_pool")
 
@@ -63,6 +67,26 @@ def probe_draws() -> dict:
                 reps = draw_replicates(day.fpca, day.var, BootstrapConfig(B, seed))
                 for field in DRAW_FIELDS:
                     out[f"draws/{name}/seed{seed}/B{B}/{field}"] = getattr(reps, field)
+    return out
+
+
+def probe_forecast() -> dict:
+    from curvecast import BootstrapConfig, SynthSpec, generate, sieve_prediction
+    from curvecast.sieve import _fit_day
+
+    out = {}
+    for name, (spec, days) in PANELS.items():
+        day = _fit_day(generate(SynthSpec(**spec))[0].head(days), None, 10)
+        for seed in FORECAST_SEEDS:
+            for B in REPLICATES:
+                for workers in FORECAST_WORKERS:
+                    fc = sieve_prediction(day.train, day.fpca, day.var, BootstrapConfig(B, seed),
+                                          n_workers=workers)
+                    key = f"forecast/{name}/seed{seed}/B{B}/workers{workers}"
+                    out[f"{key}/point"], out[f"{key}/error_sd"] = fc.point, fc.error_sd
+                    for a in fc.alpha_levels:
+                        out[f"{key}/pointwise/{a}"] = np.stack(fc.pointwise[a])
+                        out[f"{key}/band/{a}"] = np.stack(fc.band[a])
     return out
 
 
@@ -122,8 +146,8 @@ def probe_dropped_days() -> dict:
             "dropped_days/failures": json.dumps(failures, sort_keys=True).encode()}
 
 
-PROBES = {"draws": probe_draws, "tune": probe_tune, "golden": probe_golden,
-          "dropped_days": probe_dropped_days}
+PROBES = {"draws": probe_draws, "forecast": probe_forecast, "tune": probe_tune,
+          "golden": probe_golden, "dropped_days": probe_dropped_days}
 
 
 def run_probes(names, path: str) -> None:
