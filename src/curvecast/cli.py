@@ -78,7 +78,19 @@ def _listed(conv):
     return convert
 
 
-_floats = _listed(float)
+def _number(kind):
+    """Converter to ``kind`` (int or float) that rejects a JSON boolean and, for int, a fraction."""
+
+    def convert(v):
+        if isinstance(v, bool) or kind is int and isinstance(v, float) and not v.is_integer():
+            raise ValueError(f"expected {kind.__name__}, got {v!r}")
+        return kind(v)
+
+    return convert
+
+
+_int, _float = _number(int), _number(float)
+_floats = _listed(_float)
 _strs = _listed(str)
 
 
@@ -86,7 +98,7 @@ def _ints(v):
     """Like the other list options; "all" (or null) means every updating period."""
     if v is None or isinstance(v, str) and v.strip().lower() == "all":
         return None
-    return _listed(int)(v)
+    return _listed(_int)(v)
 
 
 def _bool(v) -> bool:
@@ -217,17 +229,17 @@ def _write_text(path: str, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 _COMMON_FIT = [
-    _Opt("num_components", int, None, "fix the number of curve components (default: automatic)"),
-    _Opt("max_order", int, BacktestPlan.max_order, "largest score autoregression order considered"),
+    _Opt("num_components", _int, None, "fix the number of curve components (default: automatic)"),
+    _Opt("max_order", _int, BacktestPlan.max_order, "largest score autoregression order considered"),
 ]
 
 _COMMON_BOOT = [
-    _Opt("replicates", int, BootstrapConfig.num_replicates, "bootstrap replicate count"),
-    _Opt("seed", int, BootstrapConfig.seed, "master random seed"),
+    _Opt("replicates", _int, BootstrapConfig.num_replicates, "bootstrap replicate count"),
+    _Opt("seed", _int, BootstrapConfig.seed, "master random seed"),
     _Opt("alphas", _floats, BootstrapConfig.alpha_levels, "miscoverage levels, e.g. 0.2,0.05"),
 ]
-_MISSING = _Opt("max_missing_frac", float, DEFAULT_MAX_MISSING_FRAC, "ingestion drop threshold")
-_WORKERS = _Opt("workers", int, BacktestPlan.n_workers, "bootstrap threads (capped at usable CPUs)")
+_MISSING = _Opt("max_missing_frac", _float, DEFAULT_MAX_MISSING_FRAC, "ingestion drop threshold")
+_WORKERS = _Opt("workers", _int, BacktestPlan.n_workers, "bootstrap threads (capped at usable CPUs)")
 _CENTER = _Opt("center", str, BootstrapConfig.center, "interval center: far1 or ts")
 
 INGEST_OPTS = [
@@ -251,20 +263,20 @@ def cmd_ingest(opts: dict) -> int:
 
 
 SIMULATE_OPTS = [
-    _Opt("days", int, 250, "number of days to simulate"),
-    _Opt("tau", int, 75, "grid points per day"),
-    _Opt("factors", int, SynthSpec.num_factors, "number of latent factors"),
+    _Opt("days", _int, 250, "number of days to simulate"),
+    _Opt("tau", _int, 75, "grid points per day"),
+    _Opt("factors", _int, SynthSpec.num_factors, "number of latent factors"),
     _Opt("basis", str, SynthSpec.basis, "factor shapes: fourier or poly"),
     _Opt("score_ar", _floats, SynthSpec.score_ar, "per-factor AR(1) coefficients"),
     _Opt("innovation_sd", _floats, SynthSpec.innovation_sd, "per-factor innovation scale"),
-    _Opt("noise_sd", float, SynthSpec.noise_sd, "pointwise noise level"),
-    _Opt("mean_scale", float, SynthSpec.mean_scale, "scale of the common mean curve"),
-    _Opt("link_split", int, None, "generate late columns from early factors after this grid index"),
+    _Opt("noise_sd", _float, SynthSpec.noise_sd, "pointwise noise level"),
+    _Opt("mean_scale", _float, SynthSpec.mean_scale, "scale of the common mean curve"),
+    _Opt("link_split", _int, None, "generate late columns from early factors after this grid index"),
     _Opt("link_matrix", _floats, None, "row-major factor-linkage entries (requires --link-split)"),
-    _Opt("late_factors", int, None, "late-block factor count (default: same as --factors)"),
+    _Opt("late_factors", _int, None, "late-block factor count (default: same as --factors)"),
     _Opt("link_noise_sd", _floats, None, "per-late-factor linkage noise scale"),
-    _Opt("open_price", float, 100.0, "opening price used to rebuild price levels"),
-    _Opt("seed", int, SynthSpec.seed, "random seed"),
+    _Opt("open_price", _float, 100.0, "opening price used to rebuild price levels"),
+    _Opt("seed", _int, SynthSpec.seed, "random seed"),
     _Opt("output", str, None, "wide price CSV to write"),
     _Opt("truth", str, None, "optional JSON ground-truth dump"),
 ]
@@ -380,7 +392,7 @@ def cmd_forecast(opts: dict) -> int:
 UPDATE_OPTS = [
     _Opt("input", str, None, "price CSV whose last row is the partially observed day"),
     _Opt("method", str, None, "updating method: pls, ols, or flr"),
-    _Opt("lam", float, None, "shrinkage weight (pls only; overrides --schedule)"),
+    _Opt("lam", _float, None, "shrinkage weight (pls only; overrides --schedule)"),
     _Opt("schedule", str, None, "tuned shrinkage schedule JSON (pls only)"),
     _Opt("intervals", _bool, False, "also compute prediction intervals"),
     _Opt("output_csv", str, None, "updated-forecast CSV to write"),
@@ -390,25 +402,25 @@ UPDATE_OPTS = [
 
 
 def _split_partial_day(path: str, max_missing_frac: float):
-    """Separate the trailing partial row from the complete history."""
+    """The history's curves and the last day's observed block, which ends at its first NaN
+    price; a price after that, or a non-positive or non-finite one before it, is a DataError."""
     raw, grid, dates = read_price_csv(path)
     if raw.shape[0] < 2:
         raise DataError("need at least one complete day before the partial day")
     last = raw[-1]
-    finite = np.isfinite(last)
-    m = int(finite.argmin()) if not finite.all() else grid.tau
+    missing = np.isnan(last)
+    m = int(missing.argmax()) if missing.any() else grid.tau
     if m < 2:
         raise DataError("partial day must include at least the first two prices")
     if m >= grid.tau:
         raise DataError("last day is complete; nothing left to update")
-    if finite[m:].any():
+    if not missing[m:].all():
         raise DataError("partial day has interior gaps after the observed prefix")
-    bad = np.flatnonzero(last[:m] <= 0)
+    bad = np.flatnonzero(~(np.isfinite(last[:m]) & (last[:m] > 0)))
     if bad.size:
-        raise DataError(f"non-positive price in the partial day at grid index {bad[0] + 1}")
-    pm, kept, _ = ingest_price_matrix(raw[:-1], grid, dates[:-1], max_missing_frac)
-    observed = 100.0 * (np.log(last[1:m]) - np.log(last[0]))
-    return cidr_transform(pm), observed, m, grid
+        raise DataError(f"non-positive or non-finite partial-day price at grid index {bad[0] + 1}")
+    pm, _, _ = ingest_price_matrix(raw[:-1], grid, dates[:-1], max_missing_frac)
+    return cidr_transform(pm), 100.0 * (np.log(last[1:m]) - np.log(last[0]))
 
 
 def cmd_update(opts: dict) -> int:
@@ -419,9 +431,8 @@ def cmd_update(opts: dict) -> int:
         raise ConfigError("update needs --output-csv and/or --output-json")
     if method == "ols" and opts["intervals"]:
         raise ConfigError("interval updating is not defined for ols")
-    fts, observed, m, grid = _split_partial_day(
-        _require(opts, "input"), opts["max_missing_frac"]
-    )
+    fts, observed = _split_partial_day(_require(opts, "input"), opts["max_missing_frac"])
+    m = observed.size + 1
     day = _fit_day(fts, opts["num_components"], opts["max_order"])
     alphas = opts["alphas"]
     schedule = None
@@ -445,7 +456,7 @@ def cmd_update(opts: dict) -> int:
         day, method.upper(), observed, lam_point, lam_by_alpha, reps, alphas
     )
 
-    grid_indices = [int(j) + 2 for j in updating_columns(grid.tau, m)]
+    grid_indices = [int(j) + 2 for j in updating_columns(fts.grid.tau, m)]
     if opts["output_csv"]:
         write_curve_csv(opts["output_csv"], grid_indices, point, {"": intervals})
         print(f"updated forecast ({method}, m={m}) -> {opts['output_csv']}")
@@ -469,8 +480,8 @@ def cmd_update(opts: dict) -> int:
 TUNE_OPTS = [
     _Opt("input", str, None, "price CSV"),
     _Opt("objective", str, "msfe", "msfe, interval_score, or both"),
-    _Opt("train_size", int, BacktestPlan.tune_train, "days fitted before the first validation day"),
-    _Opt("validation_size", int, BacktestPlan.tune_validation, "validation days"),
+    _Opt("train_size", _int, BacktestPlan.tune_train, "days fitted before the first validation day"),
+    _Opt("validation_size", _int, BacktestPlan.tune_validation, "validation days"),
     _Opt("lambda_grid", _floats, DEFAULT_LAMBDA_GRID, "candidate shrinkage weights"),
     _Opt("periods", _ints, None, "updating periods to tune (default: all)"),
     _Opt("output", str, None, "schedule JSON to write"),
@@ -479,32 +490,29 @@ TUNE_OPTS = [
 
 
 def cmd_tune(opts: dict) -> int:
-    objective = opts["objective"]
-    if objective not in ("msfe", "interval_score", "both"):
-        raise ConfigError(f"unknown tuning objective {objective!r}")
     fts = _load_curves(_require(opts, "input"), opts["max_missing_frac"])
     failures = []
     schedule = tune_lambda(
-        fts, opts["train_size"], opts["validation_size"], objective, opts["lambda_grid"],
+        fts, opts["train_size"], opts["validation_size"], opts["objective"], opts["lambda_grid"],
         opts["periods"], opts["num_components"], opts["max_order"], _bootstrap(opts), failures,
     )
     _report_dropped(failures, opts["validation_size"])
     out = _require(opts, "output")
     _write_text(out, _with_manifest(schedule_to_json(schedule), opts))
-    print(f"tuned shrinkage schedule ({objective}) -> {out}")
+    print(f"tuned shrinkage schedule ({opts['objective']}) -> {out}")
     return 0
 
 
 BACKTEST_OPTS = [
     _Opt("input", str, None, "price CSV"),
-    _Opt("initial_train", int, BacktestPlan.initial_train, "days in the first training window"),
-    _Opt("n_test", int, BacktestPlan.n_test, "test days"),
+    _Opt("initial_train", _int, BacktestPlan.initial_train, "days in the first training window"),
+    _Opt("n_test", _int, BacktestPlan.n_test, "test days"),
     _Opt("methods", _strs, BacktestPlan.methods, "methods to evaluate"),
     _Opt("periods", _ints, None, "updating periods (default: all)"),
     _CENTER,
     _Opt("rolling", _bool, BacktestPlan.rolling, "keep the training window's length fixed"),
-    _Opt("tune_train", int, BacktestPlan.tune_train, "tuning: training days"),
-    _Opt("tune_validation", int, BacktestPlan.tune_validation, "tuning: validation days"),
+    _Opt("tune_train", _int, BacktestPlan.tune_train, "tuning: training days"),
+    _Opt("tune_validation", _int, BacktestPlan.tune_validation, "tuning: validation days"),
     _Opt("lambda_grid", _floats, DEFAULT_LAMBDA_GRID, "candidate shrinkage weights"),
     _Opt("schedule", str, None, "precomputed shrinkage schedule JSON"),
     _WORKERS,

@@ -167,13 +167,14 @@ def inverse_cidr(curves: FunctionalTimeSeries, open_prices: Sequence[float]) -> 
 
 def ingest_price_matrix(
     raw: np.ndarray,
-    grid: Optional[IntradayGrid] = None,
-    dates: Optional[Sequence[str]] = None,
+    grid: IntradayGrid,
+    dates: Sequence[str],
     max_missing_frac: float = DEFAULT_MAX_MISSING_FRAC,
 ):
     """Screen raw daily prices, drop unusable days, interpolate the rest.
 
-    ``raw`` is (n, tau) with NaN for a missing price.  Days are dropped (with a warning) when
+    ``raw`` is (n, tau) on ``grid``, a row per label in ``dates``, with NaN for a missing
+    price (:func:`read_price_csv` returns all three).  Days are dropped (with a warning) when
     more than ``max_missing_frac`` (a fraction in [0, 1]) of their prices are missing or when a
     boundary price is missing, which would be the anchor of the return curve.  Interior gaps of
     the kept days are filled linearly in the grid index; a kept day's non-positive or infinite
@@ -186,10 +187,6 @@ def ingest_price_matrix(
     if raw.ndim != 2:
         raise DataError(f"raw price matrix must be 2-d, got shape {raw.shape}")
     n, tau = raw.shape
-    if grid is None:
-        grid = IntradayGrid.regular(tau)
-    if dates is None:
-        dates = [f"day{t + 1:04d}" for t in range(n)]
     dates = list(dates)
     if len(dates) != n:
         raise DataError(f"{len(dates)} date labels for {n} rows")

@@ -328,14 +328,16 @@ def far1_fit(pool, idx, weight, scores=None, basis=None, n_workers: int = 1) -> 
 
 
 def _pool_tally(idx, scores, m):
-    """Per-series pool counts and scores summed onto the pool rows they were drawn with.
+    """Each series' pool tally and score Gram matrix: ``(tally, gram)``.
 
     Series b draws pool row ``idx[b, t]`` on day t with (K,) scores
-    ``scores[b, t]``.  Returns a (B, 1 + K, m) array: row 0 of series b
+    ``scores[b, t]``.  ``tally`` is (B, 1 + K, m): row 0 of series b
     counts how often it draws each of the m pool rows, row 1 + k sums its
-    k-th score over the days that drew each row.  Each series' pool rows
-    are bins of their own, summed in day order, so a series' tally
-    depends on its own draws alone.
+    k-th score over the days that drew each row.  ``gram`` is the
+    (B, 1 + K, 1 + K) Gram matrix of the scores with a leading column of
+    ones: ``[0, 0]`` is n, ``[0, 1:]`` the score sums, ``[1:, 1:]`` the
+    cross-products.  Each series' pool rows are bins of their own, summed
+    in day order, so a series' statistics depend on its own draws alone.
     """
     rows, n = idx.shape
     K = scores.shape[2]
@@ -346,7 +348,12 @@ def _pool_tally(idx, scores, m):
         tally[:, 1 + k] = np.bincount(
             bins, weights=scores[:, :, k].ravel(), minlength=rows * m
         ).reshape(rows, m)
-    return tally
+    gram = np.empty((rows, 1 + K, 1 + K))
+    gram[:, 0, 0] = n
+    gram[:, 0, 1:] = np.matmul(np.ones(n), scores)
+    gram[:, 1:, 0] = gram[:, 0, 1:]
+    gram[:, 1:, 1:] = np.matmul(scores.transpose(0, 2, 1), scores)
+    return tally, gram
 
 
 def _far1_rows(resid, idx, scores, basis, weight, scaled, cov):
@@ -357,11 +364,11 @@ def _far1_rows(resid, idx, scores, basis, weight, scaled, cov):
     m, d = resid.shape
     K = basis.shape[1]
     at = np.arange(rows)[:, None]
-    tally = _pool_tally(idx, scores, m)
+    tally, gram = _pool_tally(idx, scores, m)
     cnt, drawn = tally[:, 0], tally[:, 1:]
     # series b is x_t = basis s_t + resid[idx_t]; c_t = x_t - xbar
     xbar = (
-        np.matmul(basis, np.matmul(np.ones(n), scores)[:, :, None])[:, :, 0]
+        np.matmul(basis, gram[:, 0, 1:, None])[:, :, 0]
         + np.matmul(cnt[:, None, :], resid)[:, 0]
     ) / n
 
@@ -372,7 +379,7 @@ def _far1_rows(resid, idx, scores, basis, weight, scaled, cov):
         np.matmul(part, part.transpose(0, 2, 1), out=cov[lo : lo + len(part)])
     # sum_t x_t x_t^T - n xbar xbar^T = cov + A + A^T, A = [basis, xbar] @ half
     half = np.empty((rows, K + 1, d))
-    half[:, :K] = 0.5 * np.matmul(np.matmul(scores.transpose(0, 2, 1), scores), basis.T)
+    half[:, :K] = 0.5 * np.matmul(gram[:, 1:, 1:], basis.T)
     half[:, :K] += np.matmul(drawn, resid)
     half[:, K] = -0.5 * n * xbar
     lift = np.empty((rows, d, K + 1))
@@ -511,25 +518,9 @@ class SieveReplicates:
 
     @cached_property
     def _pool_stats(self):
-        """Pool statistics of every pseudo-series, built on first use and kept.
-
-        Returns ``(tally, score_gram)``: the (B, 1 + K, n_pool) pool
-        counts and drawn scores of :func:`_pool_tally`, and the
-        (B, 1 + K, 1 + K) Gram matrix of the scores with a leading
-        column of ones: ``[0, 0]`` is n, ``[0, 1:]`` the score sums and
-        ``[1:, 1:]`` the score cross-products.  Any linear projection of
-        the pseudo-curves has second moments that follow from these and
-        the pool alone; the FLR interval update reads them every
-        updating period.
-        """
-        scores = self.series_scores
-        B, n, K = scores.shape
-        gram = np.empty((B, 1 + K, 1 + K))
-        gram[:, 0, 0] = n
-        gram[:, 0, 1:] = np.matmul(np.ones(n), scores)
-        gram[:, 1:, 0] = gram[:, 0, 1:]
-        gram[:, 1:, 1:] = np.matmul(scores.transpose(0, 2, 1), scores)
-        return _pool_tally(self.series_resid_idx, scores, self.resid_pool.shape[0]), gram
+        """:func:`_pool_tally` of every pseudo-series, built on first use and kept: with the
+        pool, it gives the second moments of any linear projection of the pseudo-curves."""
+        return _pool_tally(self.series_resid_idx, self.series_scores, self.resid_pool.shape[0])
 
 
 def _index_draws(seed, B, T, M, p, n_eps, n_resid):

@@ -104,7 +104,7 @@ def _context(fpca: FpcaModel, ts_scores: np.ndarray, observed) -> UpdateContext:
         observed=observed,
         eigenbasis_obs=_freeze(fpca.eigenfunctions[: m - 1, : fpca.num_components]),
         ts_scores=ts_scores,
-        updating_cols=np.arange(m - 1, d),
+        updating_cols=updating_columns(d + 1, m),
     )
 
 
@@ -289,15 +289,13 @@ def _solve_link(gram: np.ndarray, cross: np.ndarray):
 
 @dataclass(frozen=True)
 class FlrModel:
-    """Block decompositions and the fitted early-to-late score linkage."""
+    """Block decompositions and the fitted early-to-late score linkage; each block's
+    quadrature weight is :func:`block_weight` of its basis length."""
 
-    split: int
     early_mean: np.ndarray
     late_mean: np.ndarray
     early_basis: np.ndarray   # (m - 1, R)
     late_basis: np.ndarray    # (tau - m, S)
-    early_weight: float
-    late_weight: float
     link: np.ndarray          # (R, S)
     ridged: bool
 
@@ -316,13 +314,10 @@ def flr_fit(fts: FunctionalTimeSeries, m: int) -> FlrModel:
     theta = e_scores[:, :num_early]
     link, ridged = _solve_link(theta.T @ theta, theta.T @ l_scores[:, :num_late])
     return FlrModel(
-        split=m,
         early_mean=_freeze(e_mean),
         late_mean=_freeze(l_mean),
         early_basis=_freeze(e_phi[:, :num_early]),
         late_basis=_freeze(l_phi[:, :num_late]),
-        early_weight=w_e,
-        late_weight=w_l,
         link=_freeze(link),
         ridged=bool(ridged),
     )
@@ -335,7 +330,7 @@ def _early_projection(model: FlrModel, observed: np.ndarray) -> np.ndarray:
         raise DataError(f"observed block has shape {observed.shape}, expected ({ne},)")
     if not np.isfinite(observed).all():
         raise DataError("observed block contains non-finite values")
-    return model.early_weight * ((observed - model.early_mean) @ model.early_basis)
+    return block_weight(ne) * ((observed - model.early_mean) @ model.early_basis)
 
 
 def flr_update(model: FlrModel, observed: Sequence[float]) -> np.ndarray:
@@ -364,10 +359,10 @@ def _bootstrap_links(model: FlrModel, reps: SieveReplicates):
     tally, score_gram = reps._pool_stats
     # both weighted block bases on the whole grid, which the m - 1 observed
     # columns and the late ones after them partition
-    split = model.early_basis.shape[0]
+    ne = model.early_basis.shape[0]
     bw = np.zeros((reps.mean.shape[0], C))
-    bw[:split, :R] = model.early_weight * model.early_basis
-    bw[split:, R:] = model.late_weight * model.late_basis
+    bw[:ne, :R] = block_weight(ne) * model.early_basis
+    bw[ne:, R:] = block_weight(model.late_basis.shape[0]) * model.late_basis
     lift = np.empty((tally.shape[1], C))
     lift[0] = (reps.mean - np.concatenate([model.early_mean, model.late_mean])) @ bw
     lift[1:] = reps.eigenfunctions.T @ bw
@@ -397,11 +392,10 @@ def flr_interval_update(
     replicate's resampled residual curve (restricted to the remaining
     block) is added before taking empirical quantiles.
     """
-    lcols = updating_columns(reps.mean.shape[0] + 1, model.split)
     theta_obs = _early_projection(model, observed)
     links, _ = _bootstrap_links(model, reps)  # (B, R, S)
     preds = np.matmul(np.matmul(theta_obs, links)[:, None], model.late_basis.T)[:, 0]
-    curves = model.late_mean + preds + reps.resid_pool[reps.future_resid_idx[:, None], lcols]
+    curves = model.late_mean + preds + reps.resid_pool[reps.future_resid_idx, len(observed):]
     return _intervals(curves, alpha_levels)
 
 

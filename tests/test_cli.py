@@ -649,7 +649,7 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and len(err.strip().splitlines()) == 1
 
-    @pytest.mark.parametrize("price", ["0", "-3"])
+    @pytest.mark.parametrize("price", ["0", "-3", "inf", "-inf"])
     @pytest.mark.parametrize("method", ["pls", "flr"])
     def test_non_positive_partial_price_is_exit_two(self, workdir, tmp_path, capsys, method, price):
         _, _, partial = workdir
@@ -666,6 +666,15 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and "grid index 4" in err
         assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    def test_unknown_tuning_objective_is_exit_one(self, workdir, tmp_path, capsys):
+        _, prices, _ = workdir
+        out = tmp_path / "sched.json"
+        capsys.readouterr()
+        assert main(["tune", "--input", str(prices), "--objective", "bogus",
+                     "--output", str(out)]) == 1
+        assert capsys.readouterr().err == "error: unknown tuning objective 'bogus'\n"
         assert not out.exists()
 
     def test_forecast_checks_outputs_before_fitting(self, workdir, monkeypatch, capsys):
@@ -741,6 +750,33 @@ def test_unconvertible_option_value_is_exit_one(capsys, command, name):
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+# every integer and float option, read from the CLI's own table, with JSON values that a
+# plain int() or float() would coerce (a fraction, a boolean, either inside a list) or, for
+# an infinite integer, raise OverflowError on
+_COERCIBLE = {cli._int: (60.9, True, float("inf")), cli._ints: ([2.9], True, [True]),
+              cli._float: (True,), cli._floats: (True, [True])}
+_NUMERIC_CONFIGS = [
+    (command, o.name, value)
+    for command, _, opts, _ in cli._COMMANDS
+    for o in opts
+    for value in _COERCIBLE.get(o.conv, ())
+]
+
+
+@pytest.mark.parametrize(
+    "command,name,value", _NUMERIC_CONFIGS,
+    ids=[f"{c}-{n}-{json.dumps(v)}" for c, n, v in _NUMERIC_CONFIGS],
+)
+def test_coercible_config_number_is_exit_one(tmp_path, capsys, command, name, value):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({name: value}))
+    capsys.readouterr()
+    assert main([command, "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bad value for {name}: ")
+    assert len(err.strip().splitlines()) == 1
 
 
 # every list option, read from the CLI's own table

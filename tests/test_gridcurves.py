@@ -103,13 +103,11 @@ class TestSeries:
         assert np.array_equal(fts.window(2, 5).values, values[2:5])
 
 
-def ingest_row_loop_oracle(raw, grid=None, dates=None, max_missing_frac=0.5):
+def ingest_row_loop_oracle(raw, grid, dates, max_missing_frac=0.5):
     """The row-by-row screening ``ingest_price_matrix`` replaced, for prices known to be valid."""
     raw = np.asarray(raw, dtype=float)
     n, tau = raw.shape
-    if grid is None:
-        grid = IntradayGrid.regular(tau)
-    dates = [f"day{t + 1:04d}" for t in range(n)] if dates is None else list(dates)
+    dates = list(dates)
     keep, dropped = [], []
     for t in range(n):
         miss = np.isnan(raw[t])
@@ -145,12 +143,18 @@ def ingest_row_loop_oracle(raw, grid=None, dates=None, max_missing_frac=0.5):
     return PriceMatrix(kept, grid), [dates[t] for t in keep], summary
 
 
+def _labelled(raw):
+    """A regular grid and ``day0001``-style date labels for an (n, tau) price array."""
+    return IntradayGrid.regular(raw.shape[1]), [f"day{t + 1:04d}" for t in range(raw.shape[0])]
+
+
 def _ingest_outcome(ingest, raw, max_missing_frac):
     """What an ingestion returns or raises, with the text of every warning it gives."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            pm, kept, summary = ingest(raw, dates=[f"d{t}" for t in range(raw.shape[0])],
+            pm, kept, summary = ingest(raw, IntradayGrid.regular(raw.shape[1]),
+                                       [f"d{t}" for t in range(raw.shape[0])],
                                        max_missing_frac=max_missing_frac)
             out = (pm.prices.shape, pm.prices.tobytes(), kept, summary)
         except DataError as exc:
@@ -196,17 +200,17 @@ class TestIngestion:
         raw = np.array([[np.nan, 1, 1, 1], [1, 1, 1, 1], [1, -2, 1, 1]], dtype=float)
         with pytest.warns(UserWarning, match=r"d1 \(missing boundary price\)"):
             with pytest.raises(DataError) as info:
-                ingest_price_matrix(raw, dates=["d1", "d2", "d3"])
+                ingest_price_matrix(raw, IntradayGrid.regular(4), ["d1", "d2", "d3"])
         assert str(info.value) == "non-positive or non-finite price at d3, grid index 2"
-        raw[2, 1] = np.inf  # a kept day's default label, past an interior gap
+        raw[2, 1] = np.inf  # a kept day's label, past an interior gap
         raw[1, 2] = np.nan
         with pytest.warns(UserWarning), pytest.raises(DataError) as info:
-            ingest_price_matrix(raw)
+            ingest_price_matrix(raw, *_labelled(raw))
         assert str(info.value) == "non-positive or non-finite price at day0003, grid index 2"
 
     def test_interior_gap_interpolated(self):
         raw = np.array([[100.0, np.nan, 104.0]])
-        pm, _, summary = ingest_price_matrix(raw)
+        pm, _, summary = ingest_price_matrix(raw, *_labelled(raw))
         assert pm.prices[0, 1] == pytest.approx(102.0)
         assert summary["interpolated_cells"] == 1 and np.isnan(raw[0, 1])  # input untouched
 
@@ -220,7 +224,7 @@ class TestIngestion:
             ]
         )
         with pytest.warns(UserWarning):
-            pm, kept, summary = ingest_price_matrix(raw, dates=list("abcd"))
+            pm, kept, summary = ingest_price_matrix(raw, IntradayGrid.regular(4), list("abcd"))
         assert kept == ["a", "b"]
         assert pm.prices.shape == (2, 4)
         assert summary["days_in"] == 4
@@ -236,12 +240,12 @@ class TestIngestion:
             ]
         )
         with pytest.warns(UserWarning):
-            _, kept, _ = ingest_price_matrix(raw, max_missing_frac=0.4)
+            _, kept, _ = ingest_price_matrix(raw, *_labelled(raw), max_missing_frac=0.4)
         assert kept == ["day0001"]
 
     def test_clean_input_no_warning(self):
         raw = make_prices(7, 4, 5)
-        pm, kept, summary = ingest_price_matrix(raw)
+        pm, kept, summary = ingest_price_matrix(raw, *_labelled(raw))
         assert len(kept) == 4
         assert summary["days_dropped"] == []
 

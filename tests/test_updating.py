@@ -39,6 +39,7 @@ from curvecast import (
     updating_columns,
 )
 from curvecast import sieve, updating
+from curvecast.gridcurves import block_weight
 from curvecast.sieve import SieveReplicates
 from curvecast.updating import FlrModel
 
@@ -385,10 +386,12 @@ def materialised_links(model, reps):
         + reps.series_scores @ reps.eigenfunctions.T
         + reps.resid_pool[reps.series_resid_idx]
     )
-    ecols = np.arange(model.split - 1)
-    lcols = updating_columns(tau, model.split)
-    theta = (curves[:, :, ecols] - model.early_mean) @ (model.early_weight * model.early_basis)
-    vartheta = (curves[:, :, lcols] - model.late_mean) @ (model.late_weight * model.late_basis)
+    m = model.early_basis.shape[0] + 1
+    ecols = np.arange(m - 1)
+    lcols = updating_columns(tau, m)
+    w_e, w_l = block_weight(ecols.size), block_weight(lcols.size)
+    theta = (curves[:, :, ecols] - model.early_mean) @ (w_e * model.early_basis)
+    vartheta = (curves[:, :, lcols] - model.late_mean) @ (w_l * model.late_basis)
     return _link(theta, vartheta)
 
 
@@ -520,9 +523,8 @@ def _hand_built(early_basis, *, zero_early_rows=(), zero_replicates=()):
     )
     late_basis = r.normal(size=(3, 2))
     model = FlrModel(
-        split=4, early_mean=mean[:3], late_mean=mean[3:],
+        early_mean=mean[:3], late_mean=mean[3:],
         early_basis=early_basis, late_basis=late_basis,
-        early_weight=0.5, late_weight=0.5,
         link=np.zeros((early_basis.shape[1], 2)), ridged=False,
     )
     return model, reps

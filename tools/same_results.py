@@ -23,7 +23,10 @@ The probes (``--probe`` picks some; all run by default):
   validation days, every period, B = 400;
 * ``golden``: every file ``tests/golden/make_golden.py`` writes, run from each tree;
 * ``dropped_days``: the schedule and the report failures of the CLI runs in
-  ``tests/test_cli.py::TestDroppedValidationDays``, where validation days fail to fit.
+  ``tests/test_cli.py::TestDroppedValidationDays``, where validation days fail to fit;
+* ``updates``: on the C08 panel (250 days fitted, the next day observed), at m = 5, 20,
+  38, 60 and 73: ``flr_update``, ``pls_update`` at lambda = 1, and for seeds 0 and 7 and
+  B = 57 and 400 ``flr_interval_update`` and ``pls_interval_update`` at lambda = 1.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ PANELS = {"C06": (C06, 250), "C08": (C08, 250)}  # spec, days fitted
 SEEDS = (0, 7, 2**63 + 5)
 REPLICATES = (1, 57, 400)
 FORECAST_SEEDS, FORECAST_WORKERS = (0, 7), (1, 2)
+UPDATE_PERIODS, UPDATE_REPLICATES = (5, 20, 38, 60, 73), (57, 400)
 DRAW_FIELDS = ("series_scores", "series_resid_idx", "future_scores", "future_resid_idx",
                "mean", "eigenfunctions", "resid_pool")
 
@@ -146,8 +150,36 @@ def probe_dropped_days() -> dict:
             "dropped_days/failures": json.dumps(failures, sort_keys=True).encode()}
 
 
+def probe_updates() -> dict:
+    from curvecast import (BootstrapConfig, SynthSpec, build_update_context, draw_replicates,
+                           fit_fpca, fit_var, flr_fit, flr_interval_update, flr_update,
+                           generate, pls_interval_update, pls_update, select_order)
+
+    fts = generate(SynthSpec(**{**C08, "n": 251}))[0]
+    train, actual = fts.head(250), fts.values[250]
+    fpca = fit_fpca(train)
+    scores = fpca.scores[:, : fpca.num_components]
+    var = fit_var(scores, select_order(scores, 10))
+    draws = {(seed, B): draw_replicates(fpca, var, BootstrapConfig(B, seed))
+             for seed in FORECAST_SEEDS for B in UPDATE_REPLICATES}
+    out = {}
+    for m in UPDATE_PERIODS:
+        observed = actual[: m - 1]
+        flr, ctx = flr_fit(train, m), build_update_context(fpca, var, observed)
+        out[f"updates/m{m}/flr_update"] = flr_update(flr, observed)
+        out[f"updates/m{m}/pls_update"] = pls_update(ctx, 1.0, fpca)
+        for (seed, B), reps in draws.items():
+            key = f"updates/m{m}/seed{seed}/B{B}"
+            for name, bounds in (("flr", flr_interval_update(flr, observed, reps)),
+                                 ("pls", pls_interval_update(ctx, 1.0, fpca, reps))):
+                for a, pair in bounds.items():
+                    out[f"{key}/{name}_interval/{a}"] = np.stack(pair)
+    return out
+
+
 PROBES = {"draws": probe_draws, "forecast": probe_forecast, "tune": probe_tune,
-          "golden": probe_golden, "dropped_days": probe_dropped_days}
+          "golden": probe_golden, "dropped_days": probe_dropped_days,
+          "updates": probe_updates}
 
 
 def run_probes(names, path: str) -> None:
